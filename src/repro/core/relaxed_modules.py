@@ -60,7 +60,10 @@ class _RelaxedAdjacency(Module):
 
     def __init__(self, relaxed_quantizer: RelaxedQuantizer):
         super().__init__()
-        self.relaxed = relaxed_quantizer
+        # The owning layer already registers this quantizer; registering it
+        # here too would make every traversal (Equation 8's sum, the
+        # optimizer's parameter list) see the adjacency component twice.
+        object.__setattr__(self, "relaxed", relaxed_quantizer)
         self._cache: dict[int, tuple[SparseTensor, List[SparseTensor]]] = {}
 
     def aggregate(self, adjacency: SparseTensor, messages: Tensor) -> Tensor:

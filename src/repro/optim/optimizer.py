@@ -16,6 +16,10 @@ class Optimizer:
         self.parameters: List[Tensor] = [p for p in parameters]
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
+        if len({id(p) for p in self.parameters}) != len(self.parameters):
+            # A parameter listed twice would get two moment slots and be
+            # stepped twice per iteration.
+            raise ValueError("optimizer received the same parameter more than once")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.build import build_relaxed_node_classifier
 from repro.core.penalty import (
     alpha_parameters,
     architecture_parameters,
@@ -120,3 +121,17 @@ class TestPenaltyAggregation:
         assert len(alphas) == 2
         assert len(alphas) + len(weights) == len(model.parameters())
         assert not {id(a) for a in alphas} & {id(w) for w in weights}
+
+
+class TestEachComponentCountedOnce:
+    """Equation 8 sums every component once and the optimizer steps it once."""
+
+    @pytest.mark.parametrize("family", ["gcn", "gin", "sage", "gat", "tag",
+                                        "transformer"])
+    def test_no_quantizer_or_parameter_is_traversed_twice(self, family):
+        model = build_relaxed_node_classifier(family, [(5, 8), (8, 3)], [2, 4, 8],
+                                              rng=np.random.default_rng(0))
+        quantizers = relaxed_quantizers(model)
+        assert len({id(q) for q in quantizers}) == len(quantizers)
+        parameters = model.parameters()
+        assert len({id(p) for p in parameters}) == len(parameters)

@@ -19,6 +19,11 @@ class TestOptimizerBase:
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
 
+    def test_duplicate_parameter_rejected(self):
+        parameter = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match="more than once"):
+            Adam([parameter, parameter], lr=0.1)
+
     def test_invalid_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], lr=0.0)
