@@ -6,8 +6,10 @@ This package is the paper's primary contribution:
   (the continuous relaxation of Equation 6).
 * :mod:`repro.core.penalty` — the memory-proportional penalty ``C(T)``
   (Equation 8) and its aggregation over an architecture.
-* :mod:`repro.core.relaxed_modules` — relaxed message-passing and linear
-  layers mirroring the quantized modules in :mod:`repro.quant.qmodules`.
+* :func:`mixture_quantizer_factory` — the quantizer factory that puts a
+  relaxed quantizer at every quantization point of the quantized modules in
+  :mod:`repro.quant.qmodules`; the relaxed architecture is that one module
+  family built with it, not a second family.
 * :mod:`repro.core.build` — "Build Relaxed Architecture" from Algorithm 1.
 * :mod:`repro.core.selection` — the bit-width search loop ("Find Bit-widths").
 * :mod:`repro.core.mixq` — the high-level :class:`MixQNodeClassifier` /
@@ -16,16 +18,8 @@ This package is the paper's primary contribution:
   and Pareto-front extraction (Figures 2, 3 and Table 10).
 """
 
-from repro.core.relaxed_quantizer import RelaxedQuantizer
+from repro.core.relaxed_quantizer import RelaxedQuantizer, mixture_quantizer_factory
 from repro.core.penalty import memory_penalty_mb, total_penalty
-from repro.core.relaxed_modules import (
-    RelaxedGCNConv,
-    RelaxedGINConv,
-    RelaxedSAGEConv,
-    RelaxedLinear,
-    RelaxedNodeClassifier,
-    RelaxedGraphClassifier,
-)
 from repro.core.build import build_relaxed_node_classifier, build_relaxed_graph_classifier
 from repro.core.selection import BitWidthSearchResult, search_node_bitwidths, search_graph_bitwidths
 from repro.core.mixq import MixQNodeClassifier, MixQGraphClassifier, MixQResult
@@ -37,14 +31,9 @@ from repro.core.search_space import (
 
 __all__ = [
     "RelaxedQuantizer",
+    "mixture_quantizer_factory",
     "memory_penalty_mb",
     "total_penalty",
-    "RelaxedGCNConv",
-    "RelaxedGINConv",
-    "RelaxedSAGEConv",
-    "RelaxedLinear",
-    "RelaxedNodeClassifier",
-    "RelaxedGraphClassifier",
     "build_relaxed_node_classifier",
     "build_relaxed_graph_classifier",
     "BitWidthSearchResult",

@@ -1,12 +1,17 @@
 """Building relaxed architectures ("Build Relaxed Architecture", Algorithm 1).
 
 Algorithm 1 walks the modules of a base architecture and adds input, output,
-aggregation and parameter quantizers with ``|B|`` choices each.  Since the
-layer families the paper quantizes (GCN, GIN, GraphSAGE) are known, the
-builders construct the relaxed layers directly from an architecture
-specification — one relaxed quantizer per component, input quantizers only
-on the first module, aggregation quantizers only on message-passing layers,
-weight quantizers wherever learnable parameters exist.
+aggregation and parameter quantizers with ``|B|`` choices each.  The base
+architecture here is the quantized module family of
+:mod:`repro.quant.qmodules` (GCN, GIN, GraphSAGE, GAT, TAG, Transformer),
+which already names every quantization point — input quantizers only on the
+first module, aggregation quantizers only on message-passing layers, weight
+quantizers wherever learnable parameters exist — and asks a quantizer
+factory what to put there.  The builders therefore construct that same
+architecture with the mixture factory
+(:func:`~repro.core.relaxed_quantizer.mixture_quantizer_factory`): one
+:class:`~repro.core.relaxed_quantizer.RelaxedQuantizer` per component, and
+``component_bits()`` of the result is the arg-max assignment ``S``.
 """
 
 from __future__ import annotations
@@ -15,23 +20,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.relaxed_modules import (
-    RelaxedGATConv,
-    RelaxedGCNConv,
-    RelaxedGINConv,
-    RelaxedGraphClassifier,
-    RelaxedNodeClassifier,
-    RelaxedSAGEConv,
-    RelaxedTAGConv,
-    RelaxedTransformerConv,
+from repro.core.relaxed_quantizer import mixture_quantizer_factory
+from repro.quant.qmodules import (
+    QuantGraphClassifier,
+    QuantNodeClassifier,
+    QuantizerFactory,
+    default_quantizer_factory,
 )
-from repro.gnn.message_passing import MessagePassing
-from repro.gnn.models import head_merge_for_layer
-from repro.quant.qmodules import QuantizerFactory, default_quantizer_factory
-
-_RELAXED_CONVS = {"gcn": RelaxedGCNConv, "gin": RelaxedGINConv,
-                  "sage": RelaxedSAGEConv, "gat": RelaxedGATConv,
-                  "tag": RelaxedTAGConv, "transformer": RelaxedTransformerConv}
 
 
 def layer_dimensions(in_features: int, hidden_features: int, num_classes: int,
@@ -53,7 +48,7 @@ def build_relaxed_node_classifier(conv_type: str, layer_dims: Sequence[Tuple[int
                                   hops: int = 3, heads: int = 1,
                                   head_merge: str = "concat",
                                   rng: Optional[np.random.Generator] = None
-                                  ) -> RelaxedNodeClassifier:
+                                  ) -> QuantNodeClassifier:
     """Build the relaxed (searchable) node classifier for a layer family.
 
     ``conv_type`` is one of ``"gcn"`` / ``"gin"`` / ``"sage"`` / ``"gat"`` /
@@ -65,25 +60,10 @@ def build_relaxed_node_classifier(conv_type: str, layer_dims: Sequence[Tuple[int
     outputs keep their quantizers so the component count matches the
     paper's example (nine components for a two-layer GCN).
     """
-    key = conv_type.lower()
-    if key not in _RELAXED_CONVS:
-        raise KeyError(f"unknown conv type {conv_type!r}; options: {sorted(_RELAXED_CONVS)}")
-    conv_class = _RELAXED_CONVS[key]
-    convs: List[MessagePassing] = []
-    for index, (fan_in, fan_out) in enumerate(layer_dims):
-        if key == "tag":
-            extra = {"hops": hops}
-        elif key in ("gat", "transformer"):
-            extra = {"heads": heads,
-                     "head_merge": head_merge_for_layer(index, len(layer_dims),
-                                                        heads, head_merge)}
-        else:
-            extra = {}
-        convs.append(conv_class(fan_in, fan_out, bit_choices,
-                                quantize_input=(index == 0),
-                                quantizer_factory=quantizer_factory, rng=rng,
-                                **extra))
-    return RelaxedNodeClassifier(convs, dropout=dropout, rng=rng)
+    return QuantNodeClassifier.from_assignment(
+        list(layer_dims), conv_type.lower(), {}, dropout=dropout,
+        quantizer_factory=mixture_quantizer_factory(bit_choices, quantizer_factory),
+        hops=hops, heads=heads, head_merge=head_merge, rng=rng)
 
 
 def build_relaxed_graph_classifier(in_features: int, hidden_features: int,
@@ -92,8 +72,10 @@ def build_relaxed_graph_classifier(in_features: int, hidden_features: int,
                                    dropout: float = 0.5,
                                    quantizer_factory: QuantizerFactory = default_quantizer_factory,
                                    rng: Optional[np.random.Generator] = None
-                                   ) -> RelaxedGraphClassifier:
+                                   ) -> QuantGraphClassifier:
     """Build the relaxed GIN graph classifier used by the graph-level tasks."""
-    return RelaxedGraphClassifier(in_features, hidden_features, num_classes, bit_choices,
-                                  num_layers=num_layers, pooling=pooling, dropout=dropout,
-                                  quantizer_factory=quantizer_factory, rng=rng)
+    return QuantGraphClassifier(
+        in_features, hidden_features, num_classes, {}, num_layers=num_layers,
+        pooling=pooling, dropout=dropout,
+        quantizer_factory=mixture_quantizer_factory(bit_choices, quantizer_factory),
+        rng=rng)

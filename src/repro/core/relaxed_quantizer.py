@@ -9,11 +9,16 @@ parameter vector ``alpha``.  The forward pass produces
 so gradients flow both into the network weights (through the STE fake
 quantizers) and into ``alpha`` (through the mixture weights).  After the
 search, :meth:`selected_bits` returns the arg-max bit-width.
+
+The relaxed architecture of Algorithm 1 is the quantized architecture of
+:mod:`repro.quant.qmodules` built with :func:`mixture_quantizer_factory`:
+a relaxed quantizer is a drop-in module at the site of the fixed-bit
+quantizer it replaces.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -43,13 +48,12 @@ class RelaxedQuantizer(Module):
 
     def __init__(self, bit_choices: Sequence[int], kind: str = "activation",
                  quantizer_factory: QuantizerFactory = default_quantizer_factory,
-                 alpha_init: float = 0.0, name: Optional[str] = None):
+                 alpha_init: float = 0.0):
         super().__init__()
         if not bit_choices:
             raise ValueError("bit_choices must not be empty")
         self.bit_choices: List[int] = [int(b) for b in bit_choices]
         self.kind = kind
-        self.component_name = name
         self.quantizers = ModuleList(
             [quantizer_factory(bits, kind) for bits in self.bit_choices])
         self.alpha = Parameter(
@@ -78,6 +82,10 @@ class RelaxedQuantizer(Module):
         """Arg-max bit-width (the final selection after the search)."""
         return int(self.bit_choices[int(np.argmax(self.alpha.data))])
 
+    #: What ``component_bits()`` / ``bit_operations()`` of the host layer read:
+    #: a relaxed model reports (and exports) its current arg-max assignment.
+    bits = property(selected_bits)
+
     def penalty(self) -> Tensor:
         """The component's contribution to ``C`` (Equation 8), in megabytes."""
         numel = max(self.last_numel, 1)
@@ -96,9 +104,10 @@ class RelaxedQuantizer(Module):
     def mixture_terms(self, values: List[Tensor]) -> Tensor:
         """Mix externally-computed per-bit-width results with the current weights.
 
-        Used by the relaxed message-passing layers where each candidate
-        bit-width produces a separate aggregation result (one quantized
-        adjacency per choice) that must be blended by the same softmax.
+        Used by the message-passing layers for the adjacency component,
+        where each candidate bit-width produces a separate aggregation result
+        (one quantized adjacency per choice) that must be blended by the same
+        softmax.
         """
         if len(values) != len(self.bit_choices):
             raise ValueError("one value per bit choice is required")
@@ -112,3 +121,22 @@ class RelaxedQuantizer(Module):
     def __repr__(self) -> str:
         return (f"RelaxedQuantizer(bits={self.bit_choices}, kind={self.kind!r}, "
                 f"selected={self.selected_bits()})")
+
+
+def mixture_quantizer_factory(bit_choices: Sequence[int],
+                              base_factory: QuantizerFactory = default_quantizer_factory
+                              ) -> QuantizerFactory:
+    """The quantizer factory that turns a quantized architecture into its relaxation.
+
+    Every quantization point gets a :class:`RelaxedQuantizer` over
+    ``bit_choices`` whose candidates come from ``base_factory`` (native QAT
+    by default, Degree-Quant for "MixQ + DQ").  The bit-width the layer asks
+    for is ignored: choosing it is what the search is for.
+    """
+    choices = [int(bits) for bits in bit_choices]
+
+    def factory(bits: int, kind: str) -> Module:
+        del bits
+        return RelaxedQuantizer(choices, kind, base_factory)
+
+    return factory

@@ -17,41 +17,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.quant.bitops import average_bits
-from repro.quant.qmodules import (
-    BitWidthAssignment,
-    gat_component_names,
-    gcn_component_names,
-    gin_component_names,
-    sage_component_names,
-    tag_component_names,
-    transformer_component_names,
-)
+from repro.quant.qmodules import BitWidthAssignment, conv_component_names
 
-
-def conv_component_names(conv_type: str, num_layers: int, hops: int = 3,
-                         heads: int = 1) -> List[str]:
-    """The search-space components of a node-classifier conv family.
-
-    One dispatch point shared by the CLI, the experiment runners and the
-    test fixtures.  ``hops`` only affects ``"tag"`` (one weight component
-    per adjacency power).  ``heads`` is accepted for interface symmetry but
-    never changes the component set: attention heads add score *columns*
-    behind one shared per-layer ``attention`` quantizer, so a multi-head
-    search runs over exactly the single-head assignment format.
-    """
-    del heads  # heads never change the component set (documented above)
-    builders = {
-        "gcn": lambda: gcn_component_names(num_layers),
-        "sage": lambda: sage_component_names(num_layers),
-        "gin": lambda: gin_component_names(num_layers, with_head=False),
-        "gat": lambda: gat_component_names(num_layers),
-        "tag": lambda: tag_component_names(num_layers, hops=hops),
-        "transformer": lambda: transformer_component_names(num_layers),
-    }
-    if conv_type not in builders:
-        raise KeyError(f"unknown conv type {conv_type!r}; "
-                       f"options: {sorted(builders)}")
-    return builders[conv_type]()
+# ``conv_component_names`` lives beside the conv dispatch table it reads; it is
+# re-exported because the CLI, perfbench and the test fixtures import it here.
+__all__ = ["assignment_average_bits", "bit_width_histogram", "conv_component_names",
+           "enumerate_assignments", "pareto_front", "random_assignment",
+           "sample_assignments"]
 
 
 def enumerate_assignments(component_names: Sequence[str],

@@ -21,12 +21,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.penalty import expected_average_bits, total_penalty
-from repro.core.relaxed_modules import RelaxedGraphClassifier, RelaxedNodeClassifier
 from repro.graphs.batch import iterate_minibatches
 from repro.graphs.graph import Graph
 from repro.optim import Adam
 from repro.quant.bitops import average_bits
-from repro.quant.qmodules import BitWidthAssignment
+from repro.quant.qmodules import (
+    BitWidthAssignment,
+    QuantGraphClassifier,
+    QuantNodeClassifier,
+)
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -75,7 +78,7 @@ def _backward_objective(model, task_loss: Tensor, lambda_value: float,
     return penalty
 
 
-def search_node_bitwidths(model: RelaxedNodeClassifier, graph: Graph,
+def search_node_bitwidths(model: QuantNodeClassifier, graph: Graph,
                           lambda_value: float, epochs: int = 60, lr: float = 0.01,
                           weight_decay: float = 5e-4,
                           mask: Optional[np.ndarray] = None,
@@ -125,7 +128,7 @@ def search_node_bitwidths(model: RelaxedNodeClassifier, graph: Graph,
         penalty_history.append(float(np.mean(step_penalties)))
         bits_history.append(expected_average_bits(model))
 
-    assignment = model.export_assignment()
+    assignment = model.component_bits()
     return BitWidthSearchResult(
         assignment=assignment,
         average_bits=average_bits(assignment.values()),
@@ -136,7 +139,7 @@ def search_node_bitwidths(model: RelaxedNodeClassifier, graph: Graph,
     )
 
 
-def search_graph_bitwidths(model: RelaxedGraphClassifier, graphs: Sequence[Graph],
+def search_graph_bitwidths(model: QuantGraphClassifier, graphs: Sequence[Graph],
                            lambda_value: float, epochs: int = 20, lr: float = 0.01,
                            batch_size: int = 32,
                            rng: Optional[np.random.Generator] = None,
@@ -165,7 +168,7 @@ def search_graph_bitwidths(model: RelaxedGraphClassifier, graphs: Sequence[Graph
         penalty_history.append(float(np.mean(epoch_penalties)))
         bits_history.append(expected_average_bits(model))
 
-    assignment = model.export_assignment()
+    assignment = model.component_bits()
     return BitWidthSearchResult(
         assignment=assignment,
         average_bits=average_bits(assignment.values()),

@@ -13,10 +13,14 @@ which is exactly the format produced by the MixQ-GNN bit-width search
 (:mod:`repro.core.selection`), so a search result can be instantiated as a
 quantized architecture directly.
 
-A ``quantizer_factory`` hook decides which quantizer class realises each
-component; the default uses :class:`AffineQuantizer`, and passing the
-Degree-Quant factory (:func:`repro.quant.degree_quant.degree_quant_factory`)
-reproduces the paper's "MixQ + DQ" integration.
+A ``quantizer_factory`` hook decides which quantizer sits at each named
+quantization point: the default puts a fixed-bit :class:`AffineQuantizer`
+there (QAT), the Degree-Quant factory
+(:func:`repro.quant.degree_quant.degree_quant_factory`) reproduces the
+paper's "MixQ + DQ" integration, and the mixture factory of
+:mod:`repro.core.relaxed_quantizer` turns the very same layers into the
+relaxed (searchable) architecture of Algorithm 1 — there is no second
+module family for the search.
 """
 
 from __future__ import annotations
@@ -93,10 +97,21 @@ def set_active_block(module: Module, block) -> None:
             sub.set_active_block(block)
 
 
-class _QuantizedAdjacencyCache:
-    """Fake-quantizes adjacency values once per adjacency object.
+class _AdjacencyQuantization:
+    """Aggregates messages over the fake-quantized adjacency of one layer.
 
-    The cache stores the source adjacency alongside the quantized copy: the
+    Sparse adjacency values are not part of the autograd graph, so they are
+    fake-quantized once per adjacency object and cached.  A mixture
+    quantizer (one exposing its candidate ``quantizers`` and
+    ``mixture_terms``) cannot blend quantized *values* for the same reason:
+    each candidate gets its own quantized adjacency and the per-candidate
+    aggregation *outputs* are blended with the mixture weights, which is how
+    task gradients reach the adjacency relaxation parameters.
+
+    A plain object, not a :class:`Module`: the owning layer registers the
+    quantizer, and registering it here again would make every traversal
+    (the penalty sum, the optimizer's parameter list) see it twice.  The
+    cache stores the source adjacency next to its quantized copies: the
     stored reference keeps the source alive, so an ``id()`` key can never be
     silently reused by a different (garbage-collected-and-reallocated)
     adjacency of another graph.
@@ -104,20 +119,32 @@ class _QuantizedAdjacencyCache:
 
     def __init__(self, quantizer: Module):
         self.quantizer = quantizer
-        self._cache: dict[int, tuple[SparseTensor, SparseTensor]] = {}
+        self._cache: dict[int, tuple[SparseTensor, List[SparseTensor]]] = {}
 
-    def __call__(self, adjacency: SparseTensor) -> SparseTensor:
-        if isinstance(self.quantizer, IdentityQuantizer):
-            return adjacency
+    def _quantized(self, adjacency: SparseTensor) -> List[SparseTensor]:
+        """One fake-quantized copy of ``adjacency`` per candidate quantizer."""
         key = id(adjacency)
         entry = self._cache.get(key)
         if entry is None or entry[0] is not adjacency:
-            integers, params = self.quantizer.quantize_array(adjacency.values)
-            values = self.quantizer.dequantize_array(integers, params)
-            self._cache[key] = (adjacency, adjacency.with_values(values.astype(np.float32)))
+            copies = []
+            for quantizer in getattr(self.quantizer, "quantizers", [self.quantizer]):
+                if isinstance(quantizer, IdentityQuantizer):
+                    copies.append(adjacency)
+                    continue
+                integers, params = quantizer.quantize_array(adjacency.values)
+                values = quantizer.dequantize_array(integers, params)
+                copies.append(adjacency.with_values(values.astype(np.float32)))
+            entry = self._cache[key] = (adjacency, copies)
             if len(self._cache) > 8:
                 self._cache.pop(next(iter(self._cache)))
-        return self._cache[key][1]
+        return entry[1]
+
+    def aggregate(self, adjacency: SparseTensor, messages: Tensor) -> Tensor:
+        copies = self._quantized(adjacency)
+        if not hasattr(self.quantizer, "mixture_terms"):
+            return spmm(copies[0], messages)
+        self.quantizer.last_numel = adjacency.nnz  # the penalty's C(T) size
+        return self.quantizer.mixture_terms([spmm(copy, messages) for copy in copies])
 
 
 class QuantLinear(Module):
@@ -183,7 +210,7 @@ class QuantGCNConv(MessagePassing):
         self.adjacency_quantizer = build("adjacency", "adjacency")
         self.aggregate_out_quantizer = build("aggregate_out", "activation") \
             if quantize_output else IdentityQuantizer()
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
@@ -192,8 +219,7 @@ class QuantGCNConv(MessagePassing):
         if self.linear.bias is not None:
             transformed = transformed + self.linear.bias
         transformed = self.linear_out_quantizer(transformed)
-        adjacency = self._adjacency_cache(graph.normalized_adjacency())
-        aggregated = spmm(adjacency, transformed)
+        aggregated = self._adjacency.aggregate(graph.normalized_adjacency(), transformed)
         return self.aggregate_out_quantizer(aggregated)
 
     # ------------------------------------------------------------------ #
@@ -260,12 +286,11 @@ class QuantGINConv(MessagePassing):
                                       quantizer_factory=quantizer_factory, rng=rng)
         self.activation = ReLU()
         self.eps = 0.0
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
-        adjacency = self._adjacency_cache(graph.adjacency(add_self_loops=False))
-        aggregated = spmm(adjacency, x)
+        aggregated = self._adjacency.aggregate(graph.adjacency(add_self_loops=False), x)
         combined = target_features(x, graph) * (1.0 + self.eps) + aggregated
         combined = self.aggregate_out_quantizer(combined)
         hidden = self.activation(self.mlp_first(combined))
@@ -331,12 +356,12 @@ class QuantSAGEConv(MessagePassing):
         self.weight_root_quantizer = quantizer_factory(bit("weight_root"), "weight")
         self.weight_neighbour_quantizer = quantizer_factory(bit("weight_neighbour"), "weight")
         self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
-        adjacency = self._adjacency_cache(mean_adjacency(graph))
-        aggregated = self.aggregate_out_quantizer(spmm(adjacency, x))
+        aggregated = self.aggregate_out_quantizer(
+            self._adjacency.aggregate(mean_adjacency(graph), x))
         weight_root = self.weight_root_quantizer(self.linear_root.weight)
         weight_neighbour = self.weight_neighbour_quantizer(self.linear_neighbour.weight)
         out = target_features(x, graph).matmul(weight_root) + self.linear_root.bias \
@@ -611,7 +636,7 @@ class QuantTAGConv(MessagePassing):
             [quantizer_factory(bit(f"weight_{k}"), "weight")
              for k in range(hops + 1)])
         self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
 
     @classmethod
     def components(cls, hops: int) -> tuple:
@@ -631,12 +656,13 @@ class QuantTAGConv(MessagePassing):
         output = final_rows(x).matmul(weight) + self.linears[0].bias
         propagated = x
         for hop, view in enumerate(views, start=1):
-            adjacency = self._adjacency_cache(view.normalized_adjacency())
+            propagated = self._adjacency.aggregate(view.normalized_adjacency(),
+                                                   propagated)
             if isinstance(view, SubgraphBlock):
                 # Hop outputs are row-indexed by this hop's target side, not
                 # by the layer's input block (the one forward_blocks set).
                 set_active_block(self.hop_out_quantizer, view)
-            propagated = self.hop_out_quantizer(spmm(adjacency, propagated))
+            propagated = self.hop_out_quantizer(propagated)
             weight = self.weight_quantizers[hop](self.linears[hop].weight)
             output = output + final_rows(propagated).matmul(weight)
         if isinstance(last, SubgraphBlock):
@@ -681,6 +707,19 @@ def _layer_assignment(assignment: BitWidthAssignment, prefix: str) -> ComponentB
     marker = prefix + "."
     return {key[len(marker):]: value for key, value in assignment.items()
             if key.startswith(marker)}
+
+
+#: The one dispatch table from a conv family name to its quantized layer.
+CONV_CLASSES = {"gcn": QuantGCNConv, "gin": QuantGINConv, "sage": QuantSAGEConv,
+                "gat": QuantGATConv, "tag": QuantTAGConv,
+                "transformer": QuantTransformerConv}
+
+
+def _conv_class(conv_type: str):
+    if conv_type not in CONV_CLASSES:
+        raise KeyError(f"unknown conv type {conv_type!r}; "
+                       f"options: {sorted(CONV_CLASSES)}")
+    return CONV_CLASSES[conv_type]
 
 
 class QuantNodeClassifier(Module):
@@ -740,12 +779,7 @@ class QuantNodeClassifier(Module):
         layers merge by ``head_merge``, the output layer by ``mean``
         (:func:`~repro.gnn.models.head_merge_for_layer`).
         """
-        conv_classes = {"gcn": QuantGCNConv, "gin": QuantGINConv,
-                        "sage": QuantSAGEConv, "gat": QuantGATConv,
-                        "tag": QuantTAGConv, "transformer": QuantTransformerConv}
-        if conv_type not in conv_classes:
-            raise KeyError(f"unknown conv type {conv_type!r}")
-        conv_class = conv_classes[conv_type]
+        conv_class = _conv_class(conv_type)
         convs: List[MessagePassing] = []
         for index, (fan_in, fan_out) in enumerate(layer_dims):
             layer_bits = _layer_assignment(assignment, f"conv{index}")
@@ -902,60 +936,42 @@ def uniform_assignment(component_names: List[str], bits: int) -> BitWidthAssignm
     return {name: int(bits) for name in component_names}
 
 
+def conv_component_names(conv_type: str, num_layers: int, hops: int = 3,
+                         heads: int = 1) -> List[str]:
+    """The named quantization points of a node-classifier conv family.
+
+    One dispatch point shared by the CLI, the experiment runners and the
+    test fixtures; only the first layer has an ``input`` component.  ``hops``
+    only affects ``"tag"`` (one weight component per adjacency power).
+    ``heads`` is accepted for interface symmetry but never changes the
+    component set: attention heads add score *columns* behind one shared
+    per-layer ``attention`` quantizer, so a multi-head search runs over
+    exactly the single-head assignment format.
+    """
+    del heads  # heads never change the component set (documented above)
+    conv_class = _conv_class(conv_type)
+    components = conv_class.components(hops) if conv_class is QuantTAGConv \
+        else conv_class.COMPONENTS
+    return [f"conv{index}.{component}" for index in range(num_layers)
+            for component in (components if index == 0 else components[1:])]
+
+
 def gcn_component_names(num_layers: int) -> List[str]:
     """Component names of an ``num_layers``-layer quantized GCN (paper's example)."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGCNConv.COMPONENTS if index == 0 else QuantGCNConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return conv_component_names("gcn", num_layers)
 
 
 def gin_component_names(num_layers: int, with_head: bool = True) -> List[str]:
     """Component names of a quantized GIN graph classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGINConv.COMPONENTS if index == 0 else QuantGINConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    if with_head:
-        names.extend(["head0.weight", "head0.output", "head1.weight", "head1.output"])
-    return names
+    head = ["head0.weight", "head0.output", "head1.weight", "head1.output"]
+    return conv_component_names("gin", num_layers) + (head if with_head else [])
 
 
 def sage_component_names(num_layers: int) -> List[str]:
     """Component names of a quantized GraphSAGE node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantSAGEConv.COMPONENTS if index == 0 else QuantSAGEConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return conv_component_names("sage", num_layers)
 
 
 def gat_component_names(num_layers: int) -> List[str]:
     """Component names of a quantized GAT node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGATConv.COMPONENTS if index == 0 else QuantGATConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
-
-
-def transformer_component_names(num_layers: int) -> List[str]:
-    """Component names of a quantized Transformer node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantTransformerConv.COMPONENTS if index == 0 \
-            else QuantTransformerConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
-
-
-def tag_component_names(num_layers: int, hops: int = 3) -> List[str]:
-    """Component names of a quantized TAG node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantTAGConv.components(hops)
-        if index != 0:
-            components = components[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return conv_component_names("gat", num_layers)

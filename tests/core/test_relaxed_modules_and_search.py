@@ -1,4 +1,8 @@
-"""Tests for the relaxed layers, Algorithm 1 (build + search) and the MixQ API."""
+"""Tests for the relaxed layers, Algorithm 1 (build + search) and the MixQ API.
+
+A relaxed layer is a ``Quant*Conv`` built with the mixture quantizer
+factory, so every family is one entry of ``CONV_CLASSES``.
+"""
 
 import numpy as np
 import pytest
@@ -9,50 +13,78 @@ from repro.core.build import (
     layer_dimensions,
 )
 from repro.core.mixq import MixQGraphClassifier, MixQNodeClassifier
-from repro.core.relaxed_modules import (
-    RelaxedGCNConv,
-    RelaxedGINConv,
-    RelaxedSAGEConv,
-)
+from repro.core.relaxed_quantizer import RelaxedQuantizer, mixture_quantizer_factory
 from repro.core.selection import search_graph_bitwidths, search_node_bitwidths
 from repro.graphs.batch import GraphBatch
 from repro.quant.degree_quant import DegreeQuantizer, degree_quant_factory
-from repro.quant.qmodules import gcn_component_names
+from repro.quant.qmodules import CONV_CLASSES, QuantGCNConv, gcn_component_names
 from repro.tensor import Tensor
 
 BIT_CHOICES = (2, 4, 8)
+FAMILIES = sorted(CONV_CLASSES)
+
+
+def relaxed_conv(family, in_features, out_features, **kwargs):
+    return CONV_CLASSES[family](in_features, out_features, {},
+                                quantizer_factory=mixture_quantizer_factory(BIT_CHOICES),
+                                rng=np.random.default_rng(0), **kwargs)
 
 
 class TestRelaxedConvs:
-    @pytest.mark.parametrize("conv_class", [RelaxedGCNConv, RelaxedGINConv, RelaxedSAGEConv])
-    def test_forward_shape(self, conv_class, tiny_graph):
-        conv = conv_class(5, 6, BIT_CHOICES, quantize_input=True,
-                          rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_forward_shape(self, family, tiny_graph):
+        conv = relaxed_conv(family, 5, 6, quantize_input=True)
         out = conv(Tensor(tiny_graph.x), tiny_graph)
         assert out.shape == (12, 6)
         assert np.isfinite(out.data).all()
 
-    @pytest.mark.parametrize("conv_class", [RelaxedGCNConv, RelaxedGINConv, RelaxedSAGEConv])
-    def test_export_bits_only_contains_valid_choices(self, conv_class, tiny_graph):
-        conv = conv_class(5, 6, BIT_CHOICES, quantize_input=True,
-                          rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_component_is_relaxed_and_exports_a_valid_choice(self, family,
+                                                                   tiny_graph):
+        conv = relaxed_conv(family, 5, 6, quantize_input=True)
         conv(Tensor(tiny_graph.x), tiny_graph)
-        exported = conv.export_bits("conv0")
+        exported = conv.component_bits("conv0")
         assert exported
         assert set(exported.values()) <= set(BIT_CHOICES)
+        relaxed = [m for m in conv.modules() if isinstance(m, RelaxedQuantizer)]
+        # GIN's first MLP output is one extra, un-exported mixture.
+        assert len(relaxed) == len(exported) + (family == "gin")
+
+    def test_input_component_only_when_requested(self, tiny_graph):
+        conv = relaxed_conv("gcn", 5, 6)
+        assert "conv0.input" not in conv.component_bits("conv0")
+        assert not isinstance(conv.input_quantizer, RelaxedQuantizer)
 
     def test_alpha_gradients_flow_from_task_loss(self, tiny_graph):
-        conv = RelaxedGCNConv(5, 3, BIT_CHOICES, quantize_input=True,
-                              rng=np.random.default_rng(0))
+        conv = relaxed_conv("gcn", 5, 3, quantize_input=True)
         (conv(Tensor(tiny_graph.x), tiny_graph) ** 2).sum().backward()
-        assert conv.weight_relaxed.alpha.grad is not None
-        assert conv.adjacency_relaxed.alpha.grad is not None
+        assert conv.weight_quantizer.alpha.grad is not None
+        assert conv.adjacency_quantizer.alpha.grad is not None
+
+    @pytest.mark.parametrize("family", ["gcn", "gin", "sage", "tag"])
+    def test_adjacency_alpha_gradient_and_numel(self, family, tiny_graph):
+        conv = relaxed_conv(family, 5, 3)
+        (conv(Tensor(tiny_graph.x), tiny_graph) ** 2).sum().backward()
+        assert conv.adjacency_quantizer.alpha.grad is not None
+        # the families aggregate over the adjacency with or without self loops
+        assert conv.adjacency_quantizer.last_numel in {
+            tiny_graph.adjacency(add_self_loops=False).nnz,
+            tiny_graph.normalized_adjacency().nnz}
 
     def test_adjacency_numel_is_nnz(self, tiny_graph):
-        conv = RelaxedGCNConv(5, 3, BIT_CHOICES, rng=np.random.default_rng(0))
+        conv = relaxed_conv("gcn", 5, 3)
         conv(Tensor(tiny_graph.x), tiny_graph)
-        assert conv.adjacency_relaxed.last_numel == \
+        assert conv.adjacency_quantizer.last_numel == \
             tiny_graph.normalized_adjacency().nnz
+
+    def test_fixed_bit_layer_is_the_same_class(self, tiny_graph):
+        """QAT and search differ only in the factory, not in the layer."""
+        fixed = QuantGCNConv(5, 3, {"weight": 4, "adjacency": 4},
+                             rng=np.random.default_rng(0))
+        relaxed = relaxed_conv("gcn", 5, 3)
+        assert type(fixed) is type(relaxed)
+        np.testing.assert_array_equal(fixed.linear.weight.data,
+                                      relaxed.linear.weight.data)
 
 
 class TestBuilders:
@@ -66,8 +98,21 @@ class TestBuilders:
         model = build_relaxed_node_classifier("gcn", [(5, 8), (8, 3)], BIT_CHOICES,
                                               rng=np.random.default_rng(0))
         model(tiny_graph)
-        assignment = model.export_assignment()
+        assignment = model.component_bits()
         assert sorted(assignment) == sorted(gcn_component_names(2))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_exports_its_component_names(self, family, tiny_graph):
+        from repro.quant.qmodules import conv_component_names
+
+        model = build_relaxed_node_classifier(family, [(5, 8), (8, 3)], BIT_CHOICES,
+                                              hops=2, rng=np.random.default_rng(0))
+        assert model(tiny_graph).shape == (12, 3)
+        assignment = model.component_bits()
+        assert list(assignment) == conv_component_names(family, 2, hops=2)
+        assert set(assignment.values()) <= set(BIT_CHOICES)
+        assert model.average_bits() == pytest.approx(
+            sum(assignment.values()) / len(assignment))
 
     def test_unknown_conv_type(self):
         with pytest.raises(KeyError):
@@ -79,7 +124,7 @@ class TestBuilders:
                                                rng=np.random.default_rng(0))
         batch = GraphBatch(tu_graphs[:4])
         assert model(batch).shape == (4, 2)
-        assignment = model.export_assignment()
+        assignment = model.component_bits()
         assert any(key.startswith("head0") for key in assignment)
 
 

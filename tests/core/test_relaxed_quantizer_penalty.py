@@ -11,9 +11,9 @@ from repro.core.penalty import (
     relaxed_quantizers,
     total_penalty,
 )
-from repro.core.relaxed_quantizer import RelaxedQuantizer
-from repro.core.relaxed_modules import RelaxedLinear
+from repro.core.relaxed_quantizer import RelaxedQuantizer, mixture_quantizer_factory
 from repro.nn.module import Module
+from repro.quant.qmodules import QuantLinear
 from repro.tensor import Tensor
 
 
@@ -34,6 +34,11 @@ class TestRelaxedQuantizer:
         relaxed = RelaxedQuantizer([2, 4, 8])
         relaxed.alpha.data[:] = [0.0, 5.0, 0.0]
         assert relaxed.selected_bits() == 4
+
+    def test_bits_reads_the_argmax(self):
+        relaxed = RelaxedQuantizer([2, 4, 8])
+        relaxed.alpha.data[:] = [0.0, 0.0, 3.0]
+        assert relaxed.bits == relaxed.selected_bits() == 8
 
     def test_forward_is_convex_combination(self):
         relaxed = RelaxedQuantizer([2, 8])
@@ -85,10 +90,28 @@ class TestRelaxedQuantizer:
         assert out.data[0] == pytest.approx(10.0, abs=1e-3)
 
 
+class TestMixtureFactory:
+    def test_ignores_requested_bits_and_forwards_kind(self):
+        factory = mixture_quantizer_factory((2, 4))
+        for requested in (2, 8, 32):
+            quantizer = factory(requested, "weight")
+            assert isinstance(quantizer, RelaxedQuantizer)
+            assert quantizer.bit_choices == [2, 4] and quantizer.kind == "weight"
+
+    def test_candidates_come_from_the_base_factory(self):
+        from repro.quant.degree_quant import DegreeQuantizer, degree_quant_factory
+
+        quantizer = mixture_quantizer_factory((4, 8), degree_quant_factory())(
+            32, "activation")
+        assert all(isinstance(q, DegreeQuantizer) for q in quantizer.quantizers)
+
+
 class _ToyRelaxed(Module):
     def __init__(self):
         super().__init__()
-        self.layer = RelaxedLinear(4, 3, [2, 4, 8], rng=np.random.default_rng(0))
+        self.layer = QuantLinear(4, 3,
+                                 quantizer_factory=mixture_quantizer_factory([2, 4, 8]),
+                                 rng=np.random.default_rng(0))
 
     def forward(self, x):
         return self.layer(x)

@@ -17,9 +17,8 @@ from repro.quant.qmodules import (
     QuantNodeClassifier,
     QuantTAGConv,
     QuantTransformerConv,
+    conv_component_names,
     gat_component_names,
-    tag_component_names,
-    transformer_component_names,
     uniform_assignment,
 )
 from repro.graphs.sampling import NeighborSampler
@@ -27,15 +26,14 @@ from repro.graphs.sampling import NeighborSampler
 FAMILIES = ("gat", "tag", "transformer")
 HEADED_FAMILIES = ("gat", "transformer")
 
-_NAMES = {
-    "gat": lambda layers: gat_component_names(layers),
-    "tag": lambda layers: tag_component_names(layers, hops=2),
-    "transformer": lambda layers: transformer_component_names(layers),
-}
+
+
+def _names(conv_type, layers, hops=2):
+    return conv_component_names(conv_type, layers, hops=hops)
 
 
 def _build(conv_type, graph, bits=8, hidden=12, seed=0, heads=1):
-    assignment = uniform_assignment(_NAMES[conv_type](2), bits)
+    assignment = uniform_assignment(_names(conv_type, 2), bits)
     extra = {"hops": 2} if conv_type == "tag" else {"heads": heads}
     return QuantNodeClassifier.from_assignment(
         [(graph.num_features, hidden), (hidden, graph.num_classes)], conv_type,
@@ -50,11 +48,11 @@ class TestComponentNames:
         assert "conv1.linear_out" in names
 
     def test_transformer_components(self):
-        names = transformer_component_names(1)
+        names = conv_component_names("transformer", 1)
         assert set(names) == {f"conv0.{c}" for c in QuantTransformerConv.COMPONENTS}
 
     def test_tag_components_scale_with_hops(self):
-        names = tag_component_names(1, hops=2)
+        names = conv_component_names("tag", 1, hops=2)
         assert "conv0.weight_2" in names and "conv0.weight_3" not in names
         assert "conv0.hop_out" in names and "conv0.adjacency" in names
 
@@ -62,7 +60,7 @@ class TestComponentNames:
         for family in FAMILIES:
             model = _build(family, sbm_graph, bits=4)
             bits = model.component_bits()
-            assert set(bits) == set(_NAMES[family](2))
+            assert set(bits) == set(_names(family, 2))
             assert all(value == 4 for value in bits.values())
             assert model.average_bits() == pytest.approx(4.0)
 
@@ -167,7 +165,7 @@ class TestDegreeQuantAlignment:
 
         model = QuantNodeClassifier.from_assignment(
             [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)], "tag",
-            uniform_assignment(tag_component_names(2, hops=2), 8),
+            uniform_assignment(_names("tag", 2), 8),
             quantizer_factory=degree_quant_factory(), hops=2, dropout=0.0,
             rng=np.random.default_rng(0))
         attach_degree_probabilities(model, sbm_graph)
@@ -213,17 +211,16 @@ class TestDegreeQuantAlignment:
 class TestRelaxedFamilies:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_export_matches_quant_component_names(self, sbm_graph, family):
-        hops = 2 if family == "tag" else 3
         relaxed = build_relaxed_node_classifier(
             family, [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)],
-            [4, 8], hops=hops, rng=np.random.default_rng(0))
-        assignment = relaxed.export_assignment()
-        expected = _NAMES[family](2) if family != "tag" \
-            else tag_component_names(2, hops=hops)
+            [4, 8], hops=2, rng=np.random.default_rng(0))
+        assignment = relaxed.component_bits()
+        expected = _names(family, 2)
         assert set(assignment) == set(expected)
+        assert set(assignment.values()) <= {4, 8}
         # the exported assignment instantiates the quantized model directly
-        extra = {"hops": hops} if family == "tag" else {}
+        extra = {"hops": 2} if family == "tag" else {}
         model = QuantNodeClassifier.from_assignment(
             [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)], family,
             assignment, rng=np.random.default_rng(0), **extra)
-        assert set(model.component_bits()) == set(expected)
+        assert model.component_bits() == assignment

@@ -9,12 +9,7 @@ import pytest
 
 from repro.quant.qmodules import (
     QuantNodeClassifier,
-    gat_component_names,
-    gcn_component_names,
-    gin_component_names,
-    sage_component_names,
-    tag_component_names,
-    transformer_component_names,
+    conv_component_names,
     uniform_assignment,
 )
 from repro.training.trainer import train_node_classifier
@@ -27,21 +22,12 @@ ATTENTION_CONV_TYPES = ("gat", "tag", "transformer")
 #: TAG depth used throughout the serving tests (kept small for speed).
 TAG_TEST_HOPS = 2
 
-_COMPONENT_NAMES = {
-    "gcn": lambda layers: gcn_component_names(layers),
-    "sage": lambda layers: sage_component_names(layers),
-    "gin": lambda layers: gin_component_names(layers, with_head=False),
-    "gat": lambda layers: gat_component_names(layers),
-    "tag": lambda layers: tag_component_names(layers, hops=TAG_TEST_HOPS),
-    "transformer": lambda layers: transformer_component_names(layers),
-}
-
-
 def train_quantized(conv_type: str, graph, bits: int = 8, hidden: int = 16,
                     epochs: int = 12, seed: int = 0,
                     heads: int = 1) -> QuantNodeClassifier:
     """A small trained (observers initialised) quantized classifier."""
-    assignment = uniform_assignment(_COMPONENT_NAMES[conv_type](2), bits)
+    assignment = uniform_assignment(
+        conv_component_names(conv_type, 2, hops=TAG_TEST_HOPS), bits)
     if conv_type == "tag":
         extra = {"hops": TAG_TEST_HOPS}
     elif conv_type in ("gat", "transformer"):
