@@ -11,8 +11,7 @@ The public surface mirrors the decomposition of the paper:
 * :mod:`repro.quant.bitops` — the BitOPs efficiency metric (Section 5.1).
 
 Deployment-time integer execution lives in :mod:`repro.serving`
-(:class:`~repro.serving.QuantizedArtifact` + inference sessions);
-:class:`IntegerGCNInference` remains here as a deprecated alias.
+(:class:`~repro.serving.QuantizedArtifact` + inference sessions).
 """
 
 from repro.quant.quantizer import AffineQuantizer, QuantizationParameters
@@ -38,7 +37,6 @@ from repro.quant.qmodules import (
 from repro.quant.degree_quant import DegreeQuantizer, degree_protection_probabilities
 from repro.quant.a2q import A2QQuantizer, A2QNodeClassifier
 from repro.quant.complexity import complexity_table
-from repro.quant.inference import IntegerGCNInference
 
 __all__ = [
     "AffineQuantizer",
@@ -65,5 +63,4 @@ __all__ = [
     "A2QQuantizer",
     "A2QNodeClassifier",
     "complexity_table",
-    "IntegerGCNInference",
 ]

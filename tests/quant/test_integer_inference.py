@@ -1,17 +1,23 @@
-"""Tests for the end-to-end integer inference engine (Figure 7, stage 5)."""
-# reprolint: disable-file=RL04  (this module exists to pin the deprecated alias)
+"""End-to-end integer inference (Figure 7, stage 5) against the QAT model.
+
+The integer engine is the serving subsystem's full-graph session over an
+exported artifact; these are the Theorem-1 parity checks of the GCN path.
+"""
 
 import numpy as np
 import pytest
 
-from repro.quant.inference import IntegerGCNInference
 from repro.quant.qmodules import (
     QuantNodeClassifier,
-    QuantSAGEConv,
     gcn_component_names,
     uniform_assignment,
 )
+from repro.serving import FullGraphSession, QuantizedArtifact
 from repro.training.trainer import evaluate_node_classifier, train_node_classifier
+
+
+def integer_session(model, graph) -> FullGraphSession:
+    return FullGraphSession(QuantizedArtifact.from_model(model), graph)
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +34,13 @@ def trained_int8_model(small_cora):
 class TestIntegerInference:
     def test_matches_fake_quantized_model(self, trained_int8_model, small_cora):
         """Integer inference reproduces the QAT model's logits (Theorem 1 parity)."""
-        engine = IntegerGCNInference.from_quantized_model(trained_int8_model)
-        integer_logits = engine.predict(small_cora)
+        integer_logits = integer_session(trained_int8_model, small_cora).predict()
         fake_quant_logits = trained_int8_model(small_cora).data
         np.testing.assert_allclose(integer_logits, fake_quant_logits,
                                    rtol=1e-3, atol=1e-3)
 
     def test_predictions_match_model_accuracy(self, trained_int8_model, small_cora):
-        engine = IntegerGCNInference.from_quantized_model(trained_int8_model)
-        predictions = engine.predict_classes(small_cora)
+        predictions = integer_session(trained_int8_model, small_cora).predict_classes()
         engine_accuracy = (predictions[small_cora.test_mask]
                            == small_cora.y[small_cora.test_mask]).mean()
         model_accuracy = evaluate_node_classifier(trained_int8_model, small_cora,
@@ -53,26 +57,14 @@ class TestIntegerInference:
             assignment, dropout=0.0, rng=np.random.default_rng(1))
         train_node_classifier(model, small_cora, epochs=15, lr=0.02)
         model.eval()
-        engine = IntegerGCNInference.from_quantized_model(model)
-        np.testing.assert_allclose(engine.predict(small_cora), model(small_cora).data,
-                                   rtol=2e-3, atol=2e-3)
+        np.testing.assert_allclose(integer_session(model, small_cora).predict(),
+                                   model(small_cora).data, rtol=2e-3, atol=2e-3)
 
     def test_bit_operations_match_model_counter(self, trained_int8_model, small_cora):
-        engine = IntegerGCNInference.from_quantized_model(trained_int8_model)
-        engine_counter = engine.bit_operations(small_cora)
+        engine_counter = integer_session(trained_int8_model, small_cora).bit_operations()
         model_counter = trained_int8_model.bit_operations(small_cora)
         assert engine_counter.total_bit_operations > 0
         # The engine counts the same transform/aggregate work as the QAT model
         # (the model additionally counts the FP32 input width on layer 0).
         ratio = engine_counter.total_bit_operations / model_counter.total_bit_operations
         assert 0.5 <= ratio <= 1.5
-
-    def test_rejects_non_gcn_layers(self, small_cora):
-        model = QuantNodeClassifier(
-            [QuantSAGEConv(small_cora.num_features, small_cora.num_classes, {})])
-        with pytest.raises(TypeError):
-            IntegerGCNInference.from_quantized_model(model)
-
-    def test_requires_at_least_one_layer(self):
-        with pytest.raises(ValueError):
-            IntegerGCNInference([])

@@ -1,11 +1,8 @@
-"""Tests for the coalescing serving engine and the deprecated shim."""
-
-import warnings
+"""Tests for the coalescing serving engine."""
 
 import numpy as np
 import pytest
 
-from repro.quant.inference import IntegerGCNInference  # reprolint: disable=RL04
 from repro.serving import FullGraphSession, QuantizedArtifact, ServingEngine
 
 
@@ -294,23 +291,3 @@ class TestSeedDedup:
         results = engine.flush()
         assert [result.ok for result in results] == [False, False, True]
         assert engine.stats.failures == 2
-
-
-class TestDeprecatedShim:
-    def test_alias_still_serves_gcn(self, served_models, small_cora):
-        with pytest.warns(DeprecationWarning):
-            engine = IntegerGCNInference.from_quantized_model(  # reprolint: disable=RL04
-                served_models["gcn"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session_logits = FullGraphSession(
-                QuantizedArtifact.from_model(served_models["gcn"]),
-                small_cora).predict()
-            np.testing.assert_array_equal(engine.predict(small_cora),
-                                          session_logits)
-
-    def test_alias_rejects_non_gcn(self, served_models):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                IntegerGCNInference.from_quantized_model(  # reprolint: disable=RL04
-                    served_models["sage"])

@@ -277,12 +277,6 @@ class TestLockDisciplineRule:
 # RL04 — API hygiene
 # --------------------------------------------------------------------- #
 class TestApiHygieneRule:
-    def test_deprecated_import_flagged(self):
-        violations = lint("""
-            from repro.quant.inference import IntegerGCNInference
-        """)
-        assert rule_ids(violations) == ["RL04"]
-
     def test_version_literal_outside_artifact_module_flagged(self):
         violations = lint("""
             payload["format_version"] = 3
@@ -298,7 +292,7 @@ class TestApiHygieneRule:
     def test_file_level_suppression(self):
         violations = lint("""
             # reprolint: disable-file=RL04
-            from repro.quant.inference import IntegerGCNInference
+            payload["format_version"] = 3
         """)
         assert violations == []
 
@@ -358,7 +352,7 @@ class TestSuppressionsAndCli:
     def test_suppressing_one_rule_keeps_the_other(self):
         violations = lint("""
             import numpy as np
-            from repro.quant.inference import IntegerGCNInference
+            payload["format_version"] = 3
             x = np.random.rand(3)  # reprolint: disable=RL01
         """)
         assert rule_ids(violations) == ["RL04"]

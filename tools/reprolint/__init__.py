@@ -9,8 +9,8 @@ Rule families (details + authoring guide in ``docs/static-analysis.md``):
   in int64 and exit to floats only explicitly.
 * **RL03 lock discipline** — ``# guarded-by:`` attributes are only
   touched under their lock; the acquisition-order graph stays acyclic.
-* **RL04 API hygiene** — no deprecated symbols, no artifact-version
-  literals outside ``serving/artifact.py``.
+* **RL04 API hygiene** — no artifact-version literals outside
+  ``serving/artifact.py``.
 
 Suppress per line with ``# reprolint: disable=RL01`` or per file with
 ``# reprolint: disable-file=RL04``.

@@ -1,35 +1,18 @@
-"""RL04 — API hygiene: deprecated symbols and stray artifact-version literals.
+"""RL04 — API hygiene: stray artifact-version literals.
 
-Two small-but-recurring review nits, automated:
-
-* **Deprecated symbols.**  ``IntegerGCNInference`` survives only as a
-  shim over :class:`repro.serving.FullGraphSession`; new code importing
-  or referencing it keeps the deprecated surface alive.  Tests that
-  deliberately pin the shim's behaviour suppress the rule inline — which
-  doubles as an in-tree inventory of every remaining usage.
-* **Artifact-version literals.**  ``serving/artifact.py`` owns version
-  negotiation (``FORMAT_VERSION``, the ``format_version`` payload field).
-  A version literal written anywhere else — a hand-rolled
-  ``payload["format_version"] = 2``, a re-defined ``FORMAT_VERSION`` —
-  bypasses that single point of truth and is exactly how incompatible
-  artifacts get minted.
+``serving/artifact.py`` owns version negotiation (``FORMAT_VERSION``, the
+``format_version`` payload field).  A version literal written anywhere
+else — a hand-rolled ``payload["format_version"] = 2``, a re-defined
+``FORMAT_VERSION`` — bypasses that single point of truth and is exactly
+how incompatible artifacts get minted.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from tools.reprolint.core import FileContext, Rule, Violation
-
-#: Deprecated name -> replacement hint.
-DEPRECATED_SYMBOLS: Dict[str, str] = {
-    "IntegerGCNInference": "export a repro.serving.QuantizedArtifact and "
-                           "serve it with FullGraphSession / BlockSession",
-}
-
-#: Files allowed to define/re-export a deprecated symbol (path suffixes).
-DEPRECATED_DEFINERS = ("repro/quant/inference.py", "repro/quant/__init__.py")
 
 #: The only file allowed to own artifact-version literals.
 VERSION_OWNER = "repro/serving/artifact.py"
@@ -48,34 +31,8 @@ class ApiHygieneRule(Rule):
     hint = ""
 
     def check(self, context: FileContext) -> Iterable[Violation]:
-        path = str(context.path)
-        if not _is_under(path, DEPRECATED_DEFINERS):
-            yield from self._check_deprecated(context)
-        if not _is_under(path, (VERSION_OWNER,)):
+        if not _is_under(str(context.path), (VERSION_OWNER,)):
             yield from self._check_version_literals(context)
-
-    # ------------------------------------------------------------------ #
-    def _check_deprecated(self, context: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ImportFrom):
-                for name in node.names:
-                    if name.name in DEPRECATED_SYMBOLS:
-                        yield self.violation(
-                            context, node,
-                            f"import of deprecated symbol {name.name}",
-                            hint=DEPRECATED_SYMBOLS[name.name])
-            elif isinstance(node, ast.Attribute) \
-                    and node.attr in DEPRECATED_SYMBOLS:
-                yield self.violation(
-                    context, node,
-                    f"use of deprecated symbol {node.attr}",
-                    hint=DEPRECATED_SYMBOLS[node.attr])
-            elif isinstance(node, ast.Name) and node.id in DEPRECATED_SYMBOLS \
-                    and isinstance(node.ctx, ast.Load):
-                yield self.violation(
-                    context, node,
-                    f"use of deprecated symbol {node.id}",
-                    hint=DEPRECATED_SYMBOLS[node.id])
 
     # ------------------------------------------------------------------ #
     def _check_version_literals(self, context: FileContext
