@@ -133,10 +133,7 @@ def mixture_quantizer_factory(bit_choices: Sequence[int],
     by default, Degree-Quant for "MixQ + DQ").  The bit-width the layer asks
     for is ignored: choosing it is what the search is for.
     """
-    choices = [int(bits) for bits in bit_choices]
-
     def factory(bits: int, kind: str) -> Module:
-        del bits
-        return RelaxedQuantizer(choices, kind, base_factory)
+        return RelaxedQuantizer(bit_choices, kind, base_factory)
 
     return factory

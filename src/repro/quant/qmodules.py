@@ -102,8 +102,8 @@ class _AdjacencyQuantization:
 
     Sparse adjacency values are not part of the autograd graph, so they are
     fake-quantized once per adjacency object and cached.  A mixture
-    quantizer (one exposing its candidate ``quantizers`` and
-    ``mixture_terms``) cannot blend quantized *values* for the same reason:
+    quantizer (duck-typed: it exposes ``mixture_terms`` and its candidate
+    ``quantizers``) cannot blend quantized *values* for the same reason:
     each candidate gets its own quantized adjacency and the per-candidate
     aggregation *outputs* are blended with the mixture weights, which is how
     task gradients reach the adjacency relaxation parameters.
@@ -119,6 +119,7 @@ class _AdjacencyQuantization:
 
     def __init__(self, quantizer: Module):
         self.quantizer = quantizer
+        self._is_mixture = hasattr(quantizer, "mixture_terms")
         self._cache: dict[int, tuple[SparseTensor, List[SparseTensor]]] = {}
 
     def _quantized(self, adjacency: SparseTensor) -> List[SparseTensor]:
@@ -126,8 +127,10 @@ class _AdjacencyQuantization:
         key = id(adjacency)
         entry = self._cache.get(key)
         if entry is None or entry[0] is not adjacency:
+            candidates = self.quantizer.quantizers if self._is_mixture \
+                else [self.quantizer]
             copies = []
-            for quantizer in getattr(self.quantizer, "quantizers", [self.quantizer]):
+            for quantizer in candidates:
                 if isinstance(quantizer, IdentityQuantizer):
                     copies.append(adjacency)
                     continue
@@ -141,7 +144,7 @@ class _AdjacencyQuantization:
 
     def aggregate(self, adjacency: SparseTensor, messages: Tensor) -> Tensor:
         copies = self._quantized(adjacency)
-        if not hasattr(self.quantizer, "mixture_terms"):
+        if not self._is_mixture:
             return spmm(copies[0], messages)
         self.quantizer.last_numel = adjacency.nnz  # the penalty's C(T) size
         return self.quantizer.mixture_terms([spmm(copy, messages) for copy in copies])

@@ -393,8 +393,9 @@ class QuantizedArtifact:
                         exporter = candidate
                         break
             if exporter is None:
-                raise TypeError(f"unsupported layer {type(conv).__name__}; serving "
-                                f"handles QuantGCNConv / QuantSAGEConv / QuantGINConv")
+                raise TypeError(
+                    f"unsupported layer {type(conv).__name__}; serving handles "
+                    f"{' / '.join(sorted(c.__name__ for c in _EXPORTERS))}")
             plans.append(exporter(conv))
         conv_types = {plan.conv_type for plan in plans}
         if len(conv_types) != 1:
