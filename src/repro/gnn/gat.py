@@ -115,8 +115,10 @@ class GATConv(MessagePassing):
         return merged + self.bias
 
     def operation_count(self, graph: Graph) -> int:
-        num_edges = graph.num_edges + graph.num_nodes
-        transform = self.linear.operation_count(graph.num_nodes)
+        num_edges = attention_edges(graph).num_edges
+        # the bias is applied post-merge: one add per output feature
+        transform = self.linear.operation_count(graph.num_nodes) \
+            + graph.num_nodes * self.out_features
         scores = gat_score_operations(graph.num_nodes, num_edges,
                                       self.heads, self.head_dim)
         aggregate = attention_aggregate_operations(num_edges, self.heads,
@@ -164,7 +166,7 @@ class TransformerConv(MessagePassing):
                            self.head_merge)
 
     def operation_count(self, graph: Graph) -> int:
-        num_edges = graph.num_edges + graph.num_nodes
+        num_edges = attention_edges(graph).num_edges
         transform = (self.query.operation_count(graph.num_nodes)
                      + self.key.operation_count(graph.num_nodes)
                      + self.value.operation_count(graph.num_nodes))

@@ -42,7 +42,7 @@ class GCNConv(MessagePassing):
 
     def operation_count(self, graph: Graph) -> int:
         transform = self.linear.operation_count(graph.num_nodes)
-        aggregate = self.aggregation_operations(graph, self.out_features)
+        aggregate = 2 * graph.normalized_adjacency().nnz * self.out_features
         return transform + aggregate
 
     def __repr__(self) -> str:

@@ -52,7 +52,7 @@ class GINConv(MessagePassing):
         return self.propagate(graph, x)
 
     def operation_count(self, graph: Graph) -> int:
-        aggregate = self.aggregation_operations(graph, self.in_features)
+        aggregate = 2 * self.adjacency_for(graph).nnz * self.in_features
         combine = 2 * graph.num_nodes * self.in_features
         transform = self.mlp.operation_count(graph.num_nodes)
         return aggregate + combine + transform

@@ -93,7 +93,7 @@ class SAGEConv(MessagePassing):
             + self.linear_neighbour(aggregated)
 
     def operation_count(self, graph: Graph) -> int:
-        aggregate = self.aggregation_operations(graph, self.in_features)
+        aggregate = 2 * mean_adjacency(graph).nnz * self.in_features
         transform = (self.linear_root.operation_count(graph.num_nodes)
                      + self.linear_neighbour.operation_count(graph.num_nodes))
         return aggregate + transform

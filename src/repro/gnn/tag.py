@@ -80,7 +80,7 @@ class TAGConv(MessagePassing):
         return output
 
     def operation_count(self, graph: Graph) -> int:
-        aggregate = self.hops * self.aggregation_operations(graph, self.in_features)
+        aggregate = self.hops * 2 * graph.normalized_adjacency().nnz * self.in_features
         transform = sum(linear.operation_count(graph.num_nodes) for linear in self.linears)
         return aggregate + transform
 

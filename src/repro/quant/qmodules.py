@@ -246,7 +246,8 @@ class QuantGCNConv(MessagePassing):
         aggregate_bits = max(_bits_of(self.adjacency_quantizer),
                              _bits_of(self.linear_out_quantizer))
         counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.out_features), aggregate_bits)
+                    2 * graph.normalized_adjacency().nnz * self.out_features,
+                    aggregate_bits)
         outgoing = _bits_of(self.aggregate_out_quantizer) if self.quantize_output \
             else aggregate_bits
         return counter, outgoing
@@ -316,16 +317,16 @@ class QuantGINConv(MessagePassing):
         input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
         aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
         counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.in_features), aggregate_bits)
+                    2 * graph.adjacency(add_self_loops=False).nnz * self.in_features,
+                    aggregate_bits)
         counter.add(f"{prefix}.combine", 2 * graph.num_nodes * self.in_features,
                     aggregate_bits)
-        first, bits_after_first = self.mlp_first.bit_operations(
-            graph.num_nodes, _bits_of(self.aggregate_out_quantizer), f"{prefix}.mlp0")
-        counter.extend(first)
-        second, outgoing = self.mlp_second.bit_operations(
-            graph.num_nodes, bits_after_first, f"{prefix}.mlp1")
-        counter.extend(second)
-        return counter, outgoing
+        incoming = _bits_of(self.aggregate_out_quantizer)
+        for name, mlp in (("mlp0", self.mlp_first), ("mlp1", self.mlp_second)):
+            counter.add(f"{prefix}.{name}", mlp.linear.operation_count(graph.num_nodes),
+                        max(incoming, _bits_of(mlp.weight_quantizer)))
+            incoming = _bits_of(mlp.output_quantizer)
+        return counter, incoming
 
 
 class QuantSAGEConv(MessagePassing):
@@ -388,7 +389,7 @@ class QuantSAGEConv(MessagePassing):
         input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
         aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
         counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.in_features), aggregate_bits)
+                    2 * mean_adjacency(graph).nnz * self.in_features, aggregate_bits)
         counter.add(f"{prefix}.transform_root",
                     self.linear_root.operation_count(graph.num_nodes),
                     max(input_bits, _bits_of(self.weight_root_quantizer)))
@@ -488,7 +489,8 @@ class QuantGATConv(MessagePassing):
         input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
             else incoming_bits
         counter.add(f"{prefix}.transform",
-                    2 * num_nodes * self.in_features * width,
+                    2 * num_nodes * self.in_features * width
+                    + num_nodes * self.out_features,  # the post-merge bias
                     max(input_bits, _bits_of(self.weight_quantizer)))
         # Score projections + per-edge leaky-relu/softmax stay FP32.
         counter.add(f"{prefix}.score",
@@ -590,7 +592,8 @@ class QuantTransformerConv(MessagePassing):
         for name, quantizer in (("query", self.weight_query_quantizer),
                                 ("key", self.weight_key_quantizer),
                                 ("value", self.weight_value_quantizer)):
-            counter.add(f"{prefix}.transform_{name}", transform_ops,
+            bias_ops = num_nodes * width if name == "value" else 0
+            counter.add(f"{prefix}.transform_{name}", transform_ops + bias_ops,
                         max(input_bits, _bits_of(quantizer)))
         counter.add(f"{prefix}.score",
                     transformer_score_operations(num_edges, self.heads,
@@ -687,13 +690,14 @@ class QuantTAGConv(MessagePassing):
                        prefix: str) -> tuple[BitOpsCounter, int]:
         counter = BitOpsCounter()
         num_nodes = graph.num_nodes
-        nnz = graph.adjacency(add_self_loops=True).nnz
+        nnz = graph.normalized_adjacency().nnz
         input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
             else incoming_bits
         hop_bits = _bits_of(self.hop_out_quantizer)
         adjacency_bits = _bits_of(self.adjacency_quantizer)
         transform_ops = 2 * num_nodes * self.in_features * self.out_features
-        counter.add(f"{prefix}.transform_hop0", transform_ops,
+        counter.add(f"{prefix}.transform_hop0",
+                    transform_ops + num_nodes * self.out_features,
                     max(input_bits, _bits_of(self.weight_quantizers[0])))
         x_bits = input_bits
         for hop in range(1, self.hops + 1):

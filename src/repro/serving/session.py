@@ -315,14 +315,15 @@ class InferenceSession:
             input_params = plan.params("input") if plan.params("input") is not None \
                 else incoming
             input_bits = 32 if input_params is None else input_params.bits
-            counter.add(f"layer{index}.transform",
-                        2 * n_src * plan.in_features * width,
+            counter.add(f"conv{index}.transform",
+                        2 * n_src * plan.in_features * width
+                        + (0 if weight.bias is None else n_dst * plan.out_features),
                         min(max(input_bits, weight.bits), 32))
             # Score projections + per-edge leaky-relu/softmax stay FP32.
-            counter.add(f"layer{index}.score",
+            counter.add(f"conv{index}.score",
                         gat_score_operations(n_src, nnz, plan.heads,
                                              plan.head_dim), 32)
-            counter.add(f"layer{index}.aggregate",
+            counter.add(f"conv{index}.aggregate",
                         attention_aggregate_operations(nnz, plan.heads,
                                                        plan.head_dim),
                         min(max(plan.slot_bits("attention"),
@@ -336,12 +337,13 @@ class InferenceSession:
             input_bits = 32 if input_params is None else input_params.bits
             transform_ops = 2 * n_src * plan.in_features * width
             for name in ("query", "key", "value"):
-                counter.add(f"layer{index}.transform_{name}", transform_ops,
+                bias_ops = 0 if plan.weights[name].bias is None else n_src * width
+                counter.add(f"conv{index}.transform_{name}", transform_ops + bias_ops,
                             min(max(input_bits, plan.weights[name].bits), 32))
-            counter.add(f"layer{index}.score",
+            counter.add(f"conv{index}.score",
                         transformer_score_operations(nnz, plan.heads,
                                                      plan.head_dim), 32)
-            counter.add(f"layer{index}.aggregate",
+            counter.add(f"conv{index}.aggregate",
                         attention_aggregate_operations(nnz, plan.heads,
                                                        plan.head_dim),
                         min(max(plan.slot_bits("attention"),
@@ -357,26 +359,32 @@ class InferenceSession:
             hop_bits = plan.slot_bits("hop_out")
             adjacency_bits = plan.slot_bits("adjacency")
             transform_ops = 2 * n_dst * plan.in_features * plan.out_features
-            counter.add(f"layer{index}.transform_hop0", transform_ops,
-                        min(max(x_bits, plan.weights["hop0"].bits), 32))
+            hop0 = plan.weights["hop0"]
+            counter.add(f"conv{index}.transform_hop0", transform_ops
+                        + (0 if hop0.bias is None else n_dst * plan.out_features),
+                        min(max(x_bits, hop0.bits), 32))
             for hop in range(1, plan.hops + 1):
-                counter.add(f"layer{index}.aggregate_hop{hop}",
+                counter.add(f"conv{index}.aggregate_hop{hop}",
                             2 * per_hop_nnz[hop - 1] * plan.in_features,
                             min(max(adjacency_bits, x_bits), 32))
-                counter.add(f"layer{index}.transform_hop{hop}", transform_ops,
+                counter.add(f"conv{index}.transform_hop{hop}", transform_ops,
                             min(max(hop_bits, plan.weights[f"hop{hop}"].bits), 32))
                 x_bits = hop_bits
             return plan.params("output")
 
         if plan.conv_type == "gcn":
             weight = plan.weights["weight"]
-            counter.add(f"layer{index}.transform",
-                        2 * n_src * plan.in_features * plan.out_features,
-                        weight.bits)
+            input_params = plan.params("input") if plan.params("input") is not None \
+                else incoming
+            input_bits = 32 if input_params is None else input_params.bits
+            counter.add(f"conv{index}.transform",
+                        2 * n_src * plan.in_features * plan.out_features
+                        + (0 if weight.bias is None else n_src * plan.out_features),
+                        min(max(input_bits, weight.bits), 32))
             linear_out = plan.params("linear_out")
             aggregate_bits = plan.slot_bits("adjacency") if linear_out is None \
                 else max(plan.slot_bits("adjacency"), linear_out.bits)
-            counter.add(f"layer{index}.aggregate",
+            counter.add(f"conv{index}.aggregate",
                         2 * nnz * plan.out_features, min(aggregate_bits, 32))
             return plan.params("aggregate_out")
 
@@ -387,12 +395,13 @@ class InferenceSession:
         if plan.conv_type == "sage":
             root = plan.weights["root"]
             neighbour = plan.weights["neighbour"]
-            counter.add(f"layer{index}.aggregate",
+            counter.add(f"conv{index}.aggregate",
                         2 * nnz * plan.in_features, aggregate_bits)
-            counter.add(f"layer{index}.transform_root",
-                        2 * n_dst * plan.in_features * plan.out_features,
+            counter.add(f"conv{index}.transform_root",
+                        2 * n_dst * plan.in_features * plan.out_features
+                        + (0 if root.bias is None else n_dst * plan.out_features),
                         min(max(x_bits, root.bits), 32))
-            counter.add(f"layer{index}.transform_neighbour",
+            counter.add(f"conv{index}.transform_neighbour",
                         2 * n_dst * plan.in_features * plan.out_features,
                         min(max(plan.slot_bits("aggregate_out"), neighbour.bits),
                             32))
@@ -401,15 +410,17 @@ class InferenceSession:
         mlp0 = plan.weights["mlp0"]
         mlp1 = plan.weights["mlp1"]
         hidden_features = mlp0.integers.shape[1]
-        counter.add(f"layer{index}.aggregate",
+        counter.add(f"conv{index}.aggregate",
                     2 * nnz * plan.in_features, aggregate_bits)
-        counter.add(f"layer{index}.combine",
+        counter.add(f"conv{index}.combine",
                     2 * n_dst * plan.in_features, aggregate_bits)
-        counter.add(f"layer{index}.mlp0",
-                    2 * n_dst * plan.in_features * hidden_features,
+        counter.add(f"conv{index}.mlp0",
+                    2 * n_dst * plan.in_features * hidden_features
+                    + (0 if mlp0.bias is None else n_dst * hidden_features),
                     min(max(plan.slot_bits("aggregate_out"), mlp0.bits), 32))
-        counter.add(f"layer{index}.mlp1",
-                    2 * n_dst * hidden_features * plan.out_features,
+        counter.add(f"conv{index}.mlp1",
+                    2 * n_dst * hidden_features * plan.out_features
+                    + (0 if mlp1.bias is None else n_dst * plan.out_features),
                     min(max(plan.slot_bits("mlp0_out"), mlp1.bits), 32))
         return plan.params("mlp1_out")
 

@@ -159,6 +159,81 @@ class TestParityMatrix:
 
 
 # --------------------------------------------------------------------------- #
+# BitOPs: one accountant — float x 32 == all-FP32 Quant, model == serving
+# --------------------------------------------------------------------------- #
+#: Hidden width and TAG depth of the BitOPs cells (mirrors the conftest
+#: parity builders; the float TAG twin is built here because
+#: ``build_node_model`` has no ``hops`` argument).
+BITOPS_HIDDEN = 16
+BITOPS_TAG_HOPS = 2
+BITOPS_CASES = [(family, heads) for family, heads in PARITY_CASES if heads != 2]
+BITOPS_IDS = [f"{family}-h{heads}" for family, heads in BITOPS_CASES]
+
+
+def _records(counter):
+    return [(record.name, record.operations, record.bits)
+            for record in counter.records]
+
+
+@pytest.mark.parametrize("family,heads", BITOPS_CASES, ids=BITOPS_IDS)
+class TestBitOpsMatrix:
+    """The paper's cost metric has one definition: the FP32 row, the
+    quantized rows and the serving reports are the same function of the
+    layer shape, the bit-widths and the operator actually applied."""
+
+    def test_float_equals_all_fp32_quant(self, parity_graph, parity_float_model,
+                                         family, heads):
+        from repro.gnn.models import NodeClassifier
+        from repro.gnn.tag import TAGConv
+        from repro.quant.bitops import FP32_BITS
+        from repro.quant.qmodules import QuantNodeClassifier
+
+        if family == "tag":
+            float_model = NodeClassifier([
+                TAGConv(parity_graph.num_features, BITOPS_HIDDEN,
+                        hops=BITOPS_TAG_HOPS),
+                TAGConv(BITOPS_HIDDEN, parity_graph.num_classes,
+                        hops=BITOPS_TAG_HOPS)])
+        else:
+            float_model = parity_float_model(family, heads)
+        # an empty assignment leaves every component at FP32
+        fp32_quant = QuantNodeClassifier.from_float(float_model, {})
+        counter = fp32_quant.bit_operations(parity_graph)
+        assert {record.bits for record in counter.records} == {FP32_BITS}
+        assert float_model.operation_count(parity_graph) * FP32_BITS \
+            == counter.total_bit_operations
+
+    def test_model_equals_serving(self, parity_graph, family, heads):
+        """Mixed widths (8-bit input, 4-bit everything else) exercise every
+        ``max(operand widths)`` rule; records must agree by name, operation
+        count and width between the QAT model, the session's static count
+        and an executed pass."""
+        from repro.core.search_space import conv_component_names
+        from repro.quant.qmodules import QuantNodeClassifier
+        from repro.serving import QuantizedArtifact
+
+        names = conv_component_names(family, 2, hops=BITOPS_TAG_HOPS)
+        assignment = {name: 8 if name.endswith(".input") else 4
+                      for name in names}
+        model = QuantNodeClassifier.from_assignment(
+            [(parity_graph.num_features, BITOPS_HIDDEN),
+             (BITOPS_HIDDEN, parity_graph.num_classes)], family, assignment,
+            dropout=0.0, hops=BITOPS_TAG_HOPS, heads=heads,
+            rng=np.random.default_rng(0))
+        with no_grad():
+            model(parity_graph)  # one training-mode pass calibrates the observers
+        model.eval()
+        session = FullGraphSession(QuantizedArtifact.from_model(model),
+                                   parity_graph)
+        expected = _records(model.bit_operations(parity_graph))
+        assert _records(session.bit_operations()) == expected
+        assert _records(session.run().bit_operations) == expected
+        block = BlockSession(session.artifact, parity_graph, fanouts=None,
+                             batch_size=parity_graph.num_nodes).run()
+        assert _records(block.bit_operations) == expected
+
+
+# --------------------------------------------------------------------------- #
 # sharded serving == single-process serving, bit for bit
 # --------------------------------------------------------------------------- #
 #: Every shard configuration of the matrix: counts × partition strategies.
