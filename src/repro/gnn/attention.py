@@ -56,37 +56,6 @@ def attention_head_dim(out_features: int, heads: int, head_merge: str) -> int:
     return out_features // heads
 
 
-# --------------------------------------------------------------------------- #
-# per-head operation counts of the attention stages
-#
-# One source of truth for the float layers' ``operation_count``, the QAT
-# modules' BitOPs and the serving executor's accounting (the latter two
-# import these through :mod:`repro.quant.bitops`) — so the executed, the
-# statically derived and the float counts can never drift apart.
-# ``heads * head_dim`` is the pre-merge feature width of a multi-head layer
-# (``out_features`` under concat, ``heads * out_features`` under mean).
-# --------------------------------------------------------------------------- #
-def gat_score_operations(num_nodes: int, num_edges: int, heads: int,
-                         head_dim: int) -> int:
-    """FP32 ops of the GAT score stage: two per-head projections per node
-    plus leaky-relu + softmax per edge per head."""
-    return 4 * num_nodes * heads * head_dim + 6 * num_edges * heads
-
-
-def transformer_score_operations(num_edges: int, heads: int,
-                                 head_dim: int) -> int:
-    """FP32 ops of the transformer score stage: one ``head_dim``-wide dot
-    product plus scale/softmax per edge per head."""
-    return (2 * head_dim + 5) * num_edges * heads
-
-
-def attention_aggregate_operations(num_edges: int, heads: int,
-                                   head_dim: int) -> int:
-    """Integer ops of the per-edge aggregation: one multiply-accumulate per
-    edge per head per feature."""
-    return 2 * num_edges * heads * head_dim
-
-
 @dataclass(frozen=True)
 class AttentionEdges:
     """Flat per-edge index of one attention propagation step.
@@ -107,6 +76,9 @@ class AttentionEdges:
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
+
+    #: The operator's non-zeros, under the name sparse operators use.
+    nnz = num_edges
 
 
 def attention_edges(graph) -> AttentionEdges:

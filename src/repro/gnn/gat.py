@@ -24,15 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.gnn.attention import (
-    attention_aggregate_operations,
-    attention_edges,
-    attention_head_dim,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.gnn.attention import attention_edges, attention_head_dim
 from repro.gnn.message_passing import GraphLike, MessagePassing
-from repro.graphs.graph import Graph
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
@@ -72,6 +65,8 @@ def merge_heads(aggregated: Tensor, heads: int, head_dim: int,
 
 class GATConv(MessagePassing):
     """One multi-head GAT convolution (``heads=1`` by default)."""
+
+    conv_type = "gat"
 
     def __init__(self, in_features: int, out_features: int,
                  negative_slope: float = 0.2, heads: int = 1,
@@ -114,17 +109,6 @@ class GATConv(MessagePassing):
                              self.head_merge)
         return merged + self.bias
 
-    def operation_count(self, graph: Graph) -> int:
-        num_edges = attention_edges(graph).num_edges
-        # the bias is applied post-merge: one add per output feature
-        transform = self.linear.operation_count(graph.num_nodes) \
-            + graph.num_nodes * self.out_features
-        scores = gat_score_operations(graph.num_nodes, num_edges,
-                                      self.heads, self.head_dim)
-        aggregate = attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim)
-        return transform + scores + aggregate
-
     def __repr__(self) -> str:
         return (f"GATConv({self.in_features} -> {self.out_features}, "
                 f"heads={self.heads})")
@@ -137,6 +121,8 @@ class TransformerConv(MessagePassing):
     to :class:`GATConv` but with scaled dot-product attention scores
     (``1 / sqrt(head_dim)``).
     """
+
+    conv_type = "transformer"
 
     def __init__(self, in_features: int, out_features: int, heads: int = 1,
                  head_merge: str = "concat",
@@ -164,17 +150,6 @@ class TransformerConv(MessagePassing):
         aggregated = F.segment_sum(messages, edges.dst, edges.num_dst)
         return merge_heads(aggregated, self.heads, self.head_dim,
                            self.head_merge)
-
-    def operation_count(self, graph: Graph) -> int:
-        num_edges = attention_edges(graph).num_edges
-        transform = (self.query.operation_count(graph.num_nodes)
-                     + self.key.operation_count(graph.num_nodes)
-                     + self.value.operation_count(graph.num_nodes))
-        scores = transformer_score_operations(num_edges, self.heads,
-                                              self.head_dim)
-        aggregate = attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim)
-        return transform + scores + aggregate
 
     def __repr__(self) -> str:
         return (f"TransformerConv({self.in_features} -> {self.out_features}, "

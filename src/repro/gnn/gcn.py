@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from repro.gnn.message_passing import GraphLike, MessagePassing
-from repro.graphs.graph import Graph
 from repro.nn.linear import Linear
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.tensor import Tensor
@@ -22,6 +21,8 @@ from repro.tensor.tensor import Tensor
 
 class GCNConv(MessagePassing):
     """One GCN convolution ``\\hat{A} X \\Theta``."""
+
+    conv_type = "gcn"
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
@@ -40,10 +41,9 @@ class GCNConv(MessagePassing):
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         return self.propagate(graph, x)
 
-    def operation_count(self, graph: Graph) -> int:
-        transform = self.linear.operation_count(graph.num_nodes)
-        aggregate = 2 * graph.normalized_adjacency().nnz * self.out_features
-        return transform + aggregate
+    @property
+    def has_bias(self) -> bool:
+        return self.linear.bias is not None
 
     def __repr__(self) -> str:
         return f"GCNConv({self.in_features} -> {self.out_features})"

@@ -22,6 +22,8 @@ from repro.tensor.tensor import Tensor
 class GINConv(MessagePassing):
     """One GIN convolution ``MLP((1 + eps) X + A X)``."""
 
+    conv_type = "gin"
+
     def __init__(self, in_features: int, out_features: int,
                  hidden_features: Optional[int] = None,
                  eps: float = 0.0, train_eps: bool = True,
@@ -31,6 +33,7 @@ class GINConv(MessagePassing):
         self.in_features = in_features
         self.out_features = out_features
         hidden = hidden_features if hidden_features is not None else out_features
+        self.hidden_features = hidden
         self.mlp = MLP([in_features, hidden, out_features], batch_norm=batch_norm, rng=rng)
         if train_eps:
             self.eps: Parameter | float = Parameter(np.asarray([eps], dtype=np.float32),
@@ -50,12 +53,6 @@ class GINConv(MessagePassing):
 
     def forward(self, x: Tensor, graph: Graph) -> Tensor:
         return self.propagate(graph, x)
-
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = 2 * self.adjacency_for(graph).nnz * self.in_features
-        combine = 2 * graph.num_nodes * self.in_features
-        transform = self.mlp.operation_count(graph.num_nodes)
-        return aggregate + combine + transform
 
     def __repr__(self) -> str:
         return f"GINConv({self.in_features} -> {self.out_features})"

@@ -45,6 +45,15 @@ class MessagePassing(Module):
     #: (see :func:`~repro.gnn.models.hop_plan`).
     hops: int = 1
 
+    #: Family key shared with the quantized twin's table
+    #: (:data:`repro.quant.qmodules.CONV_CLASSES`); ``None`` for layers
+    #: outside the six supported families.
+    conv_type: Optional[str] = None
+
+    #: Whether the family's bias term is present (layers that can be built
+    #: without one override this); read by the operation count.
+    has_bias = True
+
     def __init__(self):
         super().__init__()
 
@@ -88,11 +97,11 @@ class MessagePassing(Module):
     # ------------------------------------------------------------------ #
     # cost accounting used by the BitOPs metric and Figure 1
     # ------------------------------------------------------------------ #
-    def aggregation_operations(self, graph: Graph, num_features: int) -> int:
-        """Scalar operations for the sparse-dense aggregation on ``graph``."""
-        nnz = graph.adjacency(add_self_loops=True).nnz
-        return 2 * nnz * num_features
-
     def operation_count(self, graph: Graph) -> int:
-        """Total scalar operations for one forward pass (sub-classes refine)."""
-        return self.aggregation_operations(graph, graph.num_features)
+        """Scalar operations of one forward pass: the family's BitOPs records
+        (:func:`repro.quant.bitops.conv_bit_operations`) with every width at
+        FP32, counted in operations."""
+        # imported here: repro.quant builds on repro.gnn
+        from repro.quant.qmodules import float_operation_count
+
+        return float_operation_count(self, graph)

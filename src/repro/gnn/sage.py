@@ -67,6 +67,8 @@ def sample_adjacency(graph: Graph, max_neighbours: int,
 class SAGEConv(MessagePassing):
     """One GraphSAGE convolution with mean aggregation."""
 
+    conv_type = "sage"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  max_neighbours: Optional[int] = None,
                  rng: Optional[np.random.Generator] = None):
@@ -92,11 +94,9 @@ class SAGEConv(MessagePassing):
         return self.linear_root(target_features(x, graph)) \
             + self.linear_neighbour(aggregated)
 
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = 2 * mean_adjacency(graph).nnz * self.in_features
-        transform = (self.linear_root.operation_count(graph.num_nodes)
-                     + self.linear_neighbour.operation_count(graph.num_nodes))
-        return aggregate + transform
+    @property
+    def has_bias(self) -> bool:
+        return self.linear_root.bias is not None
 
     def __repr__(self) -> str:
         return f"SAGEConv({self.in_features} -> {self.out_features})"

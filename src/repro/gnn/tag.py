@@ -55,6 +55,8 @@ def hop_views(graph: TAGGraphLike, hops: int) -> List:
 class TAGConv(MessagePassing):
     """Topology-adaptive graph convolution with ``hops`` adjacency powers."""
 
+    conv_type = "tag"
+
     def __init__(self, in_features: int, out_features: int, hops: int = 3,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -78,11 +80,6 @@ class TAGConv(MessagePassing):
             term = propagated if num_final is None else propagated[:num_final]
             output = output + self.linears[hop](term)
         return output
-
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = self.hops * 2 * graph.normalized_adjacency().nnz * self.in_features
-        transform = sum(linear.operation_count(graph.num_nodes) for linear in self.linears)
-        return aggregate + transform
 
     def __repr__(self) -> str:
         return f"TAGConv({self.in_features} -> {self.out_features}, hops={self.hops})"

@@ -11,6 +11,15 @@ from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
 
 
+def linear_operations(num_rows: int, in_features: int, out_features: int,
+                      bias: bool) -> int:
+    """Scalar operations of ``y = x W (+ b)`` over ``num_rows`` rows: one
+    multiply-accumulate per weight per row, plus one add per output where a
+    bias is applied."""
+    operations = 2 * num_rows * in_features * out_features
+    return operations + num_rows * out_features if bias else operations
+
+
 class Linear(Module):
     """Affine transformation of the last input dimension.
 
@@ -42,10 +51,8 @@ class Linear(Module):
 
     def operation_count(self, num_rows: int) -> int:
         """Number of scalar multiply-accumulate operations for ``num_rows`` inputs."""
-        ops = 2 * num_rows * self.in_features * self.out_features
-        if self.bias is not None:
-            ops += num_rows * self.out_features
-        return ops
+        return linear_operations(num_rows, self.in_features, self.out_features,
+                                 self.bias is not None)
 
     def __repr__(self) -> str:
         return (f"Linear(in_features={self.in_features}, "

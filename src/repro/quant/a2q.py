@@ -91,7 +91,6 @@ class A2QNodeClassifier(Module):
             bits = {"weight": weight_bits, "linear_out": weight_bits,
                     "adjacency": FP32_BITS, "aggregate_out": FP32_BITS}
             convs.append(QuantGCNConv(fan_in, fan_out, bits, quantize_input=False,
-                                      quantize_output=False,
                                       quantizer_factory=default_quantizer_factory, rng=rng))
             quantizers.append(A2QQuantizer(num_nodes, init_bits=init_bits))
         self.convs = ModuleList(convs)

@@ -11,17 +11,9 @@ assigned to the architecture's quantized components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-# Per-head attention operation counts: defined next to the attention edge
-# list (repro.gnn.attention) so the float layers share them without a
-# gnn -> quant dependency; re-exported here as the accounting-side import
-# point for the QAT modules and the serving executor.
-from repro.gnn.attention import (
-    attention_aggregate_operations,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.nn.linear import linear_operations
 
 FP32_BITS = 32
 
@@ -30,9 +22,7 @@ __all__ = [
     "OperationRecord",
     "BitOpsCounter",
     "average_bits",
-    "gat_score_operations",
-    "transformer_score_operations",
-    "attention_aggregate_operations",
+    "conv_bit_operations",
 ]
 
 
@@ -110,3 +100,97 @@ def average_bits(component_bits: Iterable[int],
     if total_weight <= 0:
         return float(sum(bits)) / len(bits)
     return float(sum(b * w for b, w in zip(bits, weights)) / total_weight)
+
+
+def conv_bit_operations(layer, prefix: str, bits: Callable[[str], int],
+                        n_src: int, n_dst: int, nnz: Sequence[int],
+                        incoming_bits: int = FP32_BITS) -> Tuple[BitOpsCounter, int]:
+    """BitOPs records of one convolution layer — the repo's only accountant.
+
+    The float ``operation_count`` (every width FP32), the QAT modules'
+    ``bit_operations`` and the serving sessions all call this, so the FP32
+    row, the quantized rows and the serving reports of a table are the same
+    function of the same layer.  The convention:
+
+    * a function's width is ``min(max(operand widths), 32)``;
+    * a linear over ``rows`` rows costs ``2 * rows * in * out``, plus
+      ``rows * out`` wherever a bias is applied (GAT's post-merge bias is
+      charged to its transform);
+    * an aggregation costs ``2 * nnz * width`` with ``nnz`` of the operator
+      actually applied (normalised adjacency with self loops for gcn / tag,
+      no self loops for sage / gin, edges plus self loops for attention);
+    * an FP32 ``input`` point passes the incoming width through (only the
+      first layer quantizes its input); attention scores and softmax stay
+      FP32.
+
+    ``layer`` describes the shape — a float conv, a ``Quant*Conv`` or a
+    serving ``LayerPlan``: ``conv_type``, ``in_features``, ``out_features``,
+    ``has_bias`` (whether the family's bias terms are present) and, where
+    the family has them, ``hidden_features`` (gin) or ``heads`` /
+    ``head_dim`` (attention).  ``bits`` maps an artifact slot (quantization
+    point or weight matrix) to its width, ``n_src`` / ``n_dst`` are the
+    source / target rows and ``nnz`` the applied operator's non-zeros, one
+    entry per hop.
+    Records are named ``<prefix>.<function>``; returns them with the width
+    of the layer's output.
+    """
+    counter = BitOpsCounter()
+
+    def add(name: str, operations: int, *operands: int) -> None:
+        counter.add(f"{prefix}.{name}", operations, min(max(operands), FP32_BITS))
+
+    def linear(rows: int, fan_in: int, fan_out: int, biased: bool = False) -> int:
+        return linear_operations(rows, fan_in, fan_out, bias and biased)
+
+    family, bias = layer.conv_type, layer.has_bias
+    fan_in, fan_out = layer.in_features, layer.out_features
+    x_bits = bits("input")
+    if x_bits >= FP32_BITS:
+        x_bits = incoming_bits
+    if family == "gcn":
+        add("transform", linear(n_src, fan_in, fan_out, True), x_bits, bits("weight"))
+        add("aggregate", 2 * nnz[0] * fan_out, bits("adjacency"), bits("linear_out"))
+        return counter, bits("aggregate_out")
+    if family == "sage":
+        add("aggregate", 2 * nnz[0] * fan_in, bits("adjacency"), x_bits)
+        add("transform_root", linear(n_dst, fan_in, fan_out, True), x_bits, bits("root"))
+        add("transform_neighbour", linear(n_dst, fan_in, fan_out),
+            bits("aggregate_out"), bits("neighbour"))
+        return counter, bits("output")
+    if family == "gin":
+        hidden = layer.hidden_features
+        add("aggregate", 2 * nnz[0] * fan_in, bits("adjacency"), x_bits)
+        add("combine", 2 * n_dst * fan_in, bits("adjacency"), x_bits)
+        add("mlp0", linear(n_dst, fan_in, hidden, True), bits("aggregate_out"), bits("mlp0"))
+        add("mlp1", linear(n_dst, hidden, fan_out, True), bits("mlp0_out"), bits("mlp1"))
+        return counter, bits("mlp1_out")
+    if family == "tag":
+        add("transform_hop0", linear(n_dst, fan_in, fan_out, True), x_bits, bits("hop0"))
+        for hop, hop_nnz in enumerate(nnz, start=1):
+            add(f"aggregate_hop{hop}", 2 * hop_nnz * fan_in, bits("adjacency"), x_bits)
+            x_bits = bits("hop_out")
+            add(f"transform_hop{hop}", linear(n_dst, fan_in, fan_out), x_bits,
+                bits(f"hop{hop}"))
+        return counter, bits("output")
+
+    # Attention: ``width`` is the pre-merge feature width (``out_features``
+    # under concat, ``heads * out_features`` under mean), ``edges`` one
+    # message per edge including every target's self loop.
+    heads, head_dim, edges = layer.heads, layer.head_dim, nnz[0]
+    width = heads * head_dim
+    if family == "gat":
+        add("transform", linear(n_src, fan_in, width) + (n_dst * fan_out if bias else 0),
+            x_bits, bits("weight"))
+        # two per-head projections per node, leaky-relu + softmax per edge
+        score, messages = 4 * n_src * width + 6 * edges * heads, "linear_out"
+    elif family == "transformer":
+        for name in ("query", "key", "value"):
+            add(f"transform_{name}", linear(n_src, fan_in, width, name == "value"),
+                x_bits, bits(name))
+        # one head_dim-wide dot product plus scale/softmax per edge per head
+        score, messages = (2 * head_dim + 5) * edges * heads, "value_out"
+    else:
+        raise KeyError(f"unknown conv type {family!r}")
+    add("score", score, FP32_BITS)
+    add("aggregate", 2 * edges * width, bits("attention"), bits(messages))
+    return counter, bits("aggregate_out")

@@ -25,18 +25,17 @@ module family for the search.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.gnn.attention import attention_edges, attention_head_dim
-from repro.gnn.gat import GATConv, TransformerConv, head_scores, merge_heads
-from repro.gnn.gcn import GCNConv
-from repro.gnn.gin import GINConv
+from repro.gnn.gat import head_scores, merge_heads
 from repro.gnn.message_passing import GraphLike, MessagePassing
 from repro.gnn.models import NodeClassifier, forward_blocks, head_merge_for_layer
-from repro.gnn.sage import SAGEConv, mean_adjacency
-from repro.gnn.tag import TAGConv, TAGGraphLike, hop_views
+from repro.gnn.sage import mean_adjacency
+from repro.gnn.tag import TAGGraphLike, hop_views
 from repro.graphs.batch import GraphBatch
 from repro.graphs.graph import Graph
 from repro.graphs.sampling import BlockBatch, SubgraphBlock, target_features
@@ -48,10 +47,8 @@ from repro.nn.module import Module, ModuleList, Parameter
 from repro.quant.bitops import (
     FP32_BITS,
     BitOpsCounter,
-    attention_aggregate_operations,
     average_bits,
-    gat_score_operations,
-    transformer_score_operations,
+    conv_bit_operations,
 )
 from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer
 from repro.tensor import functional as F
@@ -181,7 +178,147 @@ class QuantLinear(Module):
         return counter, _bits_of(self.output_quantizer)
 
 
-class QuantGCNConv(MessagePassing):
+class QuantPoint(NamedTuple):
+    """One named quantization point of a conv family.
+
+    The quantizer lives at ``<component>_quantizer`` and takes its
+    bit-width from the assignment entry ``<prefix>.<component>``.  ``slot``
+    is the artifact slot its trained parameters are exported under (``None``
+    for weight quantizers, which travel inside their weight plan).
+    ``shares`` marks a point with no component of its own: it is built from
+    that component's bit-width and never reported (GIN's first-MLP output —
+    the ROADMAP's open ``mlp0_out`` question, preserved as is).
+    """
+
+    component: str
+    kind: str
+    slot: Optional[str] = None
+    shares: Optional[str] = None
+
+
+class WeightSpec(NamedTuple):
+    """One exported matrix of a conv family.
+
+    ``holder`` is the (dotted) attribute holding it — a :class:`Linear`, or
+    a bare parameter for the FP32 attention vectors; ``component`` the
+    weight component quantizing it (``None``: exported in FP32); ``bias`` an
+    attribute overriding the holder's own bias (GAT applies its bias after
+    the aggregation, so it is not the transform's).
+    """
+
+    slot: str
+    holder: str
+    component: Optional[str] = None
+    bias: Optional[str] = None
+
+
+def _expand(rows, hops: int):
+    """Instantiate ``{k}`` rows once per adjacency power ``0..hops`` (TAG)."""
+    for row in rows:
+        if "{k}" not in row[0]:
+            yield row
+            continue
+        for k in range(hops + 1):
+            yield type(row)(*(field.format(k=k) if isinstance(field, str) else field
+                              for field in row))
+
+
+class QuantConv(MessagePassing):
+    """Base of the quantized conv families: one declarative table per family.
+
+    A family declares its quantization points (:attr:`POINTS`), its exported
+    matrices (:attr:`WEIGHTS`) and the aggregation :meth:`operator` it
+    applies.  Everything that used to restate them per family reads this
+    table instead: the ``*_quantizer`` attributes, ``component_bits``,
+    :func:`conv_component_names`, the artifact export and its slot tables,
+    the serving session's operator, and the BitOPs of the layer.  What
+    remains per family is its ``forward`` (and the integer ``_run_*`` twin
+    in :mod:`repro.serving.session`).
+    """
+
+    conv_type: str
+    POINTS: Tuple[QuantPoint, ...] = ()
+    WEIGHTS: Tuple[WeightSpec, ...] = ()
+
+    #: Layer-plan scalars; families that have them override per instance.
+    eps = 0.0
+    negative_slope = 0.2
+    heads = 1
+    head_merge = "concat"
+
+    @staticmethod
+    def operator(graph: GraphLike):
+        """The aggregation operator this family applies to a graph view."""
+        raise NotImplementedError
+
+    @classmethod
+    def points(cls, hops: int = 3) -> List[QuantPoint]:
+        return list(_expand(cls.POINTS, hops))
+
+    @classmethod
+    def weights(cls, hops: int = 3) -> List[WeightSpec]:
+        return list(_expand(cls.WEIGHTS, hops))
+
+    @classmethod
+    def components(cls, hops: int = 3) -> Tuple[str, ...]:
+        """The family's named components (``input`` first)."""
+        return tuple(point.component for point in cls.points(hops)
+                     if point.shares is None)
+
+    def _build_quantizers(self, bits: ComponentBits, quantize_input: bool,
+                          quantizer_factory: QuantizerFactory) -> None:
+        """Create ``<component>_quantizer`` for every point, in table order."""
+        self.quantize_input = quantize_input
+        self._slot_components: Dict[str, Optional[str]] = {
+            spec.slot: spec.component for spec in self.weights(self.hops)}
+        for point in self.points(self.hops):
+            if point.component == "input" and not quantize_input:
+                quantizer: Module = IdentityQuantizer()
+            else:
+                width = int(bits.get(point.shares or point.component, FP32_BITS))
+                quantizer = quantizer_factory(width, point.kind)
+            setattr(self, f"{point.component}_quantizer", quantizer)
+            if point.slot is not None:
+                self._slot_components[point.slot] = point.component
+        if "adjacency" in self._slot_components:
+            self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
+
+    def quantizer(self, component: str) -> Module:
+        return getattr(self, f"{component}_quantizer")
+
+    def component_bits(self, prefix: str) -> ComponentBits:
+        return {f"{prefix}.{component}": _bits_of(self.quantizer(component))
+                for component in self.components(self.hops)
+                if component != "input" or self.quantize_input}
+
+    def weight_entries(self):
+        """``(slot, weight, weight quantizer or None, bias or None)`` per matrix."""
+        for spec in self.weights(self.hops):
+            holder = functools.reduce(getattr, spec.holder.split("."), self)
+            weight, bias = (holder.weight, holder.bias) \
+                if isinstance(holder, Linear) else (holder, None)
+            if spec.bias is not None:
+                bias = getattr(self, spec.bias)
+            yield (spec.slot, weight,
+                   self.quantizer(spec.component) if spec.component else None, bias)
+
+    def slot_bits(self, slot: str) -> int:
+        """Bit-width of an artifact slot (a quantization point or a matrix)."""
+        component = self._slot_components[slot]
+        return FP32_BITS if component is None else _bits_of(self.quantizer(component))
+
+    @property
+    def has_bias(self) -> bool:
+        return any(bias is not None for *_, bias in self.weight_entries())
+
+    def bit_operations(self, graph: Graph, incoming_bits: int,
+                       prefix: str) -> tuple[BitOpsCounter, int]:
+        return conv_bit_operations(
+            self, prefix, self.slot_bits, graph.num_nodes, graph.num_nodes,
+            [self.operator(graph).nnz] * self.hops, incoming_bits)
+
+
+class QuantGCNConv(QuantConv):
     """GCN convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight``, ``linear_out``,
@@ -189,31 +326,27 @@ class QuantGCNConv(MessagePassing):
     paper's two-layer GCN example (nine components across two layers).
     """
 
-    COMPONENTS = ("input", "weight", "linear_out", "adjacency", "aggregate_out")
+    conv_type = "gcn"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("weight", "weight"),
+              QuantPoint("linear_out", "activation", "linear_out"),
+              QuantPoint("adjacency", "adjacency", "adjacency"),
+              QuantPoint("aggregate_out", "activation", "aggregate_out"))
+    WEIGHTS = (WeightSpec("weight", "linear", "weight"),)
+
+    @staticmethod
+    def operator(graph: GraphLike) -> SparseTensor:
+        return graph.normalized_adjacency()
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
-                 quantize_input: bool = False, quantize_output: bool = True,
-                 bias: bool = True,
+                 quantize_input: bool = False, bias: bool = True,
                  quantizer_factory: QuantizerFactory = default_quantizer_factory,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
-        self.quantize_output = quantize_output
         self.linear = Linear(in_features, out_features, bias=bias, rng=rng)
-
-        def build(component: str, kind: str) -> Module:
-            return quantizer_factory(int(bits.get(component, FP32_BITS)), kind)
-
-        self.input_quantizer = build("input", "activation") if quantize_input \
-            else IdentityQuantizer()
-        self.weight_quantizer = build("weight", "weight")
-        self.linear_out_quantizer = build("linear_out", "activation")
-        self.adjacency_quantizer = build("adjacency", "adjacency")
-        self.aggregate_out_quantizer = build("aggregate_out", "activation") \
-            if quantize_output else IdentityQuantizer()
-        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
@@ -222,38 +355,11 @@ class QuantGCNConv(MessagePassing):
         if self.linear.bias is not None:
             transformed = transformed + self.linear.bias
         transformed = self.linear_out_quantizer(transformed)
-        aggregated = self._adjacency.aggregate(graph.normalized_adjacency(), transformed)
+        aggregated = self._adjacency.aggregate(self.operator(graph), transformed)
         return self.aggregate_out_quantizer(aggregated)
 
-    # ------------------------------------------------------------------ #
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.weight"] = _bits_of(self.weight_quantizer)
-        bits[f"{prefix}.linear_out"] = _bits_of(self.linear_out_quantizer)
-        bits[f"{prefix}.adjacency"] = _bits_of(self.adjacency_quantizer)
-        bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
-        return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        transform_bits = max(input_bits, _bits_of(self.weight_quantizer))
-        counter.add(f"{prefix}.transform", self.linear.operation_count(graph.num_nodes),
-                    transform_bits)
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer),
-                             _bits_of(self.linear_out_quantizer))
-        counter.add(f"{prefix}.aggregate",
-                    2 * graph.normalized_adjacency().nnz * self.out_features,
-                    aggregate_bits)
-        outgoing = _bits_of(self.aggregate_out_quantizer) if self.quantize_output \
-            else aggregate_bits
-        return counter, outgoing
-
-
-class QuantGINConv(MessagePassing):
+class QuantGINConv(QuantConv):
     """GIN convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``,
@@ -261,7 +367,20 @@ class QuantGINConv(MessagePassing):
     ``output``.
     """
 
-    COMPONENTS = ("input", "adjacency", "aggregate_out", "weight_0", "weight_1", "output")
+    conv_type = "gin"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("adjacency", "adjacency", "adjacency"),
+              QuantPoint("aggregate_out", "activation", "aggregate_out"),
+              QuantPoint("weight_0", "weight"),
+              QuantPoint("mlp0_out", "activation", "mlp0_out", shares="aggregate_out"),
+              QuantPoint("weight_1", "weight"),
+              QuantPoint("output", "activation", "mlp1_out"))
+    WEIGHTS = (WeightSpec("mlp0", "mlp_first", "weight_0"),
+               WeightSpec("mlp1", "mlp_second", "weight_1"))
+
+    @staticmethod
+    def operator(graph: GraphLike) -> SparseTensor:
+        return graph.adjacency(add_self_loops=False)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False,
@@ -271,73 +390,45 @@ class QuantGINConv(MessagePassing):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
         hidden = hidden_features if hidden_features is not None else out_features
         self.hidden_features = hidden
-
-        def bit(component: str) -> int:
-            return int(bits.get(component, FP32_BITS))
-
-        self.input_quantizer = quantizer_factory(bit("input"), "activation") \
-            if quantize_input else IdentityQuantizer()
-        self.adjacency_quantizer = quantizer_factory(bit("adjacency"), "adjacency")
-        self.aggregate_out_quantizer = quantizer_factory(bit("aggregate_out"), "activation")
-        self.mlp_first = QuantLinear(in_features, hidden, weight_bits=bit("weight_0"),
-                                     output_bits=bit("aggregate_out"),
-                                     quantizer_factory=quantizer_factory, rng=rng)
-        self.mlp_second = QuantLinear(hidden, out_features, weight_bits=bit("weight_1"),
-                                      output_bits=bit("output"),
-                                      quantizer_factory=quantizer_factory, rng=rng)
+        self.mlp_first = Linear(in_features, hidden, rng=rng)
+        self.mlp_second = Linear(hidden, out_features, rng=rng)
         self.activation = ReLU()
         self.eps = 0.0
-        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
-        aggregated = self._adjacency.aggregate(graph.adjacency(add_self_loops=False), x)
+        aggregated = self._adjacency.aggregate(self.operator(graph), x)
         combined = target_features(x, graph) * (1.0 + self.eps) + aggregated
         combined = self.aggregate_out_quantizer(combined)
-        hidden = self.activation(self.mlp_first(combined))
-        return self.mlp_second(hidden)
-
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.adjacency"] = _bits_of(self.adjacency_quantizer)
-        bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
-        bits[f"{prefix}.weight_0"] = _bits_of(self.mlp_first.weight_quantizer)
-        bits[f"{prefix}.weight_1"] = _bits_of(self.mlp_second.weight_quantizer)
-        bits[f"{prefix}.output"] = _bits_of(self.mlp_second.output_quantizer)
-        return bits
-
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
-        counter.add(f"{prefix}.aggregate",
-                    2 * graph.adjacency(add_self_loops=False).nnz * self.in_features,
-                    aggregate_bits)
-        counter.add(f"{prefix}.combine", 2 * graph.num_nodes * self.in_features,
-                    aggregate_bits)
-        incoming = _bits_of(self.aggregate_out_quantizer)
-        for name, mlp in (("mlp0", self.mlp_first), ("mlp1", self.mlp_second)):
-            counter.add(f"{prefix}.{name}", mlp.linear.operation_count(graph.num_nodes),
-                        max(incoming, _bits_of(mlp.weight_quantizer)))
-            incoming = _bits_of(mlp.output_quantizer)
-        return counter, incoming
+        hidden = combined.matmul(self.weight_0_quantizer(self.mlp_first.weight)) \
+            + self.mlp_first.bias
+        hidden = self.activation(self.mlp0_out_quantizer(hidden))
+        out = hidden.matmul(self.weight_1_quantizer(self.mlp_second.weight)) \
+            + self.mlp_second.bias
+        return self.output_quantizer(out)
 
 
-class QuantSAGEConv(MessagePassing):
+class QuantSAGEConv(QuantConv):
     """GraphSAGE convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``,
     ``aggregate_out``, ``weight_root``, ``weight_neighbour`` and ``output``.
     """
 
-    COMPONENTS = ("input", "adjacency", "aggregate_out", "weight_root",
-                  "weight_neighbour", "output")
+    conv_type = "sage"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("adjacency", "adjacency", "adjacency"),
+              QuantPoint("aggregate_out", "activation", "aggregate_out"),
+              QuantPoint("weight_root", "weight"),
+              QuantPoint("weight_neighbour", "weight"),
+              QuantPoint("output", "activation", "output"))
+    WEIGHTS = (WeightSpec("root", "linear_root", "weight_root"),
+               WeightSpec("neighbour", "linear_neighbour", "weight_neighbour"))
+
+    operator = staticmethod(mean_adjacency)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False,
@@ -346,61 +437,22 @@ class QuantSAGEConv(MessagePassing):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
-
-        def bit(component: str) -> int:
-            return int(bits.get(component, FP32_BITS))
-
-        self.input_quantizer = quantizer_factory(bit("input"), "activation") \
-            if quantize_input else IdentityQuantizer()
-        self.adjacency_quantizer = quantizer_factory(bit("adjacency"), "adjacency")
-        self.aggregate_out_quantizer = quantizer_factory(bit("aggregate_out"), "activation")
         self.linear_root = Linear(in_features, out_features, bias=True, rng=rng)
         self.linear_neighbour = Linear(in_features, out_features, bias=False, rng=rng)
-        self.weight_root_quantizer = quantizer_factory(bit("weight_root"), "weight")
-        self.weight_neighbour_quantizer = quantizer_factory(bit("weight_neighbour"), "weight")
-        self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
         aggregated = self.aggregate_out_quantizer(
-            self._adjacency.aggregate(mean_adjacency(graph), x))
+            self._adjacency.aggregate(self.operator(graph), x))
         weight_root = self.weight_root_quantizer(self.linear_root.weight)
         weight_neighbour = self.weight_neighbour_quantizer(self.linear_neighbour.weight)
         out = target_features(x, graph).matmul(weight_root) + self.linear_root.bias \
             + aggregated.matmul(weight_neighbour)
         return self.output_quantizer(out)
 
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.adjacency"] = _bits_of(self.adjacency_quantizer)
-        bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
-        bits[f"{prefix}.weight_root"] = _bits_of(self.weight_root_quantizer)
-        bits[f"{prefix}.weight_neighbour"] = _bits_of(self.weight_neighbour_quantizer)
-        bits[f"{prefix}.output"] = _bits_of(self.output_quantizer)
-        return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
-        counter.add(f"{prefix}.aggregate",
-                    2 * mean_adjacency(graph).nnz * self.in_features, aggregate_bits)
-        counter.add(f"{prefix}.transform_root",
-                    self.linear_root.operation_count(graph.num_nodes),
-                    max(input_bits, _bits_of(self.weight_root_quantizer)))
-        counter.add(f"{prefix}.transform_neighbour",
-                    self.linear_neighbour.operation_count(graph.num_nodes),
-                    max(_bits_of(self.aggregate_out_quantizer),
-                        _bits_of(self.weight_neighbour_quantizer)))
-        return counter, _bits_of(self.output_quantizer)
-
-
-class QuantGATConv(MessagePassing):
+class QuantGATConv(QuantConv):
     """Multi-head GAT convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight`` (the feature
@@ -414,7 +466,19 @@ class QuantGATConv(MessagePassing):
     ``attention`` quantizer) and never change the component set.
     """
 
-    COMPONENTS = ("input", "weight", "linear_out", "attention", "aggregate_out")
+    conv_type = "gat"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("weight", "weight"),
+              QuantPoint("linear_out", "activation", "linear_out"),
+              QuantPoint("attention", "adjacency", "attention"),
+              QuantPoint("aggregate_out", "activation", "aggregate_out"))
+    # The per-head FP32 attention vectors are exported column-per-head
+    # (``(head_dim, heads)``), matching the parameter layout.
+    WEIGHTS = (WeightSpec("weight", "linear", "weight", bias="bias"),
+               WeightSpec("attention_src", "attention_src"),
+               WeightSpec("attention_dst", "attention_dst"))
+
+    operator = staticmethod(attention_edges)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, negative_slope: float = 0.2,
@@ -424,7 +488,6 @@ class QuantGATConv(MessagePassing):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
         self.negative_slope = negative_slope
         self.heads = int(heads)
         self.head_merge = head_merge
@@ -438,23 +501,13 @@ class QuantGATConv(MessagePassing):
                                                            rng=rng),
                                        name="attention_dst")
         self.bias = Parameter(init.zeros((out_features,)), name="bias")
-
-        def bit(component: str) -> int:
-            return int(bits.get(component, FP32_BITS))
-
-        self.input_quantizer = quantizer_factory(bit("input"), "activation") \
-            if quantize_input else IdentityQuantizer()
-        self.weight_quantizer = quantizer_factory(bit("weight"), "weight")
-        self.linear_out_quantizer = quantizer_factory(bit("linear_out"), "activation")
-        self.attention_quantizer = quantizer_factory(bit("attention"), "adjacency")
-        self.aggregate_out_quantizer = quantizer_factory(bit("aggregate_out"),
-                                                         "activation")
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
         weight = self.weight_quantizer(self.linear.weight)
         transformed = self.linear_out_quantizer(x.matmul(weight))
-        edges = attention_edges(graph)
+        edges = self.operator(graph)
         score_src = head_scores(transformed, self.attention_src,
                                 self.heads, self.head_dim)
         score_dst = head_scores(transformed, self.attention_dst,
@@ -470,41 +523,8 @@ class QuantGATConv(MessagePassing):
                              self.head_merge)
         return self.aggregate_out_quantizer(merged + self.bias)
 
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.weight"] = _bits_of(self.weight_quantizer)
-        bits[f"{prefix}.linear_out"] = _bits_of(self.linear_out_quantizer)
-        bits[f"{prefix}.attention"] = _bits_of(self.attention_quantizer)
-        bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
-        return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        num_edges = graph.adjacency(add_self_loops=False).nnz + num_nodes
-        width = self.heads * self.head_dim
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        counter.add(f"{prefix}.transform",
-                    2 * num_nodes * self.in_features * width
-                    + num_nodes * self.out_features,  # the post-merge bias
-                    max(input_bits, _bits_of(self.weight_quantizer)))
-        # Score projections + per-edge leaky-relu/softmax stay FP32.
-        counter.add(f"{prefix}.score",
-                    gat_score_operations(num_nodes, num_edges, self.heads,
-                                         self.head_dim), FP32_BITS)
-        counter.add(f"{prefix}.aggregate",
-                    attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim),
-                    max(_bits_of(self.attention_quantizer),
-                        _bits_of(self.linear_out_quantizer)))
-        return counter, _bits_of(self.aggregate_out_quantizer)
-
-
-class QuantTransformerConv(MessagePassing):
+class QuantTransformerConv(QuantConv):
     """Multi-head transformer convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight_query`` /
@@ -514,8 +534,19 @@ class QuantTransformerConv(MessagePassing):
     full precision; heads never change the component set.
     """
 
-    COMPONENTS = ("input", "weight_query", "weight_key", "weight_value",
-                  "value_out", "attention", "aggregate_out")
+    conv_type = "transformer"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("weight_query", "weight"),
+              QuantPoint("weight_key", "weight"),
+              QuantPoint("weight_value", "weight"),
+              QuantPoint("value_out", "activation", "value_out"),
+              QuantPoint("attention", "adjacency", "attention"),
+              QuantPoint("aggregate_out", "activation", "aggregate_out"))
+    WEIGHTS = (WeightSpec("query", "query", "weight_query"),
+               WeightSpec("key", "key", "weight_key"),
+               WeightSpec("value", "value", "weight_value"))
+
+    operator = staticmethod(attention_edges)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, heads: int = 1,
@@ -525,7 +556,6 @@ class QuantTransformerConv(MessagePassing):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
         self.heads = int(heads)
         self.head_merge = head_merge
         self.head_dim = attention_head_dim(out_features, self.heads, head_merge)
@@ -533,19 +563,7 @@ class QuantTransformerConv(MessagePassing):
         self.query = Linear(in_features, width, bias=False, rng=rng)
         self.key = Linear(in_features, width, bias=False, rng=rng)
         self.value = Linear(in_features, width, bias=True, rng=rng)
-
-        def bit(component: str) -> int:
-            return int(bits.get(component, FP32_BITS))
-
-        self.input_quantizer = quantizer_factory(bit("input"), "activation") \
-            if quantize_input else IdentityQuantizer()
-        self.weight_query_quantizer = quantizer_factory(bit("weight_query"), "weight")
-        self.weight_key_quantizer = quantizer_factory(bit("weight_key"), "weight")
-        self.weight_value_quantizer = quantizer_factory(bit("weight_value"), "weight")
-        self.value_out_quantizer = quantizer_factory(bit("value_out"), "activation")
-        self.attention_quantizer = quantizer_factory(bit("attention"), "adjacency")
-        self.aggregate_out_quantizer = quantizer_factory(bit("aggregate_out"),
-                                                         "activation")
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
@@ -554,7 +572,7 @@ class QuantTransformerConv(MessagePassing):
         values = x.matmul(self.weight_value_quantizer(self.value.weight)) \
             + self.value.bias
         values = self.value_out_quantizer(values)
-        edges = attention_edges(graph)
+        edges = self.operator(graph)
         queries = queries.reshape(-1, self.heads, self.head_dim)
         keys = keys.reshape(-1, self.heads, self.head_dim)
         values = values.reshape(-1, self.heads, self.head_dim)
@@ -568,45 +586,8 @@ class QuantTransformerConv(MessagePassing):
                              self.head_merge)
         return self.aggregate_out_quantizer(merged)
 
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.weight_query"] = _bits_of(self.weight_query_quantizer)
-        bits[f"{prefix}.weight_key"] = _bits_of(self.weight_key_quantizer)
-        bits[f"{prefix}.weight_value"] = _bits_of(self.weight_value_quantizer)
-        bits[f"{prefix}.value_out"] = _bits_of(self.value_out_quantizer)
-        bits[f"{prefix}.attention"] = _bits_of(self.attention_quantizer)
-        bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
-        return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        num_edges = graph.adjacency(add_self_loops=False).nnz + num_nodes
-        width = self.heads * self.head_dim
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        transform_ops = 2 * num_nodes * self.in_features * width
-        for name, quantizer in (("query", self.weight_query_quantizer),
-                                ("key", self.weight_key_quantizer),
-                                ("value", self.weight_value_quantizer)):
-            bias_ops = num_nodes * width if name == "value" else 0
-            counter.add(f"{prefix}.transform_{name}", transform_ops + bias_ops,
-                        max(input_bits, _bits_of(quantizer)))
-        counter.add(f"{prefix}.score",
-                    transformer_score_operations(num_edges, self.heads,
-                                                 self.head_dim), FP32_BITS)
-        counter.add(f"{prefix}.aggregate",
-                    attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim),
-                    max(_bits_of(self.attention_quantizer),
-                        _bits_of(self.value_out_quantizer)))
-        return counter, _bits_of(self.aggregate_out_quantizer)
-
-
-class QuantTAGConv(MessagePassing):
+class QuantTAGConv(QuantConv):
     """TAG convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``, ``hop_out``
@@ -615,6 +596,18 @@ class QuantTAGConv(MessagePassing):
     In minibatch mode the layer consumes ``hops`` stacked blocks — its
     per-layer hop plan — exactly like the float :class:`TAGConv`.
     """
+
+    conv_type = "tag"
+    POINTS = (QuantPoint("input", "activation", "input"),
+              QuantPoint("adjacency", "adjacency", "adjacency"),
+              QuantPoint("hop_out", "activation", "hop_out"),
+              QuantPoint("weight_{k}", "weight"),
+              QuantPoint("output", "activation", "output"))
+    WEIGHTS = (WeightSpec("hop{k}", "linears.{k}", "weight_{k}"),)
+
+    @staticmethod
+    def operator(graph: GraphLike) -> SparseTensor:
+        return graph.normalized_adjacency()
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, hops: int = 3,
@@ -625,29 +618,11 @@ class QuantTAGConv(MessagePassing):
             raise ValueError("QuantTAGConv needs at least one hop")
         self.in_features = in_features
         self.out_features = out_features
-        self.quantize_input = quantize_input
         self.hops = hops
         self.linears = ModuleList(
             [Linear(in_features, out_features, bias=(k == 0), rng=rng)
              for k in range(hops + 1)])
-
-        def bit(component: str) -> int:
-            return int(bits.get(component, FP32_BITS))
-
-        self.input_quantizer = quantizer_factory(bit("input"), "activation") \
-            if quantize_input else IdentityQuantizer()
-        self.adjacency_quantizer = quantizer_factory(bit("adjacency"), "adjacency")
-        self.hop_out_quantizer = quantizer_factory(bit("hop_out"), "activation")
-        self.weight_quantizers = ModuleList(
-            [quantizer_factory(bit(f"weight_{k}"), "weight")
-             for k in range(hops + 1)])
-        self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency = _AdjacencyQuantization(self.adjacency_quantizer)
-
-    @classmethod
-    def components(cls, hops: int) -> tuple:
-        return ("input", "adjacency", "hop_out",
-                *(f"weight_{k}" for k in range(hops + 1)), "output")
+        self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: TAGGraphLike) -> Tensor:
         x = self.input_quantizer(x)
@@ -658,55 +633,21 @@ class QuantTAGConv(MessagePassing):
         def final_rows(tensor: Tensor) -> Tensor:
             return tensor if num_final is None else tensor[:num_final]
 
-        weight = self.weight_quantizers[0](self.linears[0].weight)
+        weight = self.weight_0_quantizer(self.linears[0].weight)
         output = final_rows(x).matmul(weight) + self.linears[0].bias
         propagated = x
         for hop, view in enumerate(views, start=1):
-            propagated = self._adjacency.aggregate(view.normalized_adjacency(),
-                                                   propagated)
+            propagated = self._adjacency.aggregate(self.operator(view), propagated)
             if isinstance(view, SubgraphBlock):
                 # Hop outputs are row-indexed by this hop's target side, not
                 # by the layer's input block (the one forward_blocks set).
                 set_active_block(self.hop_out_quantizer, view)
             propagated = self.hop_out_quantizer(propagated)
-            weight = self.weight_quantizers[hop](self.linears[hop].weight)
+            weight = self.quantizer(f"weight_{hop}")(self.linears[hop].weight)
             output = output + final_rows(propagated).matmul(weight)
         if isinstance(last, SubgraphBlock):
             set_active_block(self.output_quantizer, last)
         return self.output_quantizer(output)
-
-    def component_bits(self, prefix: str) -> ComponentBits:
-        bits: ComponentBits = {}
-        if self.quantize_input:
-            bits[f"{prefix}.input"] = _bits_of(self.input_quantizer)
-        bits[f"{prefix}.adjacency"] = _bits_of(self.adjacency_quantizer)
-        bits[f"{prefix}.hop_out"] = _bits_of(self.hop_out_quantizer)
-        for k, quantizer in enumerate(self.weight_quantizers):
-            bits[f"{prefix}.weight_{k}"] = _bits_of(quantizer)
-        bits[f"{prefix}.output"] = _bits_of(self.output_quantizer)
-        return bits
-
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        nnz = graph.normalized_adjacency().nnz
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        hop_bits = _bits_of(self.hop_out_quantizer)
-        adjacency_bits = _bits_of(self.adjacency_quantizer)
-        transform_ops = 2 * num_nodes * self.in_features * self.out_features
-        counter.add(f"{prefix}.transform_hop0",
-                    transform_ops + num_nodes * self.out_features,
-                    max(input_bits, _bits_of(self.weight_quantizers[0])))
-        x_bits = input_bits
-        for hop in range(1, self.hops + 1):
-            counter.add(f"{prefix}.aggregate_hop{hop}",
-                        2 * nnz * self.in_features, max(adjacency_bits, x_bits))
-            counter.add(f"{prefix}.transform_hop{hop}", transform_ops,
-                        max(hop_bits, _bits_of(self.weight_quantizers[hop])))
-            x_bits = hop_bits
-        return counter, _bits_of(self.output_quantizer)
 
 
 def _layer_assignment(assignment: BitWidthAssignment, prefix: str) -> ComponentBits:
@@ -717,9 +658,9 @@ def _layer_assignment(assignment: BitWidthAssignment, prefix: str) -> ComponentB
 
 
 #: The one dispatch table from a conv family name to its quantized layer.
-CONV_CLASSES = {"gcn": QuantGCNConv, "gin": QuantGINConv, "sage": QuantSAGEConv,
-                "gat": QuantGATConv, "tag": QuantTAGConv,
-                "transformer": QuantTransformerConv}
+CONV_CLASSES = {conv_class.conv_type: conv_class for conv_class in (
+    QuantGCNConv, QuantGINConv, QuantSAGEConv, QuantGATConv, QuantTAGConv,
+    QuantTransformerConv)}
 
 
 def _conv_class(conv_type: str):
@@ -727,6 +668,17 @@ def _conv_class(conv_type: str):
         raise KeyError(f"unknown conv type {conv_type!r}; "
                        f"options: {sorted(CONV_CLASSES)}")
     return CONV_CLASSES[conv_type]
+
+
+def float_operation_count(conv: MessagePassing, graph: Graph) -> int:
+    """Scalar operations of one float layer: its family's BitOPs records with
+    every width at FP32, counted in operations.  ``conv`` is the float twin
+    of a ``Quant*Conv`` (same ``conv_type`` and shape attributes)."""
+    operator = _conv_class(conv.conv_type).operator(graph)
+    counter, _ = conv_bit_operations(
+        conv, "", lambda slot: FP32_BITS, graph.num_nodes, graph.num_nodes,
+        [operator.nnz] * conv.hops)
+    return counter.total_operations
 
 
 class QuantNodeClassifier(Module):
@@ -810,32 +762,21 @@ class QuantNodeClassifier(Module):
                    quantizer_factory: QuantizerFactory = default_quantizer_factory,
                    rng: Optional[np.random.Generator] = None) -> "QuantNodeClassifier":
         """Mirror a float :class:`NodeClassifier`, copying its layer dimensions."""
-        layer_dims = []
-        conv_type = None
-        hops = 3
-        tag_hops = set()
-        layer_heads = set()
-        hidden_merges = set()
-        for conv in model.convs:
-            layer_dims.append((conv.in_features, conv.out_features))
-            for float_class, name in ((GCNConv, "gcn"), (GINConv, "gin"),
-                                      (SAGEConv, "sage"), (GATConv, "gat"),
-                                      (TAGConv, "tag"),
-                                      (TransformerConv, "transformer")):
-                if isinstance(conv, float_class):
-                    conv_type = name
-                    if name == "tag":
-                        tag_hops.add(conv.hops)
-        if conv_type is None:
-            raise TypeError("from_float supports GCN / GIN / GraphSAGE / GAT / "
-                            "TAG / Transformer convolutions")
+        layer_dims = [(conv.in_features, conv.out_features) for conv in model.convs]
+        conv_types = {conv.conv_type for conv in model.convs}
+        if len(conv_types) != 1 or not conv_types <= set(CONV_CLASSES):
+            raise TypeError("from_float supports one family per stack out of "
+                            "GCN / GIN / GraphSAGE / GAT / TAG / Transformer")
+        conv_type = conv_types.pop()
+        tag_hops = {conv.hops for conv in model.convs}
         if len(tag_hops) > 1:
             # from_assignment builds every layer with one hops value; a mixed
             # stack would silently change the mirrored architecture.
             raise TypeError(f"from_float needs uniform TAG hops per stack, "
                             f"got {sorted(tag_hops)}")
-        if tag_hops:
-            hops = tag_hops.pop()
+        hops = tag_hops.pop()  # 1 for every family but TAG, which alone reads it
+        layer_heads = set()
+        hidden_merges = set()
         if conv_type in ("gat", "transformer"):
             for index, conv in enumerate(model.convs):
                 layer_heads.add(conv.heads)
@@ -943,24 +884,19 @@ def uniform_assignment(component_names: List[str], bits: int) -> BitWidthAssignm
     return {name: int(bits) for name in component_names}
 
 
-def conv_component_names(conv_type: str, num_layers: int, hops: int = 3,
-                         heads: int = 1) -> List[str]:
+def conv_component_names(conv_type: str, num_layers: int, hops: int = 3) -> List[str]:
     """The named quantization points of a node-classifier conv family.
 
     One dispatch point shared by the CLI, the experiment runners and the
     test fixtures; only the first layer has an ``input`` component.  ``hops``
     only affects ``"tag"`` (one weight component per adjacency power).
-    ``heads`` is accepted for interface symmetry but never changes the
-    component set: attention heads add score *columns* behind one shared
-    per-layer ``attention`` quantizer, so a multi-head search runs over
-    exactly the single-head assignment format.
+    Attention heads never change the component set: they add score
+    *columns* behind one shared per-layer ``attention`` quantizer, so a
+    multi-head search runs over exactly the single-head assignment format.
     """
-    del heads  # heads never change the component set (documented above)
-    conv_class = _conv_class(conv_type)
-    components = conv_class.components(hops) if conv_class is QuantTAGConv \
-        else conv_class.COMPONENTS
+    components = _conv_class(conv_type).components(hops)
     return [f"conv{index}.{component}" for index in range(num_layers)
-            for component in (components if index == 0 else components[1:])]
+            for component in components if component != "input" or index == 0]
 
 
 def gcn_component_names(num_layers: int) -> List[str]:

@@ -25,14 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.quant.qmodules import (
-    QuantGATConv,
-    QuantGCNConv,
-    QuantGINConv,
-    QuantSAGEConv,
-    QuantTAGConv,
-    QuantTransformerConv,
-)
+from repro.quant.qmodules import CONV_CLASSES, QuantConv
 from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer, QuantizationParameters
 
 PathLike = Union[str, Path]
@@ -48,33 +41,24 @@ FORMAT_VERSION = 3
 
 def tag_weight_slots(hops: int) -> Tuple[str, ...]:
     """Weight slots of one TAG layer: one matrix per adjacency power."""
-    return tuple(f"hop{k}" for k in range(hops + 1))
+    return tuple(spec.slot for spec in CONV_CLASSES["tag"].weights(hops))
 
 
-#: Ordered weight slots of each supported conv family.  TAG slots depend on
-#: the layer's hop count — the table lists the default (``hops=3``); use
+#: Ordered weight slots of each supported conv family, read off the family
+#: tables in :mod:`repro.quant.qmodules`.  TAG slots depend on the layer's
+#: hop count — the table lists the default (``hops=3``); use
 #: :func:`tag_weight_slots` for other depths.
 WEIGHT_SLOTS: Dict[str, Tuple[str, ...]] = {
-    "gcn": ("weight",),
-    "sage": ("root", "neighbour"),
-    "gin": ("mlp0", "mlp1"),
-    "gat": ("weight", "attention_src", "attention_dst"),
-    "transformer": ("query", "key", "value"),
-    "tag": tag_weight_slots(3),
-}
+    name: tuple(spec.slot for spec in conv_class.weights())
+    for name, conv_class in CONV_CLASSES.items()}
 
 #: Activation / adjacency quantizer slots of each supported conv family.
 #: For the attention families the ``attention`` slot quantizes the
 #: post-softmax coefficient matrix — the per-edge *score plan* the integer
 #: executor aggregates with.
 QUANTIZER_SLOTS: Dict[str, Tuple[str, ...]] = {
-    "gcn": ("input", "linear_out", "adjacency", "aggregate_out"),
-    "sage": ("input", "adjacency", "aggregate_out", "output"),
-    "gin": ("input", "adjacency", "aggregate_out", "mlp0_out", "mlp1_out"),
-    "gat": ("input", "linear_out", "attention", "aggregate_out"),
-    "transformer": ("input", "value_out", "attention", "aggregate_out"),
-    "tag": ("input", "adjacency", "hop_out", "output"),
-}
+    name: tuple(point.slot for point in conv_class.points() if point.slot is not None)
+    for name, conv_class in CONV_CLASSES.items()}
 
 
 @dataclass
@@ -120,8 +104,20 @@ class LayerPlan:
         return self.quantizers.get(slot)
 
     def slot_bits(self, slot: str) -> int:
+        """Bit-width of a quantizer slot or a weight matrix (32 for FP32)."""
+        if slot in self.weights:
+            return int(self.weights[slot].bits)
         parameters = self.quantizers.get(slot)
         return 32 if parameters is None else int(parameters.bits)
+
+    @property
+    def has_bias(self) -> bool:
+        return any(weight.bias is not None for weight in self.weights.values())
+
+    @property
+    def hidden_features(self) -> int:
+        """Width between the two matrices of a GIN layer's MLP."""
+        return int(next(iter(self.weights.values())).integers.shape[1])
 
     @property
     def head_dim(self) -> int:
@@ -151,138 +147,20 @@ def _weight_plan(weight: np.ndarray, quantizer,
     return WeightPlan(weight, 1.0, 32, bias)
 
 
-def _export_gcn(conv: QuantGCNConv) -> LayerPlan:
-    bias = None if conv.linear.bias is None else conv.linear.bias.data
+def _layer_plan(conv: QuantConv) -> LayerPlan:
+    """Export one trained layer by walking its family table."""
     return LayerPlan(
-        conv_type="gcn",
+        conv_type=conv.conv_type,
         in_features=conv.in_features,
         out_features=conv.out_features,
-        weights={"weight": _weight_plan(conv.linear.weight.data,
-                                        conv.weight_quantizer, bias)},
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "linear_out": _parameters_of(conv.linear_out_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        })
-
-
-def _export_sage(conv: QuantSAGEConv) -> LayerPlan:
-    root_bias = None if conv.linear_root.bias is None else conv.linear_root.bias.data
-    return LayerPlan(
-        conv_type="sage",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "root": _weight_plan(conv.linear_root.weight.data,
-                                 conv.weight_root_quantizer, root_bias),
-            "neighbour": _weight_plan(conv.linear_neighbour.weight.data,
-                                      conv.weight_neighbour_quantizer, None),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-            "output": _parameters_of(conv.output_quantizer),
-        })
-
-
-def _export_gin(conv: QuantGINConv) -> LayerPlan:
-    first, second = conv.mlp_first, conv.mlp_second
-    first_bias = None if first.linear.bias is None else first.linear.bias.data
-    second_bias = None if second.linear.bias is None else second.linear.bias.data
-    return LayerPlan(
-        conv_type="gin",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "mlp0": _weight_plan(first.linear.weight.data,
-                                 first.weight_quantizer, first_bias),
-            "mlp1": _weight_plan(second.linear.weight.data,
-                                 second.weight_quantizer, second_bias),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-            "mlp0_out": _parameters_of(first.output_quantizer),
-            "mlp1_out": _parameters_of(second.output_quantizer),
-        },
-        eps=float(conv.eps))
-
-
-def _export_gat(conv: QuantGATConv) -> LayerPlan:
-    # The GAT bias is added *after* the attention-weighted aggregation, so
-    # the executor applies the ``weight`` plan's bias post-aggregate.  The
-    # per-head FP32 attention vectors are stored column-per-head
-    # (``(head_dim, heads)``), matching the QAT parameter layout.
-    return LayerPlan(
-        conv_type="gat",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "weight": _weight_plan(conv.linear.weight.data,
-                                   conv.weight_quantizer, conv.bias.data),
-            "attention_src": _weight_plan(conv.attention_src.data, None, None),
-            "attention_dst": _weight_plan(conv.attention_dst.data, None, None),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "linear_out": _parameters_of(conv.linear_out_quantizer),
-            "attention": _parameters_of(conv.attention_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        },
+        weights={slot: _weight_plan(weight.data, quantizer,
+                                    None if bias is None else bias.data)
+                 for slot, weight, quantizer, bias in conv.weight_entries()},
+        quantizers={point.slot: _parameters_of(conv.quantizer(point.component))
+                    for point in conv.points(conv.hops) if point.slot is not None},
+        eps=float(conv.eps), hops=int(conv.hops),
         negative_slope=float(conv.negative_slope),
         heads=int(conv.heads), head_merge=str(conv.head_merge))
-
-
-def _export_transformer(conv: QuantTransformerConv) -> LayerPlan:
-    value_bias = None if conv.value.bias is None else conv.value.bias.data
-    return LayerPlan(
-        conv_type="transformer",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "query": _weight_plan(conv.query.weight.data,
-                                  conv.weight_query_quantizer, None),
-            "key": _weight_plan(conv.key.weight.data,
-                                conv.weight_key_quantizer, None),
-            "value": _weight_plan(conv.value.weight.data,
-                                  conv.weight_value_quantizer, value_bias),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "value_out": _parameters_of(conv.value_out_quantizer),
-            "attention": _parameters_of(conv.attention_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        },
-        heads=int(conv.heads), head_merge=str(conv.head_merge))
-
-
-def _export_tag(conv: QuantTAGConv) -> LayerPlan:
-    weights: Dict[str, WeightPlan] = {}
-    for k, (linear, quantizer) in enumerate(zip(conv.linears,
-                                                conv.weight_quantizers)):
-        bias = None if linear.bias is None else linear.bias.data
-        weights[f"hop{k}"] = _weight_plan(linear.weight.data, quantizer, bias)
-    return LayerPlan(
-        conv_type="tag",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights=weights,
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "hop_out": _parameters_of(conv.hop_out_quantizer),
-            "output": _parameters_of(conv.output_quantizer),
-        },
-        hops=int(conv.hops))
-
-
-_EXPORTERS = {QuantGCNConv: _export_gcn, QuantSAGEConv: _export_sage,
-              QuantGINConv: _export_gin, QuantGATConv: _export_gat,
-              QuantTransformerConv: _export_transformer,
-              QuantTAGConv: _export_tag}
 
 
 def _params_to_json(params: Optional[QuantizationParameters]):
@@ -328,9 +206,9 @@ class QuantizedArtifact:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a quantized artifact needs at least one layer")
-        if self.conv_type not in WEIGHT_SLOTS:
+        if self.conv_type not in CONV_CLASSES:
             raise ValueError(f"unknown conv type {self.conv_type!r}; "
-                             f"options: {sorted(WEIGHT_SLOTS)}")
+                             f"options: {sorted(CONV_CLASSES)}")
 
     # ------------------------------------------------------------------ #
     @property
@@ -386,17 +264,11 @@ class QuantizedArtifact:
 
         plans: List[LayerPlan] = []
         for conv in convs:
-            exporter = _EXPORTERS.get(type(conv))
-            if exporter is None:
-                for conv_class, candidate in _EXPORTERS.items():
-                    if isinstance(conv, conv_class):
-                        exporter = candidate
-                        break
-            if exporter is None:
+            if not isinstance(conv, QuantConv):
                 raise TypeError(
                     f"unsupported layer {type(conv).__name__}; serving handles "
-                    f"{' / '.join(sorted(c.__name__ for c in _EXPORTERS))}")
-            plans.append(exporter(conv))
+                    f"{' / '.join(sorted(c.__name__ for c in CONV_CLASSES.values()))}")
+            plans.append(_layer_plan(conv))
         conv_types = {plan.conv_type for plan in plans}
         if len(conv_types) != 1:
             raise TypeError(f"mixed conv families {sorted(conv_types)} cannot share "

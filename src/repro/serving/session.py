@@ -3,8 +3,7 @@
 Two backends share one layer executor:
 
 * :class:`FullGraphSession` runs every layer over the whole graph — the
-  classic Theorem-1 engine (previously ``repro.quant.IntegerGCNInference``,
-  now generalized beyond GCN to GraphSAGE and GIN).
+  classic Theorem-1 engine.
 * :class:`BlockSession` routes the same integer message passing through
   seeded :class:`~repro.graphs.sampling.NeighborSampler` blocks, so a
   request for ``N`` seed nodes touches only their fanout-bounded receptive
@@ -48,17 +47,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cache import BlockCache, CacheStats
-from repro.gnn.attention import AttentionEdges, attention_edges
+from repro.gnn.attention import AttentionEdges
 from repro.kernels import BackendLike, resolve_backend
-from repro.gnn.sage import mean_adjacency
 from repro.graphs.graph import Graph
 from repro.graphs.sampling import Fanout, NeighborSampler, SubgraphBlock
-from repro.quant.bitops import (
-    BitOpsCounter,
-    attention_aggregate_operations,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.quant.bitops import FP32_BITS, BitOpsCounter, conv_bit_operations
+from repro.quant.qmodules import CONV_CLASSES
 from repro.quant.quantizer import QuantizationParameters
 from repro.serving.artifact import LayerPlan, QuantizedArtifact
 from repro.tensor.sparse import SparseTensor
@@ -84,6 +78,18 @@ def _fake_quantize(params: Optional[QuantizationParameters],
     if params is None:
         return values
     return _dequantize_with(params, _quantize_with(params, values))
+
+
+def _quantize_input(plan: LayerPlan, x: np.ndarray,
+                    incoming: Optional[QuantizationParameters]):
+    """Snap a layer's input onto its integer grid: the layer's own ``input``
+    point, else the grid the previous layer's output already sits on.
+    Returns ``(x, x_int, params)`` — ``x_int`` / ``params`` None in FP32."""
+    params = plan.params("input") if plan.params("input") is not None else incoming
+    if params is None:
+        return x, None, None
+    x_int = _quantize_with(params, x)
+    return _dequantize_with(params, x_int), x_int, params
 
 
 def _target_rows(x: np.ndarray, graph_like: GraphLike) -> np.ndarray:
@@ -194,25 +200,18 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # request-invariant operators
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _build_operator(conv_type: str, graph_like: GraphLike) -> SparseTensor:
-        """The aggregation operator a conv family applies to a graph view."""
-        if conv_type in ("gcn", "tag"):
-            return graph_like.normalized_adjacency()
-        if conv_type == "sage":
-            return mean_adjacency(graph_like)
-        return graph_like.adjacency(add_self_loops=False)
-
-    def _layer_operator(self, conv_type: str, graph_like: GraphLike) -> SparseTensor:
+    def _layer_operator(self, conv_type: str, graph_like: GraphLike):
+        """The aggregation operator a conv family applies to a graph view —
+        a sparse matrix, or the attention families' canonical edge list."""
+        build_operator = CONV_CLASSES[conv_type].operator
         if isinstance(graph_like, SubgraphBlock):
             # SubgraphBlock.adjacency()/normalized_adjacency() memoise on the
             # block itself, so a cache-reused block skips the rebuild too.
-            return self._build_operator(conv_type, graph_like)
+            return build_operator(graph_like)
         # full-graph views are always the session's bound graph -> memoise
         with self._cache_lock:
             if conv_type not in self._operator_cache:
-                self._operator_cache[conv_type] = self._build_operator(
-                    conv_type, graph_like)
+                self._operator_cache[conv_type] = build_operator(graph_like)
             return self._operator_cache[conv_type]
 
     def _quantized_operator(self, adjacency: SparseTensor,
@@ -297,134 +296,6 @@ class InferenceSession:
         return aggregated
 
     # ------------------------------------------------------------------ #
-    # BitOPs accounting (shared by execution and the arithmetic counters)
-    # ------------------------------------------------------------------ #
-    def _count_layer(self, plan: LayerPlan, index: int, n_src: int, n_dst: int,
-                     nnz: Union[int, Sequence[int]], counter: BitOpsCounter,
-                     incoming: Optional[QuantizationParameters]
-                     ) -> Optional[QuantizationParameters]:
-        """Append one layer's BitOPs records; returns its outgoing params.
-
-        ``nnz`` is the edge count of the layer's aggregation: operator
-        non-zeros for matrix layers, attention edges (self loops included)
-        for GAT / Transformer, and one per-hop sequence for TAG.
-        """
-        if plan.conv_type == "gat":
-            weight = plan.weights["weight"]
-            width = plan.heads * plan.head_dim
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            input_bits = 32 if input_params is None else input_params.bits
-            counter.add(f"conv{index}.transform",
-                        2 * n_src * plan.in_features * width
-                        + (0 if weight.bias is None else n_dst * plan.out_features),
-                        min(max(input_bits, weight.bits), 32))
-            # Score projections + per-edge leaky-relu/softmax stay FP32.
-            counter.add(f"conv{index}.score",
-                        gat_score_operations(n_src, nnz, plan.heads,
-                                             plan.head_dim), 32)
-            counter.add(f"conv{index}.aggregate",
-                        attention_aggregate_operations(nnz, plan.heads,
-                                                       plan.head_dim),
-                        min(max(plan.slot_bits("attention"),
-                                plan.slot_bits("linear_out")), 32))
-            return plan.params("aggregate_out")
-
-        if plan.conv_type == "transformer":
-            width = plan.heads * plan.head_dim
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            input_bits = 32 if input_params is None else input_params.bits
-            transform_ops = 2 * n_src * plan.in_features * width
-            for name in ("query", "key", "value"):
-                bias_ops = 0 if plan.weights[name].bias is None else n_src * width
-                counter.add(f"conv{index}.transform_{name}", transform_ops + bias_ops,
-                            min(max(input_bits, plan.weights[name].bits), 32))
-            counter.add(f"conv{index}.score",
-                        transformer_score_operations(nnz, plan.heads,
-                                                     plan.head_dim), 32)
-            counter.add(f"conv{index}.aggregate",
-                        attention_aggregate_operations(nnz, plan.heads,
-                                                       plan.head_dim),
-                        min(max(plan.slot_bits("attention"),
-                                plan.slot_bits("value_out")), 32))
-            return plan.params("aggregate_out")
-
-        if plan.conv_type == "tag":
-            per_hop_nnz = [int(nnz)] * plan.hops if np.isscalar(nnz) \
-                else [int(v) for v in nnz]
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            x_bits = 32 if input_params is None else input_params.bits
-            hop_bits = plan.slot_bits("hop_out")
-            adjacency_bits = plan.slot_bits("adjacency")
-            transform_ops = 2 * n_dst * plan.in_features * plan.out_features
-            hop0 = plan.weights["hop0"]
-            counter.add(f"conv{index}.transform_hop0", transform_ops
-                        + (0 if hop0.bias is None else n_dst * plan.out_features),
-                        min(max(x_bits, hop0.bits), 32))
-            for hop in range(1, plan.hops + 1):
-                counter.add(f"conv{index}.aggregate_hop{hop}",
-                            2 * per_hop_nnz[hop - 1] * plan.in_features,
-                            min(max(adjacency_bits, x_bits), 32))
-                counter.add(f"conv{index}.transform_hop{hop}", transform_ops,
-                            min(max(hop_bits, plan.weights[f"hop{hop}"].bits), 32))
-                x_bits = hop_bits
-            return plan.params("output")
-
-        if plan.conv_type == "gcn":
-            weight = plan.weights["weight"]
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            input_bits = 32 if input_params is None else input_params.bits
-            counter.add(f"conv{index}.transform",
-                        2 * n_src * plan.in_features * plan.out_features
-                        + (0 if weight.bias is None else n_src * plan.out_features),
-                        min(max(input_bits, weight.bits), 32))
-            linear_out = plan.params("linear_out")
-            aggregate_bits = plan.slot_bits("adjacency") if linear_out is None \
-                else max(plan.slot_bits("adjacency"), linear_out.bits)
-            counter.add(f"conv{index}.aggregate",
-                        2 * nnz * plan.out_features, min(aggregate_bits, 32))
-            return plan.params("aggregate_out")
-
-        params_x = plan.params("input") if plan.params("input") is not None \
-            else incoming
-        x_bits = 32 if params_x is None else params_x.bits
-        aggregate_bits = min(max(plan.slot_bits("adjacency"), x_bits), 32)
-        if plan.conv_type == "sage":
-            root = plan.weights["root"]
-            neighbour = plan.weights["neighbour"]
-            counter.add(f"conv{index}.aggregate",
-                        2 * nnz * plan.in_features, aggregate_bits)
-            counter.add(f"conv{index}.transform_root",
-                        2 * n_dst * plan.in_features * plan.out_features
-                        + (0 if root.bias is None else n_dst * plan.out_features),
-                        min(max(x_bits, root.bits), 32))
-            counter.add(f"conv{index}.transform_neighbour",
-                        2 * n_dst * plan.in_features * plan.out_features,
-                        min(max(plan.slot_bits("aggregate_out"), neighbour.bits),
-                            32))
-            return plan.params("output")
-
-        mlp0 = plan.weights["mlp0"]
-        mlp1 = plan.weights["mlp1"]
-        hidden_features = mlp0.integers.shape[1]
-        counter.add(f"conv{index}.aggregate",
-                    2 * nnz * plan.in_features, aggregate_bits)
-        counter.add(f"conv{index}.combine",
-                    2 * n_dst * plan.in_features, aggregate_bits)
-        counter.add(f"conv{index}.mlp0",
-                    2 * n_dst * plan.in_features * hidden_features
-                    + (0 if mlp0.bias is None else n_dst * hidden_features),
-                    min(max(plan.slot_bits("aggregate_out"), mlp0.bits), 32))
-        counter.add(f"conv{index}.mlp1",
-                    2 * n_dst * hidden_features * plan.out_features
-                    + (0 if mlp1.bias is None else n_dst * plan.out_features),
-                    min(max(plan.slot_bits("mlp0_out"), mlp1.bits), 32))
-        return plan.params("mlp1_out")
-
-    # ------------------------------------------------------------------ #
     def _forward(self, layer_graphs: Sequence[GraphLike], x: np.ndarray,
                  counter: BitOpsCounter) -> Tuple[np.ndarray, int]:
         """Run the artifact's layer stack over per-hop graph views.
@@ -433,7 +304,8 @@ class InferenceSession:
         in total): single-hop layers consume one view, TAG layers a run of
         ``plan.hops`` consecutive views.  Returns the logits of the target
         side of the last layer and the total number of edges (messages)
-        touched.
+        touched; the BitOPs of every layer — at the ``nnz`` of the operators
+        it actually applied — are appended to ``counter``.
         """
         plans = self.artifact.layers
         total_hops = self.artifact.total_hops
@@ -447,92 +319,62 @@ class InferenceSession:
         for index, plan in enumerate(plans):
             views = list(layer_graphs[cursor:cursor + plan.hops])
             cursor += plan.hops
-            x, incoming, layer_edges = self._run_layer(plan, views, x,
-                                                       incoming, counter, index)
-            edges += layer_edges
+            run_layer = getattr(self, f"_run_{plan.conv_type}", None)
+            if run_layer is None:
+                raise ValueError(f"unknown conv type {plan.conv_type!r}")
+            out, outgoing, nnz = run_layer(plan, views, x, incoming)
+            layer_counter, _ = conv_bit_operations(
+                plan, f"conv{index}", plan.slot_bits, x.shape[0], out.shape[0],
+                nnz, FP32_BITS if incoming is None else int(incoming.bits))
+            counter.extend(layer_counter)
+            edges += sum(nnz)
+            x, incoming = out, outgoing
             if index != last:
                 x = np.maximum(x, 0.0)  # ReLU between layers
         return x, edges
 
-    def _run_layer(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                   incoming: Optional[QuantizationParameters],
-                   counter: BitOpsCounter, index: int
-                   ) -> Tuple[np.ndarray, Optional[QuantizationParameters], int]:
-        if plan.conv_type == "tag":
-            return self._run_tag(plan, views, x, incoming, counter, index)
-        if plan.conv_type == "gcn":
-            runner = self._run_gcn
-        elif plan.conv_type == "sage":
-            runner = self._run_sage
-        elif plan.conv_type == "gin":
-            runner = self._run_gin
-        elif plan.conv_type == "gat":
-            runner = self._run_gat
-        elif plan.conv_type == "transformer":
-            runner = self._run_transformer
-        else:
-            raise ValueError(f"unknown conv type {plan.conv_type!r}")
-        return runner(plan, views[0], x, incoming, counter, index)
-
     # ------------------------------------------------------------------ #
-    def _run_gcn(self, plan: LayerPlan, graph_like: GraphLike, x: np.ndarray,
-                 incoming: Optional[QuantizationParameters],
-                 counter: BitOpsCounter, index: int):
+    # The integer forwards, one per family: ``(plan, views, x, incoming)``
+    # -> ``(output, output grid, nnz of each operator applied)``.
+    # ------------------------------------------------------------------ #
+    def _run_gcn(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
+                 incoming: Optional[QuantizationParameters]):
         x = _fake_quantize(plan.params("input"), x)
         linear_out = plan.params("linear_out")
         transformed, transformed_int = self.kernels.linear_requant(
             x, plan.weights["weight"], linear_out)
 
-        adjacency = self._layer_operator("gcn", graph_like)
+        adjacency = self._layer_operator("gcn", views[0])
         aggregated = self._aggregate(adjacency, plan.params("adjacency"),
                                      transformed, transformed_int, linear_out)
         aggregate_out = plan.params("aggregate_out")
-        aggregated = _fake_quantize(aggregate_out, aggregated)
+        return _fake_quantize(aggregate_out, aggregated), aggregate_out, \
+            [adjacency.nnz]
 
-        self._count_layer(plan, index, x.shape[0], aggregated.shape[0],
-                          adjacency.nnz, counter, incoming)
-        return aggregated, aggregate_out, adjacency.nnz
+    def _run_sage(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
+                  incoming: Optional[QuantizationParameters]):
+        x, x_int, params_x = _quantize_input(plan, x, incoming)
 
-    def _run_sage(self, plan: LayerPlan, graph_like: GraphLike, x: np.ndarray,
-                  incoming: Optional[QuantizationParameters],
-                  counter: BitOpsCounter, index: int):
-        params_x = plan.params("input") if plan.params("input") is not None \
-            else incoming
-        x_int = None
-        if params_x is not None:
-            x_int = _quantize_with(params_x, x)
-            x = _dequantize_with(params_x, x_int)
-
-        adjacency = self._layer_operator("sage", graph_like)
+        adjacency = self._layer_operator("sage", views[0])
         aggregated = self._aggregate(adjacency, plan.params("adjacency"),
                                      x, x_int, params_x)
         aggregated = _fake_quantize(plan.params("aggregate_out"), aggregated)
 
-        out, _ = self.kernels.linear_requant(_target_rows(x, graph_like),
+        out, _ = self.kernels.linear_requant(_target_rows(x, views[0]),
                                              plan.weights["root"], None)
         out = out + aggregated @ self.kernels.weight_matrix(
             plan.weights["neighbour"])
         output = plan.params("output")
-        out = _fake_quantize(output, out)
+        return _fake_quantize(output, out), output, [adjacency.nnz]
 
-        self._count_layer(plan, index, x.shape[0], aggregated.shape[0],
-                          adjacency.nnz, counter, incoming)
-        return out, output, adjacency.nnz
+    def _run_gin(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
+                 incoming: Optional[QuantizationParameters]):
+        x, x_int, params_x = _quantize_input(plan, x, incoming)
 
-    def _run_gin(self, plan: LayerPlan, graph_like: GraphLike, x: np.ndarray,
-                 incoming: Optional[QuantizationParameters],
-                 counter: BitOpsCounter, index: int):
-        params_x = plan.params("input") if plan.params("input") is not None \
-            else incoming
-        x_int = None
-        if params_x is not None:
-            x_int = _quantize_with(params_x, x)
-            x = _dequantize_with(params_x, x_int)
-
-        adjacency = self._layer_operator("gin", graph_like)
+        adjacency = self._layer_operator("gin", views[0])
         aggregated = self._aggregate(adjacency, plan.params("adjacency"),
                                      x, x_int, params_x)
-        combined = _target_rows(x, graph_like) * (1.0 + plan.eps) + aggregated
+        combined = _target_rows(x, views[0]) * (1.0 + plan.eps) + aggregated
         combined = _fake_quantize(plan.params("aggregate_out"), combined)
 
         hidden, _ = self.kernels.linear_requant(combined, plan.weights["mlp0"],
@@ -542,17 +384,32 @@ class InferenceSession:
         mlp1_out = plan.params("mlp1_out")
         out, _ = self.kernels.linear_requant(hidden, plan.weights["mlp1"],
                                              mlp1_out)
-
-        self._count_layer(plan, index, x.shape[0], combined.shape[0],
-                          adjacency.nnz, counter, incoming)
-        return out, mlp1_out, adjacency.nnz
+        return out, mlp1_out, [adjacency.nnz]
 
     # ------------------------------------------------------------------ #
     # attention score plans
     # ------------------------------------------------------------------ #
-    def _run_gat(self, plan: LayerPlan, graph_like: GraphLike, x: np.ndarray,
-                 incoming: Optional[QuantizationParameters],
-                 counter: BitOpsCounter, index: int):
+    def _attend(self, plan: LayerPlan, scores: np.ndarray, edges: AttentionEdges,
+                values: np.ndarray, values_int: Optional[np.ndarray],
+                value_params: Optional[QuantizationParameters],
+                bias: Optional[np.ndarray] = None):
+        """Shared tail of the attention forwards: per-target softmax of the
+        edge scores, the attention-weighted aggregation of ``values``, the
+        head merge, the post-merge ``bias`` (GAT) and the output grid."""
+        attention = self.kernels.edge_softmax(scores, edges.dst, edges.num_dst)
+        aggregated = self._aggregate_edges(attention, plan.params("attention"),
+                                           values, values_int, value_params,
+                                           edges, plan.heads, plan.head_dim)
+        merged = _merge_heads(aggregated, plan.heads, plan.head_dim,
+                              plan.head_merge)
+        if bias is not None:
+            merged = merged + bias
+        aggregate_out = plan.params("aggregate_out")
+        return _fake_quantize(aggregate_out, merged), aggregate_out, \
+            [edges.num_edges]
+
+    def _run_gat(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
+                 incoming: Optional[QuantizationParameters]):
         x = _fake_quantize(plan.params("input"), x)
         weight = plan.weights["weight"]
         linear_out = plan.params("linear_out")
@@ -561,7 +418,7 @@ class InferenceSession:
             x, weight, linear_out, add_bias=False)
 
         heads, head_dim = plan.heads, plan.head_dim
-        edges = attention_edges(graph_like)
+        edges = self._layer_operator("gat", views[0])
         attention_src = plan.weights["attention_src"].dequantized() \
             .reshape(head_dim, heads)
         attention_dst = plan.weights["attention_dst"].dequantized() \
@@ -570,26 +427,12 @@ class InferenceSession:
                                          attention_dst, edges.src, edges.dst,
                                          heads, head_dim)
         scores = np.where(scores > 0, scores, plan.negative_slope * scores)
-        attention = self.kernels.edge_softmax(scores, edges.dst, edges.num_dst)
+        return self._attend(plan, scores, edges, transformed, transformed_int,
+                            linear_out, bias=weight.bias)
 
-        aggregated = self._aggregate_edges(attention, plan.params("attention"),
-                                           transformed, transformed_int,
-                                           linear_out, edges, heads, head_dim)
-        merged = _merge_heads(aggregated, heads, head_dim, plan.head_merge)
-        if weight.bias is not None:
-            # The GAT bias applies after the attention-weighted aggregation.
-            merged = merged + weight.bias
-        aggregate_out = plan.params("aggregate_out")
-        merged = _fake_quantize(aggregate_out, merged)
-
-        self._count_layer(plan, index, x.shape[0], merged.shape[0],
-                          edges.num_edges, counter, incoming)
-        return merged, aggregate_out, edges.num_edges
-
-    def _run_transformer(self, plan: LayerPlan, graph_like: GraphLike,
+    def _run_transformer(self, plan: LayerPlan, views: List[GraphLike],
                          x: np.ndarray,
-                         incoming: Optional[QuantizationParameters],
-                         counter: BitOpsCounter, index: int):
+                         incoming: Optional[QuantizationParameters]):
         x = _fake_quantize(plan.params("input"), x)
         heads, head_dim = plan.heads, plan.head_dim
         queries = (x @ self.kernels.weight_matrix(plan.weights["query"])) \
@@ -600,31 +443,14 @@ class InferenceSession:
         values, values_int = self.kernels.linear_requant(
             x, plan.weights["value"], value_out)
 
-        edges = attention_edges(graph_like)
+        edges = self._layer_operator("transformer", views[0])
         scale = 1.0 / np.sqrt(head_dim)
         scores = (queries[edges.dst] * keys[edges.src]).sum(axis=-1) * scale
-        attention = self.kernels.edge_softmax(scores, edges.dst, edges.num_dst)
-
-        aggregated = self._aggregate_edges(attention, plan.params("attention"),
-                                           values, values_int, value_out,
-                                           edges, heads, head_dim)
-        merged = _merge_heads(aggregated, heads, head_dim, plan.head_merge)
-        aggregate_out = plan.params("aggregate_out")
-        merged = _fake_quantize(aggregate_out, merged)
-
-        self._count_layer(plan, index, x.shape[0], merged.shape[0],
-                          edges.num_edges, counter, incoming)
-        return merged, aggregate_out, edges.num_edges
+        return self._attend(plan, scores, edges, values, values_int, value_out)
 
     def _run_tag(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                 incoming: Optional[QuantizationParameters],
-                 counter: BitOpsCounter, index: int):
-        params_x = plan.params("input") if plan.params("input") is not None \
-            else incoming
-        x_int = None
-        if params_x is not None:
-            x_int = _quantize_with(params_x, x)
-            x = _dequantize_with(params_x, x_int)
+                 incoming: Optional[QuantizationParameters]):
+        x, x_int, params_x = _quantize_input(plan, x, incoming)
 
         last = views[-1]
         num_final = last.num_dst if isinstance(last, SubgraphBlock) else x.shape[0]
@@ -649,11 +475,7 @@ class InferenceSession:
                 plan.weights[f"hop{hop}"])
 
         output = plan.params("output")
-        out = _fake_quantize(output, out)
-
-        self._count_layer(plan, index, x.shape[0], num_final, per_hop_nnz,
-                          counter, incoming)
-        return out, output, int(sum(per_hop_nnz))
+        return _fake_quantize(output, out), output, per_hop_nnz
 
 
 class FullGraphSession(InferenceSession):
@@ -702,19 +524,13 @@ class FullGraphSession(InferenceSession):
         """
         counter = BitOpsCounter()
         num_nodes = self.graph.num_nodes
-        incoming: Optional[QuantizationParameters] = None
+        incoming = FP32_BITS
         for index, plan in enumerate(self.artifact.layers):
-            nnz: Union[int, List[int]]
-            if plan.conv_type in ("gat", "transformer"):
-                # Attention runs over the explicit edge list plus self loops.
-                nnz = self.graph.adjacency(add_self_loops=False).nnz + num_nodes
-            elif plan.conv_type == "tag":
-                nnz = [self.graph.adjacency(add_self_loops=True).nnz] * plan.hops
-            else:
-                add_self_loops = plan.conv_type == "gcn"
-                nnz = self.graph.adjacency(add_self_loops=add_self_loops).nnz
-            incoming = self._count_layer(plan, index, num_nodes, num_nodes,
-                                         nnz, counter, incoming)
+            nnz = self._layer_operator(plan.conv_type, self.graph).nnz
+            layer_counter, incoming = conv_bit_operations(
+                plan, f"conv{index}", plan.slot_bits, num_nodes, num_nodes,
+                [nnz] * plan.hops, incoming)
+            counter.extend(layer_counter)
         return counter
 
 

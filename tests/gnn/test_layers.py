@@ -22,10 +22,10 @@ class TestMessagePassingBase:
         expected = tiny_graph.adjacency().csr @ tiny_graph.x
         np.testing.assert_allclose(out.data, expected, rtol=1e-5)
 
-    def test_aggregation_operations_scale_with_nnz(self, tiny_graph):
-        layer = MessagePassing()
-        ops = layer.aggregation_operations(tiny_graph, 10)
-        assert ops == 2 * tiny_graph.adjacency(add_self_loops=True).nnz * 10
+    def test_operation_count_needs_a_family(self, tiny_graph):
+        """Cost is a property of the six families; the bare base has none."""
+        with pytest.raises(KeyError):
+            MessagePassing().operation_count(tiny_graph)
 
 
 class TestGCNConv:

@@ -49,7 +49,7 @@ class TestComponentNames:
 
     def test_transformer_components(self):
         names = conv_component_names("transformer", 1)
-        assert set(names) == {f"conv0.{c}" for c in QuantTransformerConv.COMPONENTS}
+        assert set(names) == {f"conv0.{c}" for c in QuantTransformerConv.components()}
 
     def test_tag_components_scale_with_hops(self):
         names = conv_component_names("tag", 1, hops=2)

@@ -63,9 +63,9 @@ class TestQuantLinear:
 
 
 @pytest.mark.parametrize("conv_class,components", [
-    (QuantGCNConv, QuantGCNConv.COMPONENTS),
-    (QuantGINConv, QuantGINConv.COMPONENTS),
-    (QuantSAGEConv, QuantSAGEConv.COMPONENTS),
+    (QuantGCNConv, QuantGCNConv.components()),
+    (QuantGINConv, QuantGINConv.components()),
+    (QuantSAGEConv, QuantSAGEConv.components()),
 ])
 class TestQuantConvs:
     def test_forward_shape(self, conv_class, components, tiny_graph):
