@@ -31,11 +31,11 @@ from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer, Quantizati
 PathLike = Union[str, Path]
 
 FORMAT_NAME = "repro.serving.artifact"
-#: v2 added the attention score plans (gat / tag / transformer conv
-#: families, per-layer ``hops`` and ``negative_slope``); v3 added the head
-#: axis (per-layer ``heads`` and ``head_merge``, per-head FP32 attention
-#: vectors stored column-per-head).  v1 and v2 artifacts load unchanged —
-#: missing head fields default to the single-head layout.
+#: The one format :meth:`QuantizedArtifact.load` accepts: per-layer score-plan
+#: fields (``hops``, ``negative_slope``) and head axis (``heads``,
+#: ``head_merge``; per-head FP32 attention vectors stored column-per-head)
+#: are all required.  Artifacts are never committed — they are rebuilt from
+#: source per checkout — so there is no older payload to negotiate with.
 FORMAT_VERSION = 3
 
 
@@ -335,9 +335,10 @@ class QuantizedArtifact:
         payload = json.loads(json_path.read_text())
         if payload.get("format") != FORMAT_NAME:
             raise ValueError(f"{json_path} is not a {FORMAT_NAME} file")
-        if int(payload.get("format_version", -1)) > FORMAT_VERSION:
-            raise ValueError(f"artifact format v{payload['format_version']} is newer "
-                             f"than this reader (v{FORMAT_VERSION})")
+        if payload.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"{json_path} has format_version "
+                             f"{payload.get('format_version')!r}; this reader "
+                             f"accepts exactly v{FORMAT_VERSION}")
         with np.load(npz_path) as arrays:
             plans: List[LayerPlan] = []
             for index, layer in enumerate(payload["layers"]):
@@ -358,12 +359,10 @@ class QuantizedArtifact:
                     weights=weights,
                     quantizers={name: _params_from_json(params)
                                 for name, params in layer["quantizers"].items()},
-                    eps=float(layer.get("eps", 0.0)),
-                    hops=int(layer.get("hops", 1)),
-                    negative_slope=float(layer.get("negative_slope", 0.2)),
-                    # v1/v2 payloads predate the head axis: single head,
-                    # concat merge reproduces their execution exactly.
-                    heads=int(layer.get("heads", 1)),
-                    head_merge=str(layer.get("head_merge", "concat"))))
+                    eps=float(layer["eps"]),
+                    hops=int(layer["hops"]),
+                    negative_slope=float(layer["negative_slope"]),
+                    heads=int(layer["heads"]),
+                    head_merge=str(layer["head_merge"])))
         return cls(conv_type=payload["conv_type"], layers=plans,
-                   metadata=dict(payload.get("metadata", {})))
+                   metadata=dict(payload["metadata"]))

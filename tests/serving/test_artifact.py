@@ -129,92 +129,20 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             QuantizedArtifact.load(tmp_path / "other.json")
 
-    def test_load_rejects_newer_format(self, served_models, tmp_path):
+    @pytest.mark.parametrize("version", [None, 2, 999],
+                             ids=["missing", "older", "newer"])
+    def test_load_accepts_exactly_one_format_version(self, served_models,
+                                                     tmp_path, version):
+        """No artifact predates this repo's v3 writer, so the reader has no
+        downgrade path: anything but the current version is rejected, and
+        the message names what was found."""
         artifact = QuantizedArtifact.from_model(served_models["gcn"])
         _, json_path = artifact.save(tmp_path / "artifact")
         payload = json.loads(json_path.read_text())
-        payload["format_version"] = 999  # reprolint: disable=RL04
+        if version is None:
+            del payload["format_version"]
+        else:
+            payload["format_version"] = version  # reprolint: disable=RL04
         json_path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"format_version {version!r}"):
             QuantizedArtifact.load(tmp_path / "artifact")
-
-
-def _downgrade_payload(json_path, version: int) -> None:
-    """Rewrite a saved sidecar as a faithful v1 / v2 payload.
-
-    v1 predates the attention score plans: no per-layer ``hops`` /
-    ``negative_slope``.  v2 predates the head axis: no ``heads`` /
-    ``head_merge``.  Stripping exactly those keys reproduces what the old
-    writers emitted, so these are true version-negotiation regressions.
-    """
-    payload = json.loads(json_path.read_text())
-    payload["format_version"] = version  # reprolint: disable=RL04
-    dropped = {"heads", "head_merge"} if version == 2 else \
-        {"heads", "head_merge", "hops", "negative_slope"}
-    for layer in payload["layers"]:
-        for key in dropped:
-            layer.pop(key, None)
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-class TestVersionNegotiation:
-    """v1 / v2 payloads must load and predict identically under the v3 reader."""
-
-    @pytest.mark.parametrize("conv", CONV_TYPES)
-    def test_v1_payload_loads_and_predicts_identically(self, served_models,
-                                                       small_cora, tmp_path,
-                                                       conv):
-        from repro.serving import FullGraphSession
-
-        artifact = QuantizedArtifact.from_model(served_models[conv])
-        reference = FullGraphSession(artifact, small_cora).predict()
-        _, json_path = artifact.save(tmp_path / "artifact")
-        _downgrade_payload(json_path, version=1)
-
-        loaded = QuantizedArtifact.load(tmp_path / "artifact")
-        assert [plan.hops for plan in loaded.layers] \
-            == [1] * artifact.num_layers
-        assert [plan.heads for plan in loaded.layers] \
-            == [1] * artifact.num_layers
-        assert [plan.head_merge for plan in loaded.layers] \
-            == ["concat"] * artifact.num_layers
-        np.testing.assert_array_equal(
-            FullGraphSession(loaded, small_cora).predict(), reference)
-
-    @pytest.mark.parametrize("conv", ("gcn", "gat", "tag", "transformer"))
-    def test_v2_payload_loads_and_predicts_identically(self, served_models,
-                                                       attention_models,
-                                                       small_cora, tmp_path,
-                                                       conv):
-        from repro.serving import FullGraphSession
-
-        models = {**served_models, **attention_models}
-        artifact = QuantizedArtifact.from_model(models[conv])
-        reference = FullGraphSession(artifact, small_cora).predict()
-        hops_before = [plan.hops for plan in artifact.layers]
-        _, json_path = artifact.save(tmp_path / "artifact")
-        _downgrade_payload(json_path, version=2)
-
-        loaded = QuantizedArtifact.load(tmp_path / "artifact")
-        # v2 carried hop plans; only the head axis defaults to single-head
-        assert [plan.hops for plan in loaded.layers] == hops_before
-        assert [plan.heads for plan in loaded.layers] \
-            == [1] * artifact.num_layers
-        np.testing.assert_array_equal(
-            FullGraphSession(loaded, small_cora).predict(), reference)
-
-    def test_v2_block_serving_unchanged(self, attention_models, small_cora,
-                                        tmp_path):
-        """A pre-head-axis artifact must serve blocks exactly as before."""
-        from repro.serving import BlockSession
-
-        artifact = QuantizedArtifact.from_model(attention_models["gat"])
-        nodes = np.arange(24, dtype=np.int64)
-        reference = BlockSession(artifact, small_cora, fanouts=4,
-                                 batch_size=16, seed=3).predict(nodes)
-        _, json_path = artifact.save(tmp_path / "artifact")
-        _downgrade_payload(json_path, version=2)
-        loaded = QuantizedArtifact.load(tmp_path / "artifact")
-        served = BlockSession(loaded, small_cora, fanouts=4,
-                              batch_size=16, seed=3).predict(nodes)
-        np.testing.assert_array_equal(served, reference)
