@@ -251,6 +251,95 @@ def _build_block_session(artifact, graph, args, cache_bytes=None):
                         backend=args.backend or None)
 
 
+def _add_block_session_arguments(parser: argparse.ArgumentParser) -> None:
+    """The block-session knobs ``predict``, ``loadtest`` and ``streamtest`` share."""
+    parser.add_argument("--fanout", type=int, default=10,
+                        help="neighbours sampled per hop in block mode "
+                             "(default: 10; <= 0 keeps every neighbour, which "
+                             "matches full-graph logits exactly; TAG layers "
+                             "consume one hop per adjacency power)")
+    parser.add_argument("--batch-size", type=int, default=256,
+                        help="seed nodes per coalesced micro-batch — the "
+                             "engine's max batch (default: 256)")
+    parser.add_argument("--cache-size", type=int, default=0,
+                        help="block-cache entries for block mode (default: 0 = "
+                             "off); repeat/overlapping requests reuse sampled "
+                             "receptive fields with bit-identical logits")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="thread-pool width for micro-batches inside one "
+                             "flush (default: 1 = synchronous)")
+    parser.add_argument("--backend", default="",
+                        help="kernel backend for the integer hot path "
+                             "(see `repro.kernels`; default: the "
+                             "REPRO_KERNEL_BACKEND env var, else numpy; "
+                             "all backends are bit-identical)")
+
+
+def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
+    """Every flag ``loadtest`` and ``streamtest`` share: what to serve, the
+    query traffic, the block session, the engine and the trajectory output."""
+    parser.add_argument("--artifact", default="",
+                        help="serve this `repro export` artifact; when "
+                             "omitted, a small uniform-bits model is "
+                             "QAT-trained in memory first")
+    parser.add_argument("--dataset", default="cora", choices=sorted(NODE_DATASETS),
+                        help="graph to serve against (default: cora)")
+    parser.add_argument("--scale", type=float, default=0.2,
+                        help="dataset down-scaling factor (default: 0.2)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="dataset / sampler / training seed (default: 0)")
+    parser.add_argument("--conv", default="gcn", choices=list(CONV_CHOICES),
+                        help="layer family of the in-memory model "
+                             "(default: gcn; ignored with --artifact)")
+    parser.add_argument("--hidden", type=int, default=16,
+                        help="hidden width of the in-memory model (default: 16)")
+    parser.add_argument("--layers", type=int, default=2,
+                        help="layers of the in-memory model (default: 2)")
+    parser.add_argument("--uniform-bits", type=int, default=8,
+                        help="bit-width of the in-memory model (default: 8)")
+    parser.add_argument("--train-epochs", type=int, default=3,
+                        help="QAT epochs of the in-memory model (default: 3)")
+    parser.add_argument("--pattern", default="zipfian",
+                        choices=["zipfian", "uniform"],
+                        help="seed-popularity law (default: zipfian)")
+    parser.add_argument("--skew", type=float, default=1.1,
+                        help="zipfian exponent; 0 degenerates to uniform "
+                             "(default: 1.1)")
+    parser.add_argument("--arrival", default="poisson",
+                        choices=["poisson", "fixed"],
+                        help="open-loop arrival process (default: poisson)")
+    parser.add_argument("--qps", type=float, default=200.0,
+                        help="offered request rate (default: 200)")
+    parser.add_argument("--duration", type=float, default=1.0,
+                        help="trace length in seconds; request count is "
+                             "qps * duration unless --requests pins it "
+                             "(default: 1.0)")
+    parser.add_argument("--requests", type=int, default=0,
+                        help="explicit request count (default: 0 = derive "
+                             "from --qps and --duration)")
+    parser.add_argument("--seeds-per-request", type=int, default=8,
+                        help="distinct seed nodes per request (default: 8)")
+    parser.add_argument("--warmup", type=int, default=16,
+                        help="requests / events served (then discarded, stats "
+                             "reset) before the measured window (default: 16)")
+    parser.add_argument("--deadline-ms", type=float, default=50.0,
+                        help="per-request latency SLO in milliseconds "
+                             "(default: 50)")
+    parser.add_argument("--traffic-seed", type=int, default=0,
+                        help="trace generator seed — same seed, same "
+                             "trace, bit for bit (default: 0)")
+    _add_block_session_arguments(parser)
+    parser.add_argument("--max-wait-ms", type=float, default=2.0,
+                        help="deadline-batching wait of the async engine "
+                             "(default: 2.0)")
+    parser.add_argument("--emit", default="",
+                        help="append the result to this BENCH_*.json "
+                             "trajectory file (default: print only)")
+    parser.add_argument("--name", default="",
+                        help="result name inside the trajectory file (default: "
+                             "derived from the command, pattern and arrival)")
+
+
 def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.graphs.partition import PARTITION_STRATEGIES
 
@@ -387,10 +476,42 @@ def _loadtest_result_name(args) -> str:
     return f"loadtest.{args.pattern}.{args.arrival}.open{suffix}"
 
 
+def _report_load(args, run, metrics: dict, session, name: str, header: str,
+                 meta: dict) -> None:
+    """Print one replay's latency / QPS / SLO report and, with ``--emit``,
+    append it to the trajectory file; ``meta`` carries what only the calling
+    command knows, the shared serving knobs are added here."""
+    from repro.loadgen import report as trajectory
+
+    print(header)
+    print(f"{'offered QPS':>18} {run.offered_qps:>10.1f}")
+    print(f"{'achieved QPS':>18} {run.achieved_qps:>10.1f}")
+    for key in ("p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"):
+        print(f"{key:>18} {metrics[key]:>10.2f}")
+    print(f"{'SLO violations':>18} {metrics['slo_violation_rate']:>10.1%} "
+          f"(deadline {args.deadline_ms:.0f} ms)")
+    print(f"{'failure rate':>18} {metrics['failure_rate']:>10.1%}")
+    print(f"{'cache hit rate':>18} {metrics['cache_hit_rate']:>10.1%}")
+    print(f"{'micro-batches':>18} {run.micro_batches:>10} "
+          f"({run.nodes} seed nodes, {run.giga_bit_operations:.4f} GBitOPs, "
+          f"workers={args.workers})")
+    if args.emit:
+        meta = {"dataset": args.dataset, "scale": args.scale,
+                "seed": args.seed, "traffic_seed": args.traffic_seed,
+                "conv": args.conv, "pattern": args.pattern,
+                "skew": args.skew, "arrival": args.arrival,
+                "fanout": args.fanout, "batch_size": args.batch_size,
+                "cache_size": args.cache_size, "workers": args.workers,
+                "max_wait_ms": args.max_wait_ms,
+                "backend": session.backend_name, **meta}
+        path = trajectory.emit(args.emit, name, metrics, meta=meta,
+                               kind="loadtest")
+        print(f"trajectory written to {path}")
+
+
 def _command_loadtest(args) -> int:
     from repro.loadgen import TrafficConfig, generate_trace, metrics_from_run, \
         run_load
-    from repro.loadgen import report as trajectory
     from repro.serving import AsyncServingEngine
 
     graph, session = _loadtest_session(args)
@@ -413,44 +534,22 @@ def _command_loadtest(args) -> int:
     finally:
         getattr(session, "close", lambda: None)()
 
-    print(f"loadtest: {args.pattern} traffic (skew {args.skew}), "
-          f"{args.mode} loop, {run.requests} measured requests x "
-          f"{config.seeds_per_request} seeds "
-          f"(+{trace.num_requests - run.requests} warm-up)")
-    print(f"{'offered QPS':>18} {run.offered_qps:>10.1f}")
-    print(f"{'achieved QPS':>18} {run.achieved_qps:>10.1f}")
-    for key in ("p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"):
-        print(f"{key:>18} {metrics[key]:>10.2f}")
-    print(f"{'SLO violations':>18} {metrics['slo_violation_rate']:>10.1%} "
-          f"(deadline {args.deadline_ms:.0f} ms)")
-    print(f"{'cache hit rate':>18} {metrics['cache_hit_rate']:>10.1%}")
-    print(f"{'micro-batches':>18} {run.micro_batches:>10} "
-          f"({run.nodes} seed nodes, {run.giga_bit_operations:.4f} GBitOPs, "
-          f"workers={args.workers})")
-
-    if args.emit:
-        meta = {"dataset": args.dataset, "scale": args.scale,
-                "seed": args.seed, "traffic_seed": args.traffic_seed,
-                "conv": args.conv, "pattern": args.pattern,
-                "skew": args.skew, "arrival": args.arrival,
-                "mode": args.mode, "clients": args.clients,
-                "seeds_per_request": config.seeds_per_request,
-                "warmup_requests": trace.num_requests - run.requests,
-                "fanout": args.fanout, "batch_size": args.batch_size,
-                "cache_size": args.cache_size, "workers": args.workers,
-                "max_wait_ms": args.max_wait_ms,
-                "backend": session.backend_name,
-                "shards": args.shards, "partition": args.partition}
-        path = trajectory.emit(args.emit, _loadtest_result_name(args),
-                               metrics, meta=meta, kind="loadtest")
-        print(f"trajectory written to {path}")
+    _report_load(
+        args, run, metrics, session, _loadtest_result_name(args),
+        header=f"loadtest: {args.pattern} traffic (skew {args.skew}), "
+               f"{args.mode} loop, {run.requests} measured requests x "
+               f"{config.seeds_per_request} seeds "
+               f"(+{trace.num_requests - run.requests} warm-up)",
+        meta={"mode": args.mode, "clients": args.clients,
+              "seeds_per_request": config.seeds_per_request,
+              "warmup_requests": trace.num_requests - run.requests,
+              "shards": args.shards, "partition": args.partition})
     return 0
 
 
 def _command_streamtest(args) -> int:
     from repro.loadgen import TemporalConfig, TrafficConfig, \
         generate_temporal_trace, metrics_from_stream, run_stream
-    from repro.loadgen import report as trajectory
     from repro.serving import AsyncServingEngine
 
     graph, session = _loadtest_session(args)
@@ -481,42 +580,20 @@ def _command_streamtest(args) -> int:
         getattr(session, "close", lambda: None)()
 
     run = result.load
-    print(f"streamtest: {args.pattern} traffic (skew {args.skew}), "
-          f"{run.requests} measured queries x {traffic.seeds_per_request} "
-          f"seeds, {result.updates} updates "
-          f"(every {args.update_every} queries), "
-          f"final graph version {result.final_version}")
-    print(f"{'offered QPS':>18} {run.offered_qps:>10.1f}")
-    print(f"{'achieved QPS':>18} {run.achieved_qps:>10.1f}")
-    for key in ("p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"):
-        print(f"{key:>18} {metrics[key]:>10.2f}")
-    print(f"{'SLO violations':>18} {metrics['slo_violation_rate']:>10.1%} "
-          f"(deadline {args.deadline_ms:.0f} ms)")
-    print(f"{'failure rate':>18} {metrics['failure_rate']:>10.1%}")
-    print(f"{'cache hit rate':>18} {metrics['cache_hit_rate']:>10.1%}")
-    print(f"{'micro-batches':>18} {run.micro_batches:>10} "
-          f"({run.nodes} seed nodes, {run.giga_bit_operations:.4f} GBitOPs, "
-          f"workers={args.workers})")
-
-    if args.emit:
-        meta = {"dataset": args.dataset, "scale": args.scale,
-                "seed": args.seed, "traffic_seed": args.traffic_seed,
-                "update_seed": args.update_seed, "conv": args.conv,
-                "pattern": args.pattern, "skew": args.skew,
-                "arrival": args.arrival,
-                "seeds_per_request": traffic.seeds_per_request,
-                "update_every": args.update_every,
-                "edges_per_update": args.edges_per_update,
-                "feature_nodes_per_update": args.feature_nodes,
-                "warmup_events": args.warmup, "fanout": args.fanout,
-                "batch_size": args.batch_size,
-                "cache_size": args.cache_size, "workers": args.workers,
-                "max_wait_ms": args.max_wait_ms,
-                "backend": session.backend_name}
-        name = args.name or f"streamtest.{args.pattern}.{args.arrival}"
-        path = trajectory.emit(args.emit, name, metrics, meta=meta,
-                               kind="loadtest")
-        print(f"trajectory written to {path}")
+    _report_load(
+        args, run, metrics, session,
+        args.name or f"streamtest.{args.pattern}.{args.arrival}",
+        header=f"streamtest: {args.pattern} traffic (skew {args.skew}), "
+               f"{run.requests} measured queries x {traffic.seeds_per_request} "
+               f"seeds, {result.updates} updates "
+               f"(every {args.update_every} queries), "
+               f"final graph version {result.final_version}",
+        meta={"update_seed": args.update_seed,
+              "seeds_per_request": traffic.seeds_per_request,
+              "update_every": args.update_every,
+              "edges_per_update": args.edges_per_update,
+              "feature_nodes_per_update": args.feature_nodes,
+              "warmup_events": args.warmup})
     return 0
 
 
@@ -600,13 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dataset / sampler random seed (default: 0)")
     predict.add_argument("--mode", default="block", choices=["block", "full"],
                          help="serving backend (default: block)")
-    predict.add_argument("--fanout", type=int, default=10,
-                         help="neighbours sampled per hop in block mode "
-                              "(default: 10; <= 0 keeps every neighbour, which "
-                              "matches full-graph logits exactly; TAG layers "
-                              "consume one hop per adjacency power)")
-    predict.add_argument("--batch-size", type=int, default=256,
-                         help="seed nodes per coalesced micro-batch (default: 256)")
+    _add_block_session_arguments(predict)
     predict.add_argument("--nodes", type=int, nargs="+", default=None,
                          help="explicit seed node ids to serve")
     predict.add_argument("--split", default="test",
@@ -616,24 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--requests", type=int, default=1,
                          help="split the served nodes into this many requests to "
                               "exercise coalescing (default: 1)")
-    predict.add_argument("--cache-size", type=int, default=0,
-                         help="block-cache entries for block mode (default: 0 = "
-                              "off); repeat/overlapping requests reuse sampled "
-                              "receptive fields with bit-identical logits")
     predict.add_argument("--cache-mb", type=float, default=256.0,
                          help="byte budget in MB for the --cache-size cache "
                               "(default: 256; <= 0 means entry-bounded only; "
                               "no effect unless --cache-size > 0) — "
                               "whole-batch entries embed feature rows, so "
                               "diverse traffic needs a byte bound too")
-    predict.add_argument("--workers", type=int, default=1,
-                         help="thread-pool width for micro-batches inside one "
-                              "flush (default: 1 = synchronous)")
-    predict.add_argument("--backend", default="",
-                         help="kernel backend for the integer hot path "
-                              "(see `repro.kernels`; default: the "
-                              "REPRO_KERNEL_BACKEND env var, else numpy; "
-                              "all backends are bit-identical)")
     _add_sharding_arguments(predict)
     predict.add_argument("--repeat", type=int, default=1,
                          help="serve the request set this many times (warms the "
@@ -654,50 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "--emit appends the result to a BENCH_*.json perf "
                     "trajectory file (see docs/benchmarks.md); CI's perf "
                     "job gates it against the committed baseline.")
-    loadtest.add_argument("--artifact", default="",
-                          help="serve this `repro export` artifact; when "
-                               "omitted, a small uniform-bits model is "
-                               "QAT-trained in memory first")
-    loadtest.add_argument("--dataset", default="cora",
-                          choices=sorted(NODE_DATASETS),
-                          help="graph to serve against (default: cora)")
-    loadtest.add_argument("--scale", type=float, default=0.2,
-                          help="dataset down-scaling factor (default: 0.2)")
-    loadtest.add_argument("--seed", type=int, default=0,
-                          help="dataset / sampler / training seed (default: 0)")
-    loadtest.add_argument("--conv", default="gcn", choices=list(CONV_CHOICES),
-                          help="layer family of the in-memory model "
-                               "(default: gcn; ignored with --artifact)")
-    loadtest.add_argument("--hidden", type=int, default=16,
-                          help="hidden width of the in-memory model "
-                               "(default: 16)")
-    loadtest.add_argument("--layers", type=int, default=2,
-                          help="layers of the in-memory model (default: 2)")
-    loadtest.add_argument("--uniform-bits", type=int, default=8,
-                          help="bit-width of the in-memory model (default: 8)")
-    loadtest.add_argument("--train-epochs", type=int, default=3,
-                          help="QAT epochs of the in-memory model "
-                               "(default: 3)")
-    loadtest.add_argument("--pattern", default="zipfian",
-                          choices=["zipfian", "uniform"],
-                          help="seed-popularity law (default: zipfian)")
-    loadtest.add_argument("--skew", type=float, default=1.1,
-                          help="zipfian exponent; 0 degenerates to uniform "
-                               "(default: 1.1)")
-    loadtest.add_argument("--arrival", default="poisson",
-                          choices=["poisson", "fixed"],
-                          help="open-loop arrival process (default: poisson)")
-    loadtest.add_argument("--qps", type=float, default=200.0,
-                          help="offered request rate (default: 200)")
-    loadtest.add_argument("--duration", type=float, default=1.0,
-                          help="trace length in seconds; request count is "
-                               "qps * duration unless --requests pins it "
-                               "(default: 1.0)")
-    loadtest.add_argument("--requests", type=int, default=0,
-                          help="explicit request count (default: 0 = derive "
-                               "from --qps and --duration)")
-    loadtest.add_argument("--seeds-per-request", type=int, default=8,
-                          help="distinct seed nodes per request (default: 8)")
+    _add_serving_arguments(loadtest)
     loadtest.add_argument("--mode", default="open", choices=["open", "closed"],
                           help="open-loop (submit at scheduled arrivals) or "
                                "closed-loop (N clients back-to-back) replay "
@@ -705,42 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--clients", type=int, default=4,
                           help="client threads in closed-loop mode "
                                "(default: 4)")
-    loadtest.add_argument("--warmup", type=int, default=16,
-                          help="requests served (then discarded, stats "
-                               "reset) before the measured window "
-                               "(default: 16)")
-    loadtest.add_argument("--deadline-ms", type=float, default=50.0,
-                          help="per-request latency SLO in milliseconds "
-                               "(default: 50)")
-    loadtest.add_argument("--traffic-seed", type=int, default=0,
-                          help="trace generator seed — same seed, same "
-                               "trace, bit for bit (default: 0)")
-    loadtest.add_argument("--fanout", type=int, default=10,
-                          help="block-session fanout (default: 10; <= 0 "
-                               "keeps every neighbour)")
-    loadtest.add_argument("--batch-size", type=int, default=256,
-                          help="engine max batch / micro-batch size "
-                               "(default: 256)")
-    loadtest.add_argument("--cache-size", type=int, default=0,
-                          help="block-cache entries (default: 0 = off)")
-    loadtest.add_argument("--workers", type=int, default=1,
-                          help="thread-pool width inside one flush "
-                               "(default: 1)")
-    loadtest.add_argument("--backend", default="",
-                          help="kernel backend for the integer hot path "
-                               "(see `repro.kernels`; default: the "
-                               "REPRO_KERNEL_BACKEND env var, else numpy; "
-                               "all backends are bit-identical)")
     _add_sharding_arguments(loadtest)
-    loadtest.add_argument("--max-wait-ms", type=float, default=2.0,
-                          help="deadline-batching wait of the async engine "
-                               "(default: 2.0)")
-    loadtest.add_argument("--emit", default="",
-                          help="append the result to this BENCH_*.json "
-                               "trajectory file (default: print only)")
-    loadtest.add_argument("--name", default="",
-                          help="result name inside the trajectory file "
-                               "(default: loadtest.<pattern>.<arrival>.<mode>)")
     loadtest.set_defaults(handler=_command_loadtest)
 
     streamtest = subparsers.add_parser(
@@ -754,54 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the loadtest latency/QPS/SLO metrics plus the applied "
                     "update count and failure rate; --emit appends them to "
                     "a BENCH_*.json trajectory (see docs/streaming.md).")
-    streamtest.add_argument("--artifact", default="",
-                            help="serve this `repro export` artifact; when "
-                                 "omitted, a small uniform-bits model is "
-                                 "QAT-trained in memory first")
-    streamtest.add_argument("--dataset", default="cora",
-                            choices=sorted(NODE_DATASETS),
-                            help="graph to serve against (default: cora)")
-    streamtest.add_argument("--scale", type=float, default=0.2,
-                            help="dataset down-scaling factor (default: 0.2)")
-    streamtest.add_argument("--seed", type=int, default=0,
-                            help="dataset / sampler / training seed "
-                                 "(default: 0)")
-    streamtest.add_argument("--conv", default="gcn",
-                            choices=list(CONV_CHOICES),
-                            help="layer family of the in-memory model "
-                                 "(default: gcn; ignored with --artifact)")
-    streamtest.add_argument("--hidden", type=int, default=16,
-                            help="hidden width of the in-memory model "
-                                 "(default: 16)")
-    streamtest.add_argument("--layers", type=int, default=2,
-                            help="layers of the in-memory model (default: 2)")
-    streamtest.add_argument("--uniform-bits", type=int, default=8,
-                            help="bit-width of the in-memory model "
-                                 "(default: 8)")
-    streamtest.add_argument("--train-epochs", type=int, default=3,
-                            help="QAT epochs of the in-memory model "
-                                 "(default: 3)")
-    streamtest.add_argument("--pattern", default="zipfian",
-                            choices=["zipfian", "uniform"],
-                            help="seed-popularity law (default: zipfian)")
-    streamtest.add_argument("--skew", type=float, default=1.1,
-                            help="zipfian exponent; 0 degenerates to uniform "
-                                 "(default: 1.1)")
-    streamtest.add_argument("--arrival", default="poisson",
-                            choices=["poisson", "fixed"],
-                            help="open-loop arrival process "
-                                 "(default: poisson)")
-    streamtest.add_argument("--qps", type=float, default=200.0,
-                            help="offered query rate (default: 200)")
-    streamtest.add_argument("--duration", type=float, default=1.0,
-                            help="trace length in seconds; query count is "
-                                 "qps * duration unless --requests pins it "
-                                 "(default: 1.0)")
-    streamtest.add_argument("--requests", type=int, default=0,
-                            help="explicit query count (default: 0 = derive "
-                                 "from --qps and --duration)")
-    streamtest.add_argument("--seeds-per-request", type=int, default=8,
-                            help="distinct seed nodes per query (default: 8)")
+    _add_serving_arguments(streamtest)
     streamtest.add_argument("--update-every", type=int, default=8,
                             help="one update event per this many queries; "
                                  "0 disables updates (default: 8)")
@@ -814,40 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     streamtest.add_argument("--update-seed", type=int, default=0,
                             help="update generator seed, independent of "
                                  "--traffic-seed (default: 0)")
-    streamtest.add_argument("--warmup", type=int, default=16,
-                            help="events served (then discarded, stats "
-                                 "reset) before the measured window "
-                                 "(default: 16)")
-    streamtest.add_argument("--deadline-ms", type=float, default=50.0,
-                            help="per-query latency SLO in milliseconds "
-                                 "(default: 50)")
-    streamtest.add_argument("--traffic-seed", type=int, default=0,
-                            help="trace generator seed — same seed, same "
-                                 "trace, bit for bit (default: 0)")
-    streamtest.add_argument("--fanout", type=int, default=10,
-                            help="block-session fanout (default: 10; <= 0 "
-                                 "keeps every neighbour)")
-    streamtest.add_argument("--batch-size", type=int, default=256,
-                            help="engine max batch / micro-batch size "
-                                 "(default: 256)")
-    streamtest.add_argument("--cache-size", type=int, default=0,
-                            help="block-cache entries (default: 0 = off)")
-    streamtest.add_argument("--workers", type=int, default=1,
-                            help="thread-pool width inside one flush "
-                                 "(default: 1)")
-    streamtest.add_argument("--backend", default="",
-                            help="kernel backend for the integer hot path "
-                                 "(default: REPRO_KERNEL_BACKEND, else "
-                                 "numpy; all backends are bit-identical)")
-    streamtest.add_argument("--max-wait-ms", type=float, default=2.0,
-                            help="deadline-batching wait of the async "
-                                 "engine (default: 2.0)")
-    streamtest.add_argument("--emit", default="",
-                            help="append the result to this BENCH_*.json "
-                                 "trajectory file (default: print only)")
-    streamtest.add_argument("--name", default="",
-                            help="result name inside the trajectory file "
-                                 "(default: streamtest.<pattern>.<arrival>)")
     streamtest.set_defaults(handler=_command_streamtest)
     return parser
 
