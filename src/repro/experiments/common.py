@@ -20,8 +20,7 @@ from repro.quant.bitops import FP32_BITS, BitOpsCounter
 from repro.quant.degree_quant import attach_degree_probabilities, degree_quant_factory
 from repro.quant.qmodules import (
     QuantNodeClassifier,
-    gcn_component_names,
-    sage_component_names,
+    conv_component_names,
     uniform_assignment,
 )
 from repro.core.build import layer_dimensions
@@ -104,14 +103,6 @@ def run_fp32(graph: Graph, conv_type: str = "gcn", hidden: int = 16,
                      giga_bit_operations=operations * FP32_BITS / 1e9)
 
 
-def _component_names(conv_type: str, num_layers: int) -> list:
-    if conv_type == "gcn":
-        return gcn_component_names(num_layers)
-    if conv_type == "sage":
-        return sage_component_names(num_layers)
-    raise KeyError(f"uniform assignment helper supports gcn/sage, got {conv_type!r}")
-
-
 def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int = 16,
                     num_layers: int = 2, epochs: int = 100, lr: float = 0.02,
                     seed: int = 0, multilabel: bool = False,
@@ -120,7 +111,7 @@ def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int
                     fanout: Optional[int] = 10, batch_size: int = 256) -> MethodRow:
     """Uniform fixed-bit QAT — also used as the DQ baseline when requested."""
     rng = np.random.default_rng(seed)
-    assignment = uniform_assignment(_component_names(conv_type, num_layers), bits)
+    assignment = uniform_assignment(conv_component_names(conv_type, num_layers), bits)
     factory = degree_quant_factory(rng=rng) if use_degree_quant else None
     kwargs = {"quantizer_factory": factory} if factory is not None else {}
     model = QuantNodeClassifier.from_assignment(

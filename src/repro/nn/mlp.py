@@ -54,8 +54,5 @@ class MLP(Module):
                 x = self.activation(x)
         return x
 
-    def operation_count(self, num_rows: int) -> int:
-        return sum(linear.operation_count(num_rows) for linear in self.linears)
-
     def __repr__(self) -> str:
         return f"MLP(dims={self.dims})"

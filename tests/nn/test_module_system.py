@@ -152,8 +152,3 @@ class TestMLP:
         mlp = MLP([2, 4, 3], rng=np.random.default_rng(0))
         out = mlp(Tensor(np.random.default_rng(2).standard_normal((20, 2)).astype(np.float32)))
         assert (out.data < 0).any()  # negative logits survive (no final ReLU)
-
-    def test_operation_count_sums_layers(self):
-        mlp = MLP([4, 8, 3])
-        expected = mlp.linears[0].operation_count(7) + mlp.linears[1].operation_count(7)
-        assert mlp.operation_count(7) == expected
