@@ -135,6 +135,7 @@ def conv_bit_operations(layer, prefix: str, bits: Callable[[str], int],
     of the layer's output.
     """
     counter = BitOpsCounter()
+    family, bias = layer.conv_type, layer.has_bias
 
     def add(name: str, operations: int, *operands: int) -> None:
         counter.add(f"{prefix}.{name}", operations, min(max(operands), FP32_BITS))
@@ -142,7 +143,6 @@ def conv_bit_operations(layer, prefix: str, bits: Callable[[str], int],
     def linear(rows: int, fan_in: int, fan_out: int, biased: bool = False) -> int:
         return linear_operations(rows, fan_in, fan_out, bias and biased)
 
-    family, bias = layer.conv_type, layer.has_bias
     fan_in, fan_out = layer.in_features, layer.out_features
     x_bits = bits("input")
     if x_bits >= FP32_BITS:

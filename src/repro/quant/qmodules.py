@@ -236,7 +236,6 @@ class QuantConv(MessagePassing):
     in :mod:`repro.serving.session`).
     """
 
-    conv_type: str
     POINTS: Tuple[QuantPoint, ...] = ()
     WEIGHTS: Tuple[WeightSpec, ...] = ()
 
@@ -318,6 +317,10 @@ class QuantConv(MessagePassing):
             [self.operator(graph).nnz] * self.hops, incoming_bits)
 
 
+def _normalized_adjacency(graph: GraphLike) -> SparseTensor:
+    return graph.normalized_adjacency()
+
+
 class QuantGCNConv(QuantConv):
     """GCN convolution with per-component fake quantization.
 
@@ -334,9 +337,7 @@ class QuantGCNConv(QuantConv):
               QuantPoint("aggregate_out", "activation", "aggregate_out"))
     WEIGHTS = (WeightSpec("weight", "linear", "weight"),)
 
-    @staticmethod
-    def operator(graph: GraphLike) -> SparseTensor:
-        return graph.normalized_adjacency()
+    operator = staticmethod(_normalized_adjacency)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, bias: bool = True,
@@ -395,7 +396,6 @@ class QuantGINConv(QuantConv):
         self.mlp_first = Linear(in_features, hidden, rng=rng)
         self.mlp_second = Linear(hidden, out_features, rng=rng)
         self.activation = ReLU()
-        self.eps = 0.0
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
@@ -605,9 +605,7 @@ class QuantTAGConv(QuantConv):
               QuantPoint("output", "activation", "output"))
     WEIGHTS = (WeightSpec("hop{k}", "linears.{k}", "weight_{k}"),)
 
-    @staticmethod
-    def operator(graph: GraphLike) -> SparseTensor:
-        return graph.normalized_adjacency()
+    operator = staticmethod(_normalized_adjacency)
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, hops: int = 3,

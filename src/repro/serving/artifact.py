@@ -116,8 +116,10 @@ class LayerPlan:
 
     @property
     def hidden_features(self) -> int:
-        """Width between the two matrices of a GIN layer's MLP."""
-        return int(next(iter(self.weights.values())).integers.shape[1])
+        """Output width of the family's first matrix — the width between the
+        two matrices of a GIN layer's MLP."""
+        first = CONV_CLASSES[self.conv_type].weights(self.hops)[0].slot
+        return int(self.weights[first].integers.shape[1])
 
     @property
     def head_dim(self) -> int:
@@ -276,9 +278,7 @@ class QuantizedArtifact:
 
         merged: Dict[str, object] = {
             "num_layers": len(plans),
-            "layer_dims": [[fan_in, fan_out]
-                           for fan_in, fan_out in ((p.in_features, p.out_features)
-                                                   for p in plans)],
+            "layer_dims": [[plan.in_features, plan.out_features] for plan in plans],
         }
         component_bits = getattr(model, "component_bits", None)
         if callable(component_bits):
