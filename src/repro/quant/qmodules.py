@@ -228,8 +228,8 @@ class QuantConv(MessagePassing):
 
     A family declares its quantization points (:attr:`POINTS`), its exported
     matrices (:attr:`WEIGHTS`) and the aggregation :meth:`operator` it
-    applies.  Everything that used to restate them per family reads this
-    table instead: the ``*_quantizer`` attributes, ``component_bits``,
+    applies.  Everything else that depends on the family's structure reads
+    this table: the ``*_quantizer`` attributes, ``component_bits``,
     :func:`conv_component_names`, the artifact export and its slot tables,
     the serving session's operator, and the BitOPs of the layer.  What
     remains per family is its ``forward`` (and the integer ``_run_*`` twin
