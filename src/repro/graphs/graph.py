@@ -159,23 +159,23 @@ class Graph:
                 f"feature rows must have width {self.num_features}, "
                 f"got {delta.features.shape[1]}")
         # Pair codes make "drop every occurrence" a vectorised membership
-        # test; validated before mutation so absence rejects atomically.
-        drop = None
-        if delta.removed_edges is not None:
-            edge_codes = self.edge_index[0] * num_nodes + self.edge_index[1]
-            removed_codes = np.unique(
-                delta.removed_edges[0] * num_nodes + delta.removed_edges[1])
-            present = np.isin(removed_codes, edge_codes)
-            if not present.all():
-                missing = removed_codes[~present][0]
-                raise ValueError(
-                    f"cannot remove absent edge "
-                    f"({missing // num_nodes}, {missing % num_nodes})")
-            drop = np.isin(edge_codes, removed_codes)
-
+        # test; only locals change until it has passed, so absence rejects
+        # atomically.
         edge_index = self.edge_index
         edge_weight = self.edge_weight
-        if drop is not None:
+        if delta.removed_edges is not None:
+            edge_codes = edge_index[0] * num_nodes + edge_index[1]
+            removed_codes = np.unique(
+                delta.removed_edges[0] * num_nodes + delta.removed_edges[1])
+            # Each edge is looked up among the few sorted removed codes, never
+            # the reverse: that hashes the whole edge list on every delta.
+            slot = np.searchsorted(removed_codes, edge_codes)
+            drop = removed_codes[slot.clip(max=removed_codes.size - 1)] == edge_codes
+            missing = np.setdiff1d(removed_codes, edge_codes[drop])
+            if missing.size:
+                raise ValueError(
+                    f"cannot remove absent edge "
+                    f"({missing[0] // num_nodes}, {missing[0] % num_nodes})")
             edge_index = edge_index[:, ~drop]
             edge_weight = edge_weight[~drop]
         if delta.added_edges is not None:

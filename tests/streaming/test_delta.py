@@ -96,6 +96,25 @@ class TestApplyDelta:
         assert graph.num_edges == 1
         np.testing.assert_array_equal(graph.edge_index, [[1], [2]])
 
+    def test_remove_many_matches_a_pairwise_filter(self):
+        """Removal is a lookup of each edge among the removed pairs; it must
+        equal the edge-by-edge filter for small and large removal sets,
+        repeated pairs in either list included."""
+        graph = _graph(num_nodes=16, num_edges=200)
+        pairs = list(zip(*graph.edge_index.tolist()))
+        removed = graph.edge_index[:, ::2]
+        gone = set(zip(*removed.tolist()))
+        graph.remove_edges(np.concatenate([removed, removed[:, :3]], axis=1))
+        assert list(zip(*graph.edge_index.tolist())) == \
+            [pair for pair in pairs if pair not in gone]
+
+    def test_absent_edge_among_present_ones_is_named(self):
+        edges = np.asarray([[0, 1, 2], [1, 2, 0]])
+        graph = Graph(np.zeros((3, 2), dtype=np.float32), edges)
+        with pytest.raises(ValueError, match=r"absent edge \(2, 1\)"):
+            graph.remove_edges(np.asarray([[0, 2, 2], [1, 1, 0]]))
+        np.testing.assert_array_equal(graph.edge_index, edges)
+
     def test_remove_absent_edge_is_atomic(self):
         graph = _graph()
         before_edges = graph.edge_index.copy()
