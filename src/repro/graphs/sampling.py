@@ -248,14 +248,16 @@ class BlockBatch:
 
 
 def _normalize_fanouts(fanouts: Union[Fanout, Sequence[Fanout]],
-                       num_layers: int) -> List[Fanout]:
-    """Broadcast a scalar fanout and map non-positive values to unlimited."""
-    if fanouts is None or isinstance(fanouts, (int, np.integer)):
-        fanouts = [fanouts] * num_layers
-    fanouts = [None if f is None or int(f) <= 0 else int(f) for f in fanouts]
-    if len(fanouts) != num_layers:
-        raise ValueError(f"expected {num_layers} fanouts, got {len(fanouts)}")
-    return fanouts
+                       num_layers: Optional[int]) -> List[Fanout]:
+    """Broadcast a scalar fanout over ``num_layers`` (one layer when not
+    given), require one entry per layer of a sequence, and map non-positive
+    values to unlimited."""
+    if not isinstance(fanouts, (list, tuple)):
+        fanouts = [fanouts] * (num_layers if num_layers is not None else 1)
+    elif num_layers is not None and len(fanouts) != num_layers:
+        raise ValueError(f"expected {num_layers} fanouts (one per layer), "
+                         f"got {len(fanouts)}")
+    return [None if f is None or int(f) <= 0 else int(f) for f in fanouts]
 
 
 class NeighborSampler:
@@ -306,12 +308,7 @@ class NeighborSampler:
                  cache_batches: bool = True,
                  versions: Optional["RegionVersions"] = None):
         self.graph = graph
-        if not isinstance(fanouts, (list, tuple)):
-            fanouts = [fanouts] * (num_layers if num_layers is not None else 1)
-        elif num_layers is not None and len(fanouts) != num_layers:
-            raise ValueError(f"expected {num_layers} fanouts (one per layer), "
-                             f"got {len(fanouts)}")
-        self.fanouts = _normalize_fanouts(fanouts, len(fanouts))
+        self.fanouts = _normalize_fanouts(fanouts, num_layers)
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")

@@ -19,6 +19,11 @@ thread per worker, and mediates **all** cross-shard traffic:
   are answered with an error so dependent chunks on other shards fail fast
   instead of hanging.  The worker is then restarted with a fresh pair of
   queues and the next request on that shard succeeds.
+* **ready handshake** — a worker reports ``ready`` (or ``init_error``)
+  once its session is built.  The constructor waits for every shard and
+  raises :class:`ShardWorkerError` with the fleet closed when one fails;
+  a generation that dies before it was ever ready is not restarted — it
+  would fail the same way again — and its shard rejects new chunks.
 
 Locking: the router's mutable tables (chunks in flight, halo relays,
 worker handles) are mutated from caller threads *and* listener threads;
@@ -75,9 +80,15 @@ class _Chunk:
 
 
 class _Worker:
-    """Parent-side handle of one worker process (immutable per generation)."""
+    """Parent-side handle of one worker process, one per generation.
 
-    __slots__ = ("shard", "generation", "process", "cmd_q", "out_q")
+    ``ready`` is set once the outcome of the worker's session build is
+    known; ``init_error`` is then ``None`` (serving) or what went wrong.
+    Both are written once, before ``ready`` is set, and read only after it.
+    """
+
+    __slots__ = ("shard", "generation", "process", "cmd_q", "out_q", "ready",
+                 "init_error")
 
     def __init__(self, shard: int, generation: int, process, cmd_q, out_q):
         self.shard = shard
@@ -85,6 +96,13 @@ class _Worker:
         self.process = process
         self.cmd_q = cmd_q
         self.out_q = out_q
+        self.ready = threading.Event()
+        self.init_error: Optional[str] = None
+
+    def fail_init(self, detail: str) -> None:
+        if not self.ready.is_set():
+            self.init_error = detail
+            self.ready.set()
 
 
 def pick_start_method(requested: Optional[str] = None) -> str:
@@ -125,8 +143,17 @@ class ShardRouter:
         self._halo: Dict[int, Tuple[int, int, object]] = {}  # guarded-by: self._lock
         self._restarts: Dict[int, int] = {}  # guarded-by: self._lock
         with self._lock:
-            for shard in range(self.n_shards):
-                self._spawn_locked(shard)
+            workers = [self._spawn_locked(shard)
+                       for shard in range(self.n_shards)]
+        for worker in workers:
+            worker.ready.wait()
+        failed = [worker for worker in workers
+                  if worker.init_error is not None]
+        if failed:
+            self.close()
+            raise ShardWorkerError(
+                f"shard {failed[0].shard} worker failed to start: "
+                f"{failed[0].init_error}")
 
     # ------------------------------------------------------------------ #
     # worker lifecycle
@@ -161,7 +188,9 @@ class ShardRouter:
         that was in flight on the old generation.
 
         Idempotent per generation: concurrent detectors (listener, deadline
-        waiters) race here and only the first one acts.
+        waiters) race here and only the first one acts.  A worker that
+        failed to build its session is retired without a replacement: the
+        next generation would fail the same way.
         """
         dead_error = error or ShardWorkerDied(
             f"shard {shard} worker died mid-flight")
@@ -189,8 +218,9 @@ class ShardRouter:
                 for _relay_id, entry in failed_halo
                 if entry[1] == shard and entry[0] in self._workers
                 and entry[0] != shard]
-            self._restarts[shard] = self._restarts.get(shard, 0) + 1
-            self._spawn_locked(shard)
+            if old.init_error is None:
+                self._restarts[shard] = self._restarts.get(shard, 0) + 1
+                self._spawn_locked(shard)
         # Outside the lock: queue puts and process teardown do IPC.
         for chunk in failed_chunks:
             chunk.error = dead_error
@@ -234,6 +264,8 @@ class ShardRouter:
                             self._dispatch(worker, worker.out_q.get_nowait())
                         except queue.Empty:
                             break
+                    worker.fail_init("the worker process died before it "
+                                     "was ready")
                     self.restart_worker(worker.shard)
                     return
                 continue
@@ -243,7 +275,11 @@ class ShardRouter:
 
     def _dispatch(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
-        if kind == "result":
+        if kind == "ready":
+            worker.ready.set()
+        elif kind == "init_error":
+            worker.fail_init(message[1])
+        elif kind == "result":
             _, chunk_id, logits, bitops, input_nodes, edges = message
             with self._lock:
                 chunk = self._chunks.pop(chunk_id, None)
@@ -267,8 +303,9 @@ class ShardRouter:
                 self._next_query += 1
                 self._halo[relay_id] = (requester, target, token)
                 owner = self._workers.get(target)
-            if owner is None:
-                self._finish_halo(relay_id, False, f"unknown shard {target}")
+            if owner is None or owner.init_error is not None:
+                self._finish_halo(relay_id, False,
+                                  f"shard {target} is not serving")
             else:
                 owner.cmd_q.put(("rows_query", relay_id, nodes, fanout, hop,
                                  epoch))
@@ -305,6 +342,9 @@ class ShardRouter:
             if self._closed:
                 raise ShardWorkerError("router is closed")
             worker = self._current_locked(shard)
+            if worker.init_error is not None:
+                raise ShardWorkerError(f"shard {shard} worker failed to "
+                                       f"start: {worker.init_error}")
             chunk = _Chunk(self._next_chunk, shard, worker.generation)
             self._next_chunk += 1
             self._chunks[chunk.chunk_id] = chunk
@@ -356,7 +396,8 @@ class ShardRouter:
         caching is off or a worker did not answer in time)."""
         handles = []
         with self._lock:
-            if self._closed:
+            if self._closed or any(worker.init_error is not None
+                                   for worker in self._workers.values()):
                 return None
             for shard in range(self.n_shards):
                 worker = self._current_locked(shard)

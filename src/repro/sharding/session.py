@@ -25,7 +25,7 @@ import numpy as np
 from repro.cache import CacheStats
 from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_graph
-from repro.graphs.sampling import Fanout
+from repro.graphs.sampling import Fanout, _normalize_fanouts
 from repro.quant.bitops import BitOpsCounter
 from repro.serving.artifact import QuantizedArtifact
 from repro.serving.session import InferenceSession, SessionRun
@@ -71,6 +71,9 @@ class ShardedBlockSession(InferenceSession):
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        # Checked here so a bad argument raises what BlockSession raises,
+        # not a ShardWorkerError quoting it from a worker.
+        fanouts = _normalize_fanouts(fanouts, artifact.total_hops)
         self.assignment = partition_graph(graph, self.shards,
                                           strategy=partition,
                                           seed=partition_seed)

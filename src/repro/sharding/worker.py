@@ -28,6 +28,9 @@ Execution model (single thread, message-driven)::
   touch owned rows, so they can never recurse into another halo fetch) and
   anything else is deferred to a backlog.  Two workers that need each
   other's rows therefore make progress instead of deadlocking.
+* ``ready`` / ``init_error`` — sent once, after the session is built (or
+  failed to build); the router's constructor waits for it, so a
+  misconfigured fleet fails at construction instead of being respawned.
 * ``fault`` — test hook: arm the next predict to die (``os._exit``) or
   hang, reproducing worker crashes and deadline overruns deterministically.
 
@@ -363,7 +366,12 @@ def worker_main(config: WorkerConfig, cmd_q, out_q) -> None:
                 backlog.append(message)
         return replies
 
-    session_cell.append(ShardWorkerSession(config, halo_fetch))
+    try:
+        session_cell.append(ShardWorkerSession(config, halo_fetch))
+    except Exception as error:  # noqa: BLE001 - shipped to the router
+        out_q.put(("init_error", repr(error)))
+        return
+    out_q.put(("ready",))
     session = session_cell[0]
 
     while True:

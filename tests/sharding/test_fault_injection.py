@@ -12,6 +12,8 @@ service never triggers an armed fault, so with a sequential flush the
 fault hits exactly the chunk owned by the armed shard.
 """
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -121,3 +123,72 @@ class TestConcurrency:
         for nodes, reference in zip(shard_requests, baseline):
             after = sharded_session.run(nodes)
             np.testing.assert_array_equal(after.logits, reference.logits)
+
+
+class TestStartupFailure:
+    """A fleet that cannot start says so at construction — it is not
+    respawned forever behind a session that looks healthy."""
+
+    @staticmethod
+    def _configs(artifact, graph, **overrides):
+        from repro.graphs.partition import partition_graph
+        from repro.sharding import WorkerConfig
+
+        settings = {"artifact": artifact, "graph": graph, "fanouts": 3,
+                    "batch_size": 32, "seed": 7, "cache_size": 0,
+                    "cache_bytes": None, "backend": None, **overrides}
+        assignment = partition_graph(graph, 2, strategy="hash")
+        return [WorkerConfig(shard=shard, n_shards=2, assignment=assignment,
+                             **settings) for shard in (0, 1)]
+
+    @staticmethod
+    def _failed_router(configs):
+        from repro.sharding import ShardRouter
+
+        router = ShardRouter.__new__(ShardRouter)  # kept to read restarts()
+        with pytest.raises(ShardWorkerError, match="failed to start") as info:
+            router.__init__(configs, request_deadline_s=15.0)
+        return router, str(info.value)
+
+    def test_bad_fanouts_raise_what_block_session_raises(self, shard_artifact,
+                                                         parity_graph):
+        from repro.serving import BlockSession
+
+        assert shard_artifact.total_hops == 2
+        with pytest.raises(ValueError) as expected:
+            BlockSession(shard_artifact, parity_graph, fanouts=[3])
+        with pytest.raises(ValueError) as raised:
+            ShardedBlockSession(shard_artifact, parity_graph, shards=2,
+                                fanouts=[3])
+        assert str(raised.value) == str(expected.value)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_init_error_raises_from_the_constructor(
+            self, shard_artifact, parity_graph):
+        """The router is handed what the session would have refused: the
+        workers fail to build, nothing is restarted, no child is left."""
+        router, message = self._failed_router(
+            self._configs(shard_artifact, parity_graph, fanouts=[3]))
+        assert "expected 2 fanouts (one per layer), got 1" in message
+        assert [router.restarts(shard) for shard in (0, 1)] == [0, 0]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ShardWorkerError):
+            router.submit_chunk(np.arange(4, dtype=np.int64))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the dying stand-in graph is inherited, not pickled")
+    def test_death_before_ready_is_not_restarted(self, shard_artifact,
+                                                 parity_graph):
+        class DiesWhenRead:
+            @property
+            def edge_index(self):
+                os._exit(23)
+
+        configs = self._configs(shard_artifact, parity_graph)
+        for config in configs:
+            config.graph = DiesWhenRead()
+        router, message = self._failed_router(configs)
+        assert "died before it was ready" in message
+        assert [router.restarts(shard) for shard in (0, 1)] == [0, 0]
+        assert multiprocessing.active_children() == []
