@@ -304,6 +304,34 @@ class TestShardParityMatrix:
             run = sharded.run(seeds)
         np.testing.assert_array_equal(run.logits, reference.logits)
 
+    @pytest.mark.parametrize("fanouts", [2, 3, None, [2, None]],
+                             ids=["f2", "f3", "finf", "f2-finf"])
+    def test_cached_sharded(self, parity_graph, parity_artifact, shards,
+                            strategy, fanouts):
+        """Per-shard caches on: every reply of a repeating, overlapping
+        request sequence equals the *uncached* single-process session.
+        Bounded fanouts store short halo rows raw and the others capped;
+        ``[2, None]`` fetches full halo rows at the seed hop and must cap
+        them locally when the next hop asks again with fanout 2."""
+        from repro.graphs.partition import partition_graph
+        from repro.sharding import ShardedBlockSession
+
+        artifact = parity_artifact("gcn", 1)
+        assignment = partition_graph(parity_graph, shards, strategy=strategy)
+        first = _halo_request(parity_graph, assignment)
+        second = np.arange(1, parity_graph.num_nodes, 2, dtype=np.int64)
+        reference = BlockSession(artifact, parity_graph, fanouts=fanouts,
+                                 batch_size=32, seed=7)
+        with ShardedBlockSession(artifact, parity_graph, shards=shards,
+                                 partition=strategy, fanouts=fanouts,
+                                 batch_size=32, seed=7,
+                                 cache_size=65536) as sharded:
+            for request in (first, second, first[::-1], first, second):
+                np.testing.assert_array_equal(
+                    sharded.run(request).logits,
+                    reference.run(request).logits)
+            assert sharded.cache_stats().hits > 0
+
 
 # --------------------------------------------------------------------------- #
 # streaming serving == fresh static serving, at every version, bit for bit

@@ -6,10 +6,20 @@ Sessions are function-scoped: fault tests kill workers, and every test
 should start from a healthy fleet.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.graphs.partition import partition_graph
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Every test leaves the fleet it started closed: no child process
+    outlives the test, whether it passed, failed or injected a fault."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

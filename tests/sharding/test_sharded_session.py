@@ -5,9 +5,12 @@ views, cache aggregation, engine integration, argument validation."""
 import numpy as np
 import pytest
 
+from repro.cache import BlockCache
 from repro.graphs.partition import partition_graph
+from repro.graphs.sampling import NeighborSampler, _salt
 from repro.serving import AsyncServingEngine, BlockSession, ServingEngine
-from repro.sharding import ShardedBlockSession, restricted_graph
+from repro.sharding import (ShardSampler, ShardedBlockSession,
+                            restricted_graph, serve_rows)
 
 
 class TestRestrictedGraph:
@@ -30,6 +33,48 @@ class TestRestrictedGraph:
                  for shard in (0, 1)]
         total = sum(view.edge_index.shape[1] for view in views)
         assert total == parity_graph.edge_index.shape[1]
+
+
+class TestShardSampler:
+    """Process-free: a shard's sampler whose halo fetch is answered in
+    process by a full-graph sampler returns the single-process rows."""
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "cached"])
+    @pytest.mark.parametrize("fanout", [2, None], ids=["f2", "finf"])
+    def test_rows_byte_identical_to_single_process(self, parity_graph,
+                                                   fanout, cached):
+        assignment = partition_graph(parity_graph, 2, strategy="hash")
+        settings = {"fanouts": [fanout], "batch_size": 32, "seed": 7,
+                    "shuffle": False}
+        reference = NeighborSampler(parity_graph, **settings)
+        owner = NeighborSampler(parity_graph, **settings)
+        plans = []
+
+        def halo_fetch(plan, fanout, hop, epoch):
+            plans.append(plan)
+            return {shard: serve_rows(owner, nodes, fanout, hop, epoch)
+                    for shard, nodes in plan.items()}
+
+        sampler = ShardSampler(
+            restricted_graph(parity_graph, assignment, 0), assignment, 0,
+            halo_fetch, reference._row_weight, reference._inv_sqrt,
+            cache=BlockCache(max_entries=4096) if cached else None,
+            **settings)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            # shuffled ids of both shards, drawn with repeats
+            targets = rng.integers(0, parity_graph.num_nodes, size=48)
+            for hop in (0, 1):
+                salt = _salt(7, 0, hop)
+                ours = sampler._final_rows(targets, fanout, hop, salt)
+                theirs = reference._final_rows(targets, fanout, hop, salt)
+                for mine, expected in zip(ours, theirs):
+                    assert mine.dtype == expected.dtype
+                    assert mine.tobytes() == expected.tobytes()
+        assert plans and all(0 not in plan for plan in plans)
+        if cached:
+            assert sampler.cache.stats().hits > 0
 
 
 class TestShardedBlockSession:
