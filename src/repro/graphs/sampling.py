@@ -260,6 +260,33 @@ def _normalize_fanouts(fanouts: Union[Fanout, Sequence[Fanout]],
     return [None if f is None or int(f) <= 0 else int(f) for f in fanouts]
 
 
+def degree_state(graph: Graph
+                 ) -> Tuple[SparseTensor, np.ndarray, np.ndarray]:
+    """``(adjacency, row_weight, inv_sqrt)``: the loop-free adjacency, each
+    row's float32 edge weight and the GCN ``1/sqrt(degree)``.
+
+    The only derivation — a fresh sampler, a streamed one after an update
+    and a shard worker (handed the full graph's vectors by the router) all
+    read it, so their float32 roundings cannot differ.
+    """
+    adjacency = graph.adjacency(add_self_loops=False)
+    row_weight = adjacency.row_sum()
+    gcn_degree = row_weight + 1.0  # self loop weight of D^{-1/2}(A+I)D^{-1/2}
+    return (adjacency, row_weight.astype(np.float32),
+            (1.0 / np.sqrt(gcn_degree)).astype(np.float32))
+
+
+def _split_rows(cols: np.ndarray, weights: np.ndarray, counts: np.ndarray
+                ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-row ``(cols, weights)`` of flat row-major data.  Copies: a cached
+    row must own its memory, or one surviving view would pin the whole
+    extraction buffer."""
+    boundaries = np.cumsum(counts)[:-1]
+    return [(row_cols.copy(), row_weights.copy())
+            for row_cols, row_weights in zip(np.split(cols, boundaries),
+                                             np.split(weights, boundaries))]
+
+
 class NeighborSampler:
     """Seeded k-hop neighbor sampler emitting :class:`BlockBatch` es.
 
@@ -333,12 +360,7 @@ class NeighborSampler:
             seed_nodes = np.flatnonzero(seed_nodes)
         self.seed_nodes = seed_nodes.astype(np.int64)
 
-        adjacency = graph.adjacency(add_self_loops=False)
-        self._adjacency = adjacency
-        row_weight = adjacency.row_sum()
-        self._row_weight = row_weight.astype(np.float32)
-        gcn_degree = row_weight + 1.0  # self loop weight of D^{-1/2}(A+I)D^{-1/2}
-        self._inv_sqrt = (1.0 / np.sqrt(gcn_degree)).astype(np.float32)
+        self.refresh_graph()
         # Reusable global->local renumbering table (reset after every hop),
         # thread-local so concurrent serving workers never share scratch.
         self._scratch = threading.local()
@@ -351,12 +373,20 @@ class NeighborSampler:
             self._scratch.lookup = table
         return table
 
-    def _raw_rows(self, targets: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (cols, weights, counts) of the targets' full adjacency rows."""
+    def _fetch_rows(self, targets: np.ndarray, fanout: Fanout, hop: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Uncached rows of ``targets``: flat ``(cols, weights, counts)`` and
+        ``full``, per row whether it is the node's whole adjacency row or
+        arrived already capped for ``(fanout, hop, rng-epoch)``.
+
+        Where a row comes from is the one decision a subclass overrides (the
+        sharded tier fetches non-owned rows from their owner); here every
+        row is the full adjacency row.
+        """
         sub = self._adjacency.index_select(0, targets).csr
         counts = np.diff(sub.indptr).astype(np.int64)
-        return sub.indices.astype(np.int64), sub.data, counts
+        return (sub.indices.astype(np.int64), sub.data, counts,
+                np.ones(targets.shape[0], dtype=bool))
 
     def _cap_rows(self, node_ids: np.ndarray, cols: np.ndarray,
                   weights: np.ndarray, counts: np.ndarray, fanout: Fanout,
@@ -385,61 +415,52 @@ class NeighborSampler:
     def _cached_rows(self, targets: np.ndarray, fanout: Fanout, hop: int,
                      salt: np.uint64
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like ``_raw_rows`` + ``_cap_rows`` but routed through the cache."""
+        """``_cap_rows(_fetch_rows(...))`` routed through the cache.
+
+        Probe, fetch the misses, cap what still exceeds the fanout, store:
+        a fetched full row as a raw row (valid for every fanout, hop and
+        epoch), a row that arrived capped — like one capped here — under
+        its ``(node, fanout, hop, epoch, version)`` key.
+        """
         from repro.cache import ROW_FINAL, ROW_RAW
 
-        cache = self.cache
-        epoch = self.rng_epoch
-        row_versions = None if self.versions is None \
-            else self.versions.row_versions(targets)
+        cache, epoch = self.cache, self.rng_epoch
+        versions = np.zeros(targets.shape[0], dtype=np.int64) \
+            if self.versions is None else self.versions.row_versions(targets)
         entries = cache.get_rows(targets, fanout, hop, epoch,
-                                 versions=row_versions)
+                                 versions=versions)
 
-        missing = [i for i, entry in enumerate(entries) if entry is None]
-        if missing:
-            missing_arr = np.asarray(missing, dtype=np.int64)
-            nodes = targets[missing_arr]
-            cols, weights, counts = self._raw_rows(nodes)
-            boundaries = np.cumsum(counts)[:-1]
-            # Copy per-row slices: cached entries must own their memory, or
-            # one surviving view would pin the whole extraction buffer.
-            raw_rows = [(row_cols.copy(), row_weights.copy())
-                        for row_cols, row_weights
-                        in zip(np.split(cols, boundaries),
-                               np.split(weights, boundaries))]
-            cache.put_raw_rows(
-                nodes, raw_rows,
-                versions=None if row_versions is None
-                else row_versions[missing_arr])
-            for index, (row_cols, row_weights) in zip(missing, raw_rows):
-                raw = fanout is not None and row_cols.shape[0] > fanout
-                entries[index] = (ROW_RAW if raw else ROW_FINAL,
-                                  row_cols, row_weights)
+        missing = np.flatnonzero([entry is None for entry in entries])
+        if missing.size:
+            cols, weights, counts, full = self._fetch_rows(
+                targets[missing], fanout, hop)
+            for index, row, whole in zip(
+                    missing, _split_rows(cols, weights, counts), full):
+                raw = whole and fanout is not None and row[0].shape[0] > fanout
+                entries[index] = (ROW_RAW if raw else ROW_FINAL, *row)
+            whole, capped = missing[full], missing[~full]
+            cache.put_raw_rows(targets[whole],
+                               [entries[i][1:] for i in whole],
+                               versions=versions[whole])
+            if capped.size:
+                cache.put_capped_rows(targets[capped], fanout, hop, epoch,
+                                      [entries[i][1:] for i in capped],
+                                      versions=versions[capped])
 
         # Cap every still-raw row in one vectorized pass (cache hits that
-        # were stored as full rows plus freshly extracted over-fanout rows).
-        raw_indices = [i for i, entry in enumerate(entries)
-                       if entry[0] == ROW_RAW]
-        if raw_indices:
-            raw_indices_arr = np.asarray(raw_indices, dtype=np.int64)
-            nodes = targets[raw_indices_arr]
-            counts = np.asarray([entries[i][1].shape[0] for i in raw_indices],
+        # were stored as full rows plus freshly fetched over-fanout rows).
+        raw = np.flatnonzero([entry[0] == ROW_RAW for entry in entries])
+        if raw.size:
+            counts = np.asarray([entries[i][1].shape[0] for i in raw],
                                 dtype=np.int64)
-            cols = np.concatenate([entries[i][1] for i in raw_indices])
-            weights = np.concatenate([entries[i][2] for i in raw_indices])
-            cols, weights, capped_counts = self._cap_rows(
-                nodes, cols, weights, counts, fanout, salt)
-            boundaries = np.cumsum(capped_counts)[:-1]
-            capped = [(row_cols.copy(), row_weights.copy())
-                      for row_cols, row_weights
-                      in zip(np.split(cols, boundaries),
-                             np.split(weights, boundaries))]
-            cache.put_capped_rows(
-                nodes, fanout, hop, epoch, capped,
-                versions=None if row_versions is None
-                else row_versions[raw_indices_arr])
-            for index, (row_cols, row_weights) in zip(raw_indices, capped):
-                entries[index] = (ROW_FINAL, row_cols, row_weights)
+            cols = np.concatenate([entries[i][1] for i in raw])
+            weights = np.concatenate([entries[i][2] for i in raw])
+            rows = _split_rows(*self._cap_rows(
+                targets[raw], cols, weights, counts, fanout, salt))
+            cache.put_capped_rows(targets[raw], fanout, hop, epoch, rows,
+                                  versions=versions[raw])
+            for index, row in zip(raw, rows):
+                entries[index] = (ROW_FINAL, *row)
 
         counts = np.asarray([entry[1].shape[0] for entry in entries],
                             dtype=np.int64)
@@ -455,14 +476,12 @@ class NeighborSampler:
 
         A pure function of ``(graph, sampler seed, rng-epoch, hop, node,
         fanout)`` per row — independent of how targets are grouped into
-        calls.  This is the seam the sharded serving tier overrides: a
-        shard-local sampler answers its own rows from here and fetches
-        non-owned rows from their owning worker, which computes the byte
-        identical result through this very method.
+        calls, and of whether a row was capped here or by the shard that
+        owns it (capping an already capped row is the identity).
         """
         if self.cache is not None and targets.shape[0] > 0:
             return self._cached_rows(targets, fanout, hop, salt)
-        cols, weights, counts = self._raw_rows(targets)
+        cols, weights, counts, _ = self._fetch_rows(targets, fanout, hop)
         return self._cap_rows(targets, cols, weights, counts, fanout, salt)
 
     def _sample_hop(self, targets: np.ndarray, fanout: Fanout,
@@ -547,21 +566,17 @@ class NeighborSampler:
 
     # ------------------------------------------------------------------ #
     def refresh_graph(self) -> None:
-        """Re-derive adjacency state after the bound graph was mutated.
+        """Derive adjacency state from the bound graph: at construction,
+        and again after the graph was mutated.
 
-        Rebuilds exactly what ``__init__`` derives — the raw adjacency
-        handle, per-row weights and GCN ``1/sqrt(degree)`` — so a sampler
-        over a streamed graph is bit-identical to a fresh sampler built on
-        the equivalent static graph.  Called by
+        One derivation (:func:`degree_state`) for both, so a sampler over a
+        streamed graph is bit-identical to a fresh sampler built on the
+        equivalent static graph.  Called by
         :meth:`~repro.serving.session.BlockSession.apply_update` right
         after :meth:`~repro.graphs.graph.Graph.apply_delta`.
         """
-        adjacency = self.graph.adjacency(add_self_loops=False)
-        self._adjacency = adjacency
-        row_weight = adjacency.row_sum()
-        self._row_weight = row_weight.astype(np.float32)
-        gcn_degree = row_weight + 1.0
-        self._inv_sqrt = (1.0 / np.sqrt(gcn_degree)).astype(np.float32)
+        self._adjacency, self._row_weight, self._inv_sqrt = \
+            degree_state(self.graph)
 
     def advance_epoch(self) -> int:
         """Move to the next rng-epoch and invalidate stale cached samples.

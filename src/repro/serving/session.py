@@ -583,12 +583,16 @@ class BlockSession(InferenceSession):
         #: Row/region version counters streamed updates advance; stamped
         #: into every cache key so invalidation scopes to receptive fields.
         self.versions = RegionVersions(graph.num_nodes)
-        self.sampler = NeighborSampler(
-            graph, fanouts, batch_size=self.batch_size,
+        self.sampler = self._make_sampler(
+            graph, fanouts=fanouts, batch_size=self.batch_size,
             num_layers=artifact.total_hops,
             seed_nodes=np.arange(graph.num_nodes, dtype=np.int64),
             shuffle=False, seed=seed, cache=self.cache,
             versions=self.versions)
+
+    def _make_sampler(self, graph: Graph, **kwargs) -> NeighborSampler:
+        """The session's sampler; a shard worker returns its own subclass."""
+        return NeighborSampler(graph, **kwargs)
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Hit/miss/eviction counters of the block cache (None when off)."""

@@ -18,8 +18,7 @@ from repro.sharding.router import (ShardRouter, ShardTimeoutError,
 from repro.sharding.session import ShardedBlockSession
 from repro.sharding.worker import (ShardHaloError, ShardSampler,
                                    ShardWorkerSession, WorkerConfig,
-                                   full_graph_degrees, restricted_graph,
-                                   serve_rows, worker_main)
+                                   restricted_graph, serve_rows, worker_main)
 
 __all__ = [
     "ShardRouter",
@@ -31,7 +30,6 @@ __all__ = [
     "ShardSampler",
     "ShardWorkerSession",
     "WorkerConfig",
-    "full_graph_degrees",
     "pick_start_method",
     "restricted_graph",
     "serve_rows",

@@ -105,15 +105,10 @@ class _Worker:
             self.ready.set()
 
 
-def pick_start_method(requested: Optional[str] = None) -> str:
+def pick_start_method() -> str:
     """``fork`` where available (Linux — workers inherit the graph and
     artifact copy-on-write), else the platform default."""
     methods = multiprocessing.get_all_start_methods()
-    if requested is not None:
-        if requested not in methods:
-            raise ValueError(f"start method {requested!r} not available; "
-                             f"choose from {methods}")
-        return requested
     return "fork" if "fork" in methods else methods[0]
 
 
@@ -124,14 +119,13 @@ class ShardRouter:
     _POLL_SECONDS = 0.05
 
     def __init__(self, configs: List[WorkerConfig],
-                 request_deadline_s: Optional[float] = None,
-                 start_method: Optional[str] = None):
+                 request_deadline_s: Optional[float] = None):
         if not configs:
             raise ValueError("the router needs at least one worker config")
         self.n_shards = len(configs)
         self.assignment = configs[0].assignment
         self.request_deadline_s = request_deadline_s
-        self._ctx = multiprocessing.get_context(pick_start_method(start_method))
+        self._ctx = multiprocessing.get_context(pick_start_method())
         self._configs = configs
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: self._lock
@@ -145,15 +139,17 @@ class ShardRouter:
         with self._lock:
             workers = [self._spawn_locked(shard)
                        for shard in range(self.n_shards)]
+        # Ready handshake: a fleet one of whose shards cannot build its
+        # session is closed here, not respawned behind a healthy-looking API.
         for worker in workers:
             worker.ready.wait()
-        failed = [worker for worker in workers
-                  if worker.init_error is not None]
-        if failed:
+        try:
+            with self._lock:
+                for shard in range(self.n_shards):
+                    self._current_locked(shard)
+        except ShardWorkerError:
             self.close()
-            raise ShardWorkerError(
-                f"shard {failed[0].shard} worker failed to start: "
-                f"{failed[0].init_error}")
+            raise
 
     # ------------------------------------------------------------------ #
     # worker lifecycle
@@ -177,7 +173,11 @@ class ShardRouter:
         return worker
 
     def _current_locked(self, shard: int) -> _Worker:  # requires-lock: self._lock
-        return self._workers[shard]
+        worker = self._workers[shard]
+        if worker.init_error is not None:
+            raise ShardWorkerError(f"shard {shard} worker failed to start: "
+                                   f"{worker.init_error}")
+        return worker
 
     def _is_current_locked(self, worker: _Worker) -> bool:  # requires-lock: self._lock
         return self._workers.get(worker.shard) is worker
@@ -342,9 +342,6 @@ class ShardRouter:
             if self._closed:
                 raise ShardWorkerError("router is closed")
             worker = self._current_locked(shard)
-            if worker.init_error is not None:
-                raise ShardWorkerError(f"shard {shard} worker failed to "
-                                       f"start: {worker.init_error}")
             chunk = _Chunk(self._next_chunk, shard, worker.generation)
             self._next_chunk += 1
             self._chunks[chunk.chunk_id] = chunk
@@ -396,11 +393,11 @@ class ShardRouter:
         caching is off or a worker did not answer in time)."""
         handles = []
         with self._lock:
-            if self._closed or any(worker.init_error is not None
-                                   for worker in self._workers.values()):
+            if self._closed:
                 return None
-            for shard in range(self.n_shards):
-                worker = self._current_locked(shard)
+            workers = [self._current_locked(shard)
+                       for shard in range(self.n_shards)]
+            for shard, worker in enumerate(workers):
                 chunk = _Chunk(self._next_chunk, shard, worker.generation)
                 self._next_chunk += 1
                 self._chunks[chunk.chunk_id] = chunk

@@ -25,12 +25,12 @@ import numpy as np
 from repro.cache import CacheStats
 from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_graph
-from repro.graphs.sampling import Fanout, _normalize_fanouts
+from repro.graphs.sampling import Fanout, _normalize_fanouts, degree_state
 from repro.quant.bitops import BitOpsCounter
 from repro.serving.artifact import QuantizedArtifact
 from repro.serving.session import InferenceSession, SessionRun
 from repro.sharding.router import ShardRouter
-from repro.sharding.worker import WorkerConfig, full_graph_degrees
+from repro.sharding.worker import WorkerConfig
 
 
 class ShardedBlockSession(InferenceSession):
@@ -40,34 +40,30 @@ class ShardedBlockSession(InferenceSession):
     ``batch_size``, ``seed``, ``cache_size``/``cache_bytes`` — per shard —
     and ``backend``), plus:
 
-    partition / partition_seed:
-        Strategy and seed of :func:`repro.graphs.partition_graph`; the
-        assignment is a pure function of ``(graph, shards, strategy,
-        seed)``, so every process recomputes it identically.
+    partition:
+        Strategy of :func:`repro.graphs.partition_graph`; the assignment
+        is a pure function of ``(graph, shards, strategy)``.
     request_deadline_s:
         Per-chunk wall-clock budget enforced by the router; an overrun
         kills and restarts the worker and fails only that request.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (workers inherit graph and artifact copy-on-write).
+
+    Workers are forked where the platform can (they inherit graph and
+    artifact copy-on-write).  Construction returns once every worker has
+    built its session, and raises if one could not.
     """
 
     request_invariant_cost = False
 
     def __init__(self, artifact: QuantizedArtifact, graph: Graph,
                  shards: int = 2, partition: str = "hash",
-                 partition_seed: int = 0,
                  fanouts: Union[Fanout, Sequence[Fanout]] = None,
                  batch_size: int = 1024, seed: int = 0, cache_size: int = 0,
                  cache_bytes: Optional[int] = None, backend: Optional[str] = None,
-                 request_deadline_s: Optional[float] = None,
-                 start_method: Optional[str] = None):
+                 request_deadline_s: Optional[float] = None):
         super().__init__(artifact, graph, backend=backend)
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = int(shards)
-        self.partition_strategy = partition
-        self.partition_seed = int(partition_seed)
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -75,22 +71,19 @@ class ShardedBlockSession(InferenceSession):
         # not a ShardWorkerError quoting it from a worker.
         fanouts = _normalize_fanouts(fanouts, artifact.total_hops)
         self.assignment = partition_graph(graph, self.shards,
-                                          strategy=partition,
-                                          seed=partition_seed)
-        row_weight, inv_sqrt = full_graph_degrees(graph)
+                                          strategy=partition)
+        _, row_weight, inv_sqrt = degree_state(graph)
         backend_name = None if backend is None else self.backend_name
         configs = [
-            WorkerConfig(shard=shard, n_shards=self.shards,
-                         assignment=self.assignment, artifact=artifact,
-                         graph=graph, fanouts=fanouts,
+            WorkerConfig(shard=shard, assignment=self.assignment,
+                         artifact=artifact, graph=graph, fanouts=fanouts,
                          batch_size=self.batch_size, seed=seed,
                          cache_size=cache_size, cache_bytes=cache_bytes,
                          backend=backend_name, row_weight=row_weight,
                          inv_sqrt=inv_sqrt)
             for shard in range(self.shards)]
         self.router = ShardRouter(configs,
-                                  request_deadline_s=request_deadline_s,
-                                  start_method=start_method)
+                                  request_deadline_s=request_deadline_s)
 
     # ------------------------------------------------------------------ #
     def run(self, nodes: Optional[Sequence[int]] = None) -> SessionRun:

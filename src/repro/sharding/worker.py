@@ -46,7 +46,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,15 +80,6 @@ def restricted_graph(graph: Graph, assignment: np.ndarray,
                  name=f"{graph.name}/shard{shard}")
 
 
-def full_graph_degrees(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """``(_row_weight, _inv_sqrt)`` exactly as :class:`NeighborSampler`
-    derives them over the *full* graph — same expressions, same dtype
-    sequencing, so the float32 roundings are bit-identical."""
-    row_weight = graph.adjacency(add_self_loops=False).row_sum()
-    inv_sqrt = (1.0 / np.sqrt(row_weight + 1.0)).astype(np.float32)
-    return row_weight.astype(np.float32), inv_sqrt
-
-
 #: ``halo_fetch(plan, fanout, hop, epoch)`` with ``plan`` mapping owner
 #: shard -> requested node ids; returns owner shard -> RowPayload.
 HaloFetch = Callable[[Dict[int, np.ndarray], Fanout, int, int],
@@ -96,14 +87,14 @@ HaloFetch = Callable[[Dict[int, np.ndarray], Fanout, int, int],
 
 
 class ShardSampler(NeighborSampler):
-    """A :class:`NeighborSampler` that resolves non-owned rows remotely.
+    """A :class:`NeighborSampler` that knows where a row comes from.
 
-    Owned targets flow through the inherited cache/cap pipeline; non-owned
-    targets are grouped by owning shard and fetched through ``halo_fetch``.
-    The reassembled flat rows are byte-identical to what a single-process
-    sampler over the full graph produces, because every row — local or
-    remote — is the same pure function of ``(seed, epoch, hop, node,
-    fanout)``.
+    Owned rows are read from the restricted adjacency; the rest are grouped
+    by owning shard and fetched through ``halo_fetch``.  That is the whole
+    override: probing, capping and storing are the inherited single-process
+    pipeline, which caches a halo row under the very key the owner uses —
+    every row, local or remote, is the same pure function of ``(seed,
+    epoch, hop, node, fanout)``.
     """
 
     def __init__(self, graph: Graph, assignment: np.ndarray, shard: int,
@@ -116,131 +107,39 @@ class ShardSampler(NeighborSampler):
         # The restricted adjacency yields wrong (partial) degrees; serve
         # with the full graph's vectors so row_scale / GCN normalisation
         # match the single-process sampler exactly.
-        self._row_weight = row_weight.astype(np.float32)
-        self._inv_sqrt = inv_sqrt.astype(np.float32)
+        self._row_weight = row_weight
+        self._inv_sqrt = inv_sqrt
 
-    def _final_rows(self, targets: np.ndarray, fanout: Fanout, hop: int,
-                    salt: np.uint64
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _fetch_rows(self, targets: np.ndarray, fanout: Fanout, hop: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         owners = self.assignment[targets]
         local = owners == self.shard
         if local.all():
-            return super()._final_rows(targets, fanout, hop, salt)
-
-        per_target: List[Optional[Tuple[np.ndarray, np.ndarray]]] = \
-            [None] * targets.shape[0]
-
-        def scatter(indices: np.ndarray, payload: RowPayload) -> None:
-            cols, weights, counts = payload
-            boundaries = np.cumsum(counts)[:-1]
-            for index, row_cols, row_weights in zip(
-                    indices, np.split(cols, boundaries),
-                    np.split(weights, boundaries)):
-                per_target[index] = (row_cols, row_weights)
-
-        local_indices = np.flatnonzero(local)
-        if local_indices.size:
-            scatter(local_indices,
-                    super()._final_rows(targets[local_indices], fanout, hop,
-                                        salt))
-        fetch_indices = np.flatnonzero(~local)
-        if self.cache is not None:
-            fetch_indices = self._remote_cache_probe(
-                targets, fetch_indices, fanout, hop, salt, per_target)
+            return super()._fetch_rows(targets, fanout, hop)
+        # Owned rows, then each owner's reply: a permutation of the targets.
+        groups = [np.flatnonzero(local)]
+        pieces = [super()._fetch_rows(targets[groups[0]], fanout, hop)[:3]]
         plan: Dict[int, np.ndarray] = {}
-        remote_indices: Dict[int, np.ndarray] = {}
-        for owner in np.unique(owners[fetch_indices]):
-            indices = fetch_indices[owners[fetch_indices] == owner]
-            plan[int(owner)] = targets[indices]
-            remote_indices[int(owner)] = indices
-        if plan:
-            replies = self.halo_fetch(plan, fanout, hop, self.rng_epoch)
-            for owner, payload in replies.items():
-                scatter(remote_indices[owner], payload)
-                if self.cache is not None:
-                    self._remote_cache_insert(targets[remote_indices[owner]],
-                                              payload, fanout, hop)
+        for owner in np.unique(owners[~local]):
+            groups.append(np.flatnonzero(owners == owner))
+            plan[int(owner)] = targets[groups[-1]]
+        replies = self.halo_fetch(plan, fanout, hop, self.rng_epoch)
+        pieces.extend(replies[owner] for owner in plan)
+        cols, weights, counts = (np.concatenate(part) for part in zip(*pieces))
 
-        counts = np.asarray([entry[0].shape[0] for entry in per_target],
-                            dtype=np.int64)
-        cols = np.concatenate([entry[0] for entry in per_target]) \
-            if per_target else np.empty(0, dtype=np.int64)
-        weights = np.concatenate([entry[1] for entry in per_target]) \
-            if per_target else np.empty(0, dtype=np.float32)
-        return cols, weights, counts
-
-    def _remote_cache_probe(self, targets: np.ndarray,
-                            remote_indices: np.ndarray, fanout: Fanout,
-                            hop: int, salt: np.uint64,
-                            per_target: List) -> np.ndarray:
-        """Resolve remote rows from the local cache; return the miss indices.
-
-        Halo rows are cached under the very keys the owner would use (row
-        content is a pure function of ``(seed, epoch, hop, node, fanout)``),
-        so repeat traffic answers cross-shard rows without IPC.  A raw full
-        row cached earlier is capped locally — the fanout cap is the same
-        pure function on every shard.
-        """
-        from repro.cache import ROW_RAW
-
-        entries = self.cache.get_rows(targets[remote_indices], fanout, hop,
-                                      self.rng_epoch)
-        misses: List[int] = []
-        raw_hits: List[int] = []
-        for index, entry in zip(remote_indices, entries):
-            if entry is None:
-                misses.append(int(index))
-            elif entry[0] == ROW_RAW:
-                raw_hits.append(int(index))
-                per_target[index] = (entry[1], entry[2])
-            else:
-                per_target[index] = (entry[1], entry[2])
-        if raw_hits:
-            indices = np.asarray(raw_hits, dtype=np.int64)
-            nodes = targets[indices]
-            counts = np.asarray(
-                [per_target[i][0].shape[0] for i in raw_hits], dtype=np.int64)
-            cols = np.concatenate([per_target[i][0] for i in raw_hits])
-            weights = np.concatenate([per_target[i][1] for i in raw_hits])
-            cols, weights, capped = self._cap_rows(nodes, cols, weights,
-                                                   counts, fanout, salt)
-            boundaries = np.cumsum(capped)[:-1]
-            rows = [(row_cols.copy(), row_weights.copy())
-                    for row_cols, row_weights
-                    in zip(np.split(cols, boundaries),
-                           np.split(weights, boundaries))]
-            self.cache.put_capped_rows(nodes, fanout, hop, self.rng_epoch,
-                                       rows)
-            for index, row in zip(raw_hits, rows):
-                per_target[index] = row
-        return np.asarray(misses, dtype=np.int64)
-
-    def _remote_cache_insert(self, nodes: np.ndarray, payload: RowPayload,
-                             fanout: Fanout, hop: int) -> None:
-        """Cache fetched halo rows for the next request.
-
-        A row shorter than the fanout is provably the owner's full row, so
-        it is stored epoch/fanout/hop independent (maximally reusable); a
-        row at exactly the fanout may have been capped and is stored under
-        its ``(node, fanout, hop, epoch)`` key.
-        """
-        cols, weights, counts = payload
-        boundaries = np.cumsum(counts)[:-1]
-        rows = [(row_cols.copy(), row_weights.copy())
-                for row_cols, row_weights
-                in zip(np.split(cols, boundaries), np.split(weights, boundaries))]
-        if fanout is None:
-            self.cache.put_raw_rows(nodes, rows)
-            return
-        full = counts < fanout
-        if full.any():
-            self.cache.put_raw_rows(
-                nodes[full], [rows[i] for i in np.flatnonzero(full)])
-        capped = ~full
-        if capped.any():
-            self.cache.put_capped_rows(
-                nodes[capped], fanout, hop, self.rng_epoch,
-                [rows[i] for i in np.flatnonzero(capped)])
+        # Back into target order: gather each target's row out of the
+        # grouped flat data.
+        position = np.empty(targets.shape[0], dtype=np.int64)
+        position[np.concatenate(groups)] = np.arange(targets.shape[0])
+        starts = (np.cumsum(counts) - counts)[position]
+        counts = counts[position]
+        gather = np.repeat(starts - (np.cumsum(counts) - counts), counts) \
+            + np.arange(int(counts.sum()), dtype=np.int64)
+        # An owner's reply shorter than the fanout is provably its full row;
+        # one at the fanout may have been capped.
+        full = np.ones(targets.shape[0], dtype=bool) if fanout is None \
+            else local | (counts < fanout)
+        return cols[gather], weights[gather], counts, full
 
 
 def serve_rows(sampler: NeighborSampler, nodes: np.ndarray, fanout: Fanout,
@@ -256,7 +155,7 @@ def serve_rows(sampler: NeighborSampler, nodes: np.ndarray, fanout: Fanout,
     salt = _salt(sampler.seed, epoch, hop)
     if epoch == sampler.rng_epoch:
         return sampler._final_rows(nodes, fanout, hop, salt)
-    cols, weights, counts = sampler._raw_rows(nodes)
+    cols, weights, counts, _ = sampler._fetch_rows(nodes, fanout, hop)
     return sampler._cap_rows(nodes, cols, weights, counts, fanout, salt)
 
 
@@ -270,7 +169,6 @@ class WorkerConfig:
     """
 
     shard: int
-    n_shards: int
     assignment: np.ndarray
     artifact: QuantizedArtifact
     graph: Graph
@@ -280,32 +178,31 @@ class WorkerConfig:
     cache_size: int
     cache_bytes: Optional[int]
     backend: Optional[str]
-    #: Full-graph degree vectors, computed once in the router process.
-    row_weight: Optional[np.ndarray] = None
-    inv_sqrt: Optional[np.ndarray] = None
+    #: Full-graph degree vectors (:func:`~repro.graphs.sampling.degree_state`),
+    #: computed once in the router process.
+    row_weight: np.ndarray
+    inv_sqrt: np.ndarray
 
 
 class ShardWorkerSession(BlockSession):
-    """A block session whose sampler resolves halo rows through a fetcher."""
+    """A block session over the shard's restricted view whose sampler is a
+    :class:`ShardSampler` resolving halo rows through ``halo_fetch``."""
 
     def __init__(self, config: WorkerConfig, halo_fetch: HaloFetch):
-        shard_view = restricted_graph(config.graph, config.assignment,
-                                      config.shard)
-        super().__init__(config.artifact, shard_view, fanouts=config.fanouts,
-                         batch_size=config.batch_size, seed=config.seed,
-                         cache_size=config.cache_size,
-                         cache_bytes=config.cache_bytes,
-                         backend=config.backend)
-        if config.row_weight is None or config.inv_sqrt is None:
-            row_weight, inv_sqrt = full_graph_degrees(config.graph)
-        else:
-            row_weight, inv_sqrt = config.row_weight, config.inv_sqrt
-        self.sampler = ShardSampler(
-            shard_view, config.assignment, config.shard, halo_fetch,
-            row_weight, inv_sqrt, fanouts=config.fanouts,
-            batch_size=self.batch_size, num_layers=config.artifact.total_hops,
-            seed_nodes=np.arange(shard_view.num_nodes, dtype=np.int64),
-            shuffle=False, seed=config.seed, cache=self.cache)
+        self._config = config
+        self._halo_fetch = halo_fetch
+        super().__init__(
+            config.artifact,
+            restricted_graph(config.graph, config.assignment, config.shard),
+            fanouts=config.fanouts, batch_size=config.batch_size,
+            seed=config.seed, cache_size=config.cache_size,
+            cache_bytes=config.cache_bytes, backend=config.backend)
+
+    def _make_sampler(self, graph: Graph, **kwargs) -> ShardSampler:
+        config = self._config
+        return ShardSampler(graph, config.assignment, config.shard,
+                            self._halo_fetch, config.row_weight,
+                            config.inv_sqrt, **kwargs)
 
 
 def _rows_reply(session: ShardWorkerSession, message: tuple) -> tuple:
@@ -328,7 +225,6 @@ def worker_main(config: WorkerConfig, cmd_q, out_q) -> None:
     backlog: deque = deque()
     fault = {"die_next": False, "hang_next": 0.0}
     tokens = itertools.count()
-    session_cell: List[ShardWorkerSession] = []
 
     def apply_fault(message: tuple) -> None:
         kind = message[1]
@@ -339,7 +235,6 @@ def worker_main(config: WorkerConfig, cmd_q, out_q) -> None:
 
     def halo_fetch(plan: Dict[int, np.ndarray], fanout: Fanout, hop: int,
                    epoch: int) -> Dict[int, RowPayload]:
-        session = session_cell[0]
         pending: Dict[tuple, int] = {}
         for owner, nodes in sorted(plan.items()):
             token = (config.shard, next(tokens))
@@ -367,12 +262,12 @@ def worker_main(config: WorkerConfig, cmd_q, out_q) -> None:
         return replies
 
     try:
-        session_cell.append(ShardWorkerSession(config, halo_fetch))
+        # halo_fetch reads ``session`` when called, i.e. once it is bound.
+        session = ShardWorkerSession(config, halo_fetch)
     except Exception as error:  # noqa: BLE001 - shipped to the router
         out_q.put(("init_error", repr(error)))
         return
     out_q.put(("ready",))
-    session = session_cell[0]
 
     while True:
         message = backlog.popleft() if backlog else cmd_q.get()

@@ -134,12 +134,17 @@ class TestStartupFailure:
         from repro.graphs.partition import partition_graph
         from repro.sharding import WorkerConfig
 
+        from repro.graphs.sampling import degree_state
+
+        _, row_weight, inv_sqrt = degree_state(graph)
         settings = {"artifact": artifact, "graph": graph, "fanouts": 3,
                     "batch_size": 32, "seed": 7, "cache_size": 0,
-                    "cache_bytes": None, "backend": None, **overrides}
+                    "cache_bytes": None, "backend": None,
+                    "row_weight": row_weight, "inv_sqrt": inv_sqrt,
+                    **overrides}
         assignment = partition_graph(graph, 2, strategy="hash")
-        return [WorkerConfig(shard=shard, n_shards=2, assignment=assignment,
-                             **settings) for shard in (0, 1)]
+        return [WorkerConfig(shard=shard, assignment=assignment, **settings)
+                for shard in (0, 1)]
 
     @staticmethod
     def _failed_router(configs):

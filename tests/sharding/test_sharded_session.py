@@ -62,9 +62,12 @@ class TestShardSampler:
             cache=BlockCache(max_entries=4096) if cached else None,
             **settings)
         rng = np.random.default_rng(0)
-        for _ in range(3):
-            # shuffled ids of both shards, drawn with repeats
-            targets = rng.integers(0, parity_graph.num_nodes, size=48)
+        foreign = np.flatnonzero(assignment != 0)[:12]
+        for round_ in range(3):
+            # shuffled ids of both shards, drawn with repeats; the last
+            # round owns none of its targets
+            targets = rng.integers(0, parity_graph.num_nodes, size=48) \
+                if round_ < 2 else foreign
             for hop in (0, 1):
                 salt = _salt(7, 0, hop)
                 ours = sampler._final_rows(targets, fanout, hop, salt)
