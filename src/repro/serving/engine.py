@@ -129,16 +129,6 @@ class EngineStats:
         """Seed nodes served per second (0 before anything ran)."""
         return self.nodes / self.seconds if self.seconds > 0 else 0.0
 
-    def reset(self) -> None:
-        """Zero every counter — the start of a new measurement window."""
-        self.requests = 0
-        self.nodes = 0
-        self.micro_batches = 0
-        self.failures = 0
-        self.updates = 0
-        self.seconds = 0.0
-        self.giga_bit_operations = 0.0
-
 
 @dataclass
 class _PendingRequest:
@@ -182,8 +172,6 @@ class ServingEngine:
     #: the batch) keeps integer logits bitwise identical either way.
     dedup_seeds: bool = True
     _queue: List[_PendingRequest] = field(default_factory=list)
-    _pending_updates: List["GraphDelta"] = field(default_factory=list,
-                                                 repr=False)
     _next_id: int = 0
     stats: EngineStats = field(default_factory=EngineStats)
     _pool: Optional[ThreadPoolExecutor] = field(default=None, repr=False)
@@ -244,26 +232,15 @@ class ServingEngine:
         self._queue.append(_PendingRequest(request_id, nodes))
         return request_id
 
-    def submit_update(self, delta: "GraphDelta") -> None:
-        """Queue a graph delta for the next :meth:`flush`.
-
-        Updates are the flush boundary's business: every request of one
-        flush is served at one graph version, so a queued delta waits
-        until the current queue (plus anything submitted before the next
-        flush) has drained.  Raises :class:`TypeError` immediately when
-        the bound session cannot apply updates.
-        """
-        if not self.session.supports_updates:
-            raise TypeError(f"{type(self.session).__name__} does not support "
-                            f"streaming updates")
-        self._pending_updates.append(delta)
-
     def apply_update(self, delta: "GraphDelta") -> int:
         """Apply a delta right now (between flushes); returns new version.
 
+        Every request of one flush is served at one graph version: the
+        next :meth:`flush` sees the update, whatever was queued before it.
         Callers must guarantee no flush is executing — the synchronous
         engine is single-threaded at the request front, the async engine
-        calls this from its dispatcher only.
+        calls this from its dispatcher only.  Raises :class:`TypeError`
+        when the bound session cannot apply updates.
         """
         if not self.session.supports_updates:
             raise TypeError(f"{type(self.session).__name__} does not support "
@@ -272,22 +249,8 @@ class ServingEngine:
         self.stats.updates += 1
         return version
 
-    def _apply_pending_updates(self) -> None:
-        if not self._pending_updates:
-            return
-        pending, self._pending_updates = self._pending_updates, []
-        for delta in pending:
-            self.apply_update(delta)
-
     def flush(self) -> List[RequestResult]:
-        """Serve every pending request in coalesced micro-batches.
-
-        Queued graph updates apply first — even when no requests are
-        pending — so every request of this flush is served at one graph
-        version and a delta can never land between two micro-batches of
-        the same flush.
-        """
-        self._apply_pending_updates()
+        """Serve every pending request in coalesced micro-batches."""
         if not self._queue:
             return []
         requests, self._queue = self._queue, []

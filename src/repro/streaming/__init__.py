@@ -12,7 +12,7 @@ engines:
   touches, stamped into every :class:`~repro.cache.BlockCache` key so
   stale entries are unreachable by construction.
 * The serving wiring lives with the consumers:
-  ``BlockSession.apply_update`` / ``ServingEngine.submit_update`` /
+  ``BlockSession.apply_update`` / ``ServingEngine.apply_update`` /
   ``AsyncServingEngine.submit_update`` apply deltas at flush boundaries
   (one flush serves entirely at one version), and
   :mod:`repro.loadgen.temporal` replays interleaved update/query traces.

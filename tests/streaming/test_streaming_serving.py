@@ -25,21 +25,30 @@ def block_session(parity_graph, parity_artifact):
 
 
 class TestSyncEngineUpdates:
-    def test_update_applies_before_queued_requests(self, block_session):
+    def test_update_is_visible_to_the_next_flush(self, block_session,
+                                                 parity_graph,
+                                                 parity_artifact):
+        """Requests queued before the update are served after it: the whole
+        flush runs at the post-update version."""
         engine = ServingEngine(block_session, max_batch_size=64)
         engine.submit([0, 1, 2])
-        engine.submit_update(_delta(block_session.graph))
+        delta = _delta(block_session.graph)
+        engine.apply_update(delta)
         results = engine.flush()
-        # the whole flush was served at the post-update version
         assert block_session.graph.version == 1
         assert engine.stats.updates == 1
-        assert len(results) == 1 or len(results) == 3  # engine groups freely
+        updated = parity_graph.copy()
+        updated.apply_delta(delta)
+        fresh = BlockSession(parity_artifact("gcn", 1), updated, fanouts=None,
+                             batch_size=updated.num_nodes)
+        np.testing.assert_array_equal(results[0].logits,
+                                      fresh.predict([0, 1, 2]))
         engine.close()
 
-    def test_updates_apply_even_with_empty_queue(self, block_session):
+    def test_updates_apply_with_an_empty_queue(self, block_session):
         engine = ServingEngine(block_session, max_batch_size=64)
-        engine.submit_update(_delta(block_session.graph))
-        engine.submit_update(_delta(block_session.graph, seed=1))
+        engine.apply_update(_delta(block_session.graph))
+        engine.apply_update(_delta(block_session.graph, seed=1))
         assert engine.flush() == []
         assert block_session.graph.version == 2
         assert engine.stats.updates == 2
@@ -55,8 +64,6 @@ class TestSyncEngineUpdates:
         stub = SimpleNamespace(supports_updates=False)
         engine = ServingEngine(stub, max_batch_size=64)
         with pytest.raises(TypeError, match="does not support"):
-            engine.submit_update(GraphDelta())
-        with pytest.raises(TypeError, match="does not support"):
             engine.apply_update(GraphDelta())
 
     def test_full_graph_session_supports_updates(self, parity_graph,
@@ -64,8 +71,7 @@ class TestSyncEngineUpdates:
         session = FullGraphSession(parity_artifact("gcn", 1),
                                    parity_graph.copy())
         engine = ServingEngine(session, max_batch_size=64)
-        engine.submit_update(_delta(session.graph))
-        engine.flush()
+        assert engine.apply_update(_delta(session.graph)) == 1
         assert session.graph.version == 1
         engine.close()
 
