@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,15 @@ from repro.serving.async_engine import AsyncServingEngine
 
 #: Replay modes :func:`run_load` understands.
 MODES = ("open", "closed")
+
+#: One replayed step ``(arrival, nodes, delta)``: a request, or — ``delta``
+#: set — a graph update applied before the steps after it.  A plain load
+#: run has no updates.
+Step = Tuple[float, Optional[np.ndarray], Any]
+
+#: What one replayed window reports: ``(latencies of successful requests,
+#: measured wall-clock, failure count)``.
+Replayed = Tuple[np.ndarray, float, int]
 
 
 @dataclass(frozen=True)
@@ -146,32 +155,53 @@ class _CompletionTracker:
         self._all_done.wait()
 
 
+def _warm_up(engine: AsyncServingEngine, steps: Sequence[Step]) -> None:
+    """Serve the steps one by one, unmeasured."""
+    for _, nodes, delta in steps:
+        if delta is not None:
+            engine.submit_update(delta).result()
+            continue
+        try:
+            engine.submit(nodes).result()
+        except Exception:
+            # Warm-up exists to heat caches, not to measure: a failed
+            # warm-up request costs some warmth, never the run.
+            pass
+
+
 def _replay_open(engine: AsyncServingEngine,
-                 trace: LoadTrace) -> Tuple[np.ndarray, float, int]:
+                 steps: Sequence[Step]) -> Replayed:
     """Submit at scheduled arrivals; latency = completion − scheduled arrival.
 
-    Returns ``(latencies of successful requests, measured wall-clock,
-    failure count)``.
+    Arrivals are seconds from the window's start.  An update is awaited
+    before the next step is offered, so the version every request is
+    served at is a pure function of the steps; one that fails raises — a
+    trace that cannot apply its own deltas is a harness bug, not load.
     """
-    count = trace.num_requests
-    tracker = _CompletionTracker(count)
+    arrivals = np.asarray([arrival for arrival, _, delta in steps
+                           if delta is None], dtype=np.float64)
+    tracker = _CompletionTracker(arrivals.shape[0])
 
+    index = 0
     first_submit = 0.0
     start = time.perf_counter()
-    for index, (arrival, nodes) in enumerate(zip(trace.arrivals,
-                                                 trace.requests)):
+    for arrival, nodes, delta in steps:
         delay = start + float(arrival) - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
+        if delta is not None:
+            engine.submit_update(delta).result()
+            continue
         if index == 0:
             first_submit = time.perf_counter()
         engine.submit(nodes).add_done_callback(tracker.recorder(index))
+        index += 1
     engine.flush_now()
     # Synchronise on the *callbacks*, not on Future.result(): see
     # _CompletionTracker.  This also makes a failed request a counted
     # outcome instead of an exception that aborts the whole replay.
     tracker.wait()
-    latencies = tracker.completions - (start + trace.arrivals)
+    latencies = tracker.completions - (start + arrivals)
     # The measured window opens at the first *actual* submit, not at the
     # replay clock's zero: a trace whose first arrival is offset (a warm-up
     # tail, a sliced trace) would otherwise count idle lead-in as load time
@@ -182,12 +212,8 @@ def _replay_open(engine: AsyncServingEngine,
 
 
 def _replay_closed(engine: AsyncServingEngine, trace: LoadTrace,
-                   clients: int) -> Tuple[np.ndarray, float, int]:
-    """N clients, each back-to-back over a shared request queue.
-
-    Returns ``(latencies of successful requests, measured wall-clock,
-    failure count)``.
-    """
+                   clients: int) -> Replayed:
+    """N clients, each back-to-back over a shared request queue."""
     count = trace.num_requests
     latencies = np.zeros(count, dtype=np.float64)
     failed = np.zeros(count, dtype=bool)
@@ -222,6 +248,48 @@ def _replay_closed(engine: AsyncServingEngine, trace: LoadTrace,
     return latencies[~failed], float(measured), int(failed.sum())
 
 
+def _measured_window(engine: AsyncServingEngine,
+                     replay: Callable[[], Replayed], requests: int,
+                     offered_qps: Optional[float]) -> LoadRunResult:
+    """Run ``replay`` as the measured window of ``requests`` requests.
+
+    Called at the warm-up boundary: every warm-up future has resolved, so
+    its flush's counters are committed and the stats reset cannot race the
+    dispatcher.  ``offered_qps=None`` reports the achieved rate (closed
+    loop offers whatever it completes).
+    """
+    engine.reset_stats()
+    cache_before = _cache_counters(engine)
+
+    latencies, measured, failures = replay()
+    if failures >= requests:
+        raise RuntimeError(
+            f"every measured request failed ({failures} of {requests}); "
+            f"no latencies to summarise")
+    if offered_qps is None:
+        offered_qps = requests / measured if measured > 0 else 0.0
+
+    cache_after = _cache_counters(engine)
+    cache_hits = cache_lookups = None
+    if cache_before is not None and cache_after is not None:
+        cache_hits = cache_after[0] - cache_before[0]
+        cache_lookups = cache_after[1] - cache_before[1]
+
+    stats = engine.stats
+    return LoadRunResult(
+        latencies_seconds=latencies,
+        measured_seconds=measured,
+        offered_qps=float(offered_qps),
+        requests=requests,
+        nodes=stats.nodes,
+        micro_batches=stats.micro_batches,
+        giga_bit_operations=stats.giga_bit_operations,
+        cache_hits=cache_hits,
+        cache_lookups=cache_lookups,
+        failures=failures,
+    )
+
+
 def run_load(engine: AsyncServingEngine, trace: LoadTrace, *,
              mode: str = "open", clients: int = 4,
              warmup_requests: int = 0) -> LoadRunResult:
@@ -239,49 +307,14 @@ def run_load(engine: AsyncServingEngine, trace: LoadTrace, *,
 
     warmup_requests = max(0, min(int(warmup_requests),
                                  trace.num_requests - 1))
-    if warmup_requests:
-        for nodes in trace.requests[:warmup_requests]:
-            try:
-                engine.submit(nodes).result()
-            except Exception:
-                # Warm-up exists to heat caches, not to measure: a failed
-                # warm-up request costs some warmth, never the run.
-                pass
-    measured_trace = trace.tail(warmup_requests)
-
-    # Warm-up boundary: every warm-up future has resolved, so its flush's
-    # counters are committed and the reset cannot race the dispatcher.
-    engine.reset_stats()
-    cache_before = _cache_counters(engine)
-
+    _warm_up(engine, [(0.0, nodes, None)
+                      for nodes in trace.requests[:warmup_requests]])
+    measured = trace.tail(warmup_requests)
     if mode == "open":
-        latencies, measured, failures = _replay_open(engine, measured_trace)
-        offered = measured_trace.config.qps
-    else:
-        latencies, measured, failures = _replay_closed(engine, measured_trace,
-                                                       clients)
-        offered = measured_trace.num_requests / measured if measured > 0 else 0.0
-    if failures >= measured_trace.num_requests:
-        raise RuntimeError(
-            f"every measured request failed ({failures} of "
-            f"{measured_trace.num_requests}); no latencies to summarise")
-
-    cache_after = _cache_counters(engine)
-    cache_hits = cache_lookups = None
-    if cache_before is not None and cache_after is not None:
-        cache_hits = cache_after[0] - cache_before[0]
-        cache_lookups = cache_after[1] - cache_before[1]
-
-    stats = engine.stats
-    return LoadRunResult(
-        latencies_seconds=latencies,
-        measured_seconds=measured,
-        offered_qps=float(offered),
-        requests=measured_trace.num_requests,
-        nodes=stats.nodes,
-        micro_batches=stats.micro_batches,
-        giga_bit_operations=stats.giga_bit_operations,
-        cache_hits=cache_hits,
-        cache_lookups=cache_lookups,
-        failures=failures,
-    )
+        steps = [(arrival, nodes, None) for arrival, nodes
+                 in zip(measured.arrivals, measured.requests)]
+        return _measured_window(engine, lambda: _replay_open(engine, steps),
+                                measured.num_requests, measured.config.qps)
+    return _measured_window(
+        engine, lambda: _replay_closed(engine, measured, clients),
+        measured.num_requests, None)

@@ -26,14 +26,13 @@ trace that cannot apply its own deltas is a harness bug, not load.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.loadgen.harness import LoadRunResult, _CompletionTracker, \
-    metrics_from_run
+from repro.loadgen.harness import LoadRunResult, _measured_window, \
+    _replay_open, _warm_up, metrics_from_run
 from repro.loadgen.traffic import TrafficConfig, generate_trace
 from repro.serving.async_engine import AsyncServingEngine
 from repro.streaming import GraphDelta
@@ -212,87 +211,26 @@ def run_stream(engine: AsyncServingEngine, trace: TemporalTrace, *,
                warmup_events: int = 0) -> StreamRunResult:
     """Replay a temporal trace open-loop through a running engine.
 
-    ``warmup_events`` events from the head of the stream are served
-    (queries awaited, updates applied) before the measured window opens
-    with an engine-stats reset, mirroring
-    :func:`~repro.loadgen.harness.run_load`'s warm-up semantics.  Each
-    update future is awaited before the next event is offered — an update
-    that fails raises — so the version every query is served at is a pure
-    function of the trace.
+    A stream is a load run whose requests carry updates:
+    :func:`~repro.loadgen.harness.run_load`'s open-loop replay, warm-up
+    semantics and measured window, with each update applied — and its
+    future awaited, an update that fails raises — just before the query it
+    precedes, so the version every query is served at is a pure function
+    of the trace.  ``warmup_events`` events from the head of the stream
+    are served (queries awaited, updates applied) before the measured
+    window opens.
     """
-    from repro.loadgen.harness import _cache_counters
-
     events = trace.events
     warmup_events = max(0, min(int(warmup_events), len(events) - 1))
-    updates = 0
-    for event in events[:warmup_events]:
-        if event.is_query:
-            try:
-                engine.submit(event.nodes).result()
-            except Exception:
-                pass  # warm-up heats caches; it never fails the run
-        else:
-            engine.submit_update(event.delta).result()
-            updates += 1
-
-    measured = events[warmup_events:]
-    query_count = sum(1 for event in measured if event.is_query)
-    if query_count == 0:
+    base = events[warmup_events].arrival
+    steps = [(event.arrival - base, event.nodes, event.delta)
+             for event in events]
+    warm_up, measured = steps[:warmup_events], steps[warmup_events:]
+    requests = sum(1 for _, _, delta in measured if delta is None)
+    if requests == 0:
         raise ValueError("the measured window needs at least one query")
-    engine.reset_stats()
-    cache_before = _cache_counters(engine)
-
-    tracker = _CompletionTracker(query_count)
-    arrivals = np.zeros(query_count, dtype=np.float64)
-    base = measured[0].arrival
-    query_index = 0
-    first_submit = 0.0
-    start = time.perf_counter()
-    for event in measured:
-        offset = event.arrival - base
-        delay = start + offset - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        if event.is_query:
-            if query_index == 0:
-                first_submit = time.perf_counter()
-            arrivals[query_index] = offset
-            engine.submit(event.nodes) \
-                .add_done_callback(tracker.recorder(query_index))
-            query_index += 1
-        else:
-            # Await the version bump: queries after this point are served
-            # at the new version, which keeps the stream deterministic.
-            engine.submit_update(event.delta).result()
-            updates += 1
-    engine.flush_now()
-    tracker.wait()
-
-    failures = int(tracker.failed.sum())
-    if failures >= query_count:
-        raise RuntimeError(f"every measured query failed ({failures} of "
-                           f"{query_count}); no latencies to summarise")
-    latencies = tracker.completions - (start + arrivals)
-    measured_seconds = float(tracker.completions.max() - first_submit)
-
-    cache_after = _cache_counters(engine)
-    cache_hits = cache_lookups = None
-    if cache_before is not None and cache_after is not None:
-        cache_hits = cache_after[0] - cache_before[0]
-        cache_lookups = cache_after[1] - cache_before[1]
-
-    stats = engine.stats
-    load = LoadRunResult(
-        latencies_seconds=latencies[~tracker.failed],
-        measured_seconds=measured_seconds,
-        offered_qps=float(trace.config.traffic.qps),
-        requests=query_count,
-        nodes=stats.nodes,
-        micro_batches=stats.micro_batches,
-        giga_bit_operations=stats.giga_bit_operations,
-        cache_hits=cache_hits,
-        cache_lookups=cache_lookups,
-        failures=failures,
-    )
-    return StreamRunResult(load=load, updates=updates,
+    _warm_up(engine, warm_up)
+    load = _measured_window(engine, lambda: _replay_open(engine, measured),
+                            requests, trace.config.traffic.qps)
+    return StreamRunResult(load=load, updates=trace.num_updates,
                            final_version=engine.session.graph.version)

@@ -309,7 +309,9 @@ class TestCompletionCallbackRace:
 
         trace = _trace(num_requests=6, seeds_per_request=1, qps=2000.0)
         latencies, measured, failures = _replay_open(
-            _SlowCallbackEngine(delay=0.05), trace)
+            _SlowCallbackEngine(delay=0.05),
+            [(arrival, nodes, None) for arrival, nodes
+             in zip(trace.arrivals, trace.requests)])
         assert failures == 0
         assert latencies.shape == (6,)
         # every slot was written: no zero-timestamp completions survive
