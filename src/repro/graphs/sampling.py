@@ -379,9 +379,8 @@ class NeighborSampler:
         ``full``, per row whether it is the node's whole adjacency row or
         arrived already capped for ``(fanout, hop, rng-epoch)``.
 
-        Where a row comes from is the one decision a subclass overrides (the
-        sharded tier fetches non-owned rows from their owner); here every
-        row is the full adjacency row.
+        Where a row comes from is the one decision the sharded tier
+        overrides (an owner caps the rows it ships); here every row is full.
         """
         sub = self._adjacency.index_select(0, targets).csr
         counts = np.diff(sub.indptr).astype(np.int64)
@@ -434,23 +433,26 @@ class NeighborSampler:
         if missing.size:
             cols, weights, counts, full = self._fetch_rows(
                 targets[missing], fanout, hop)
-            for index, row, whole in zip(
-                    missing, _split_rows(cols, weights, counts), full):
-                raw = whole and fanout is not None and row[0].shape[0] > fanout
-                entries[index] = (ROW_RAW if raw else ROW_FINAL, *row)
+            for index, row, is_full in zip(
+                    missing.tolist(), _split_rows(cols, weights, counts),
+                    full.tolist()):
+                over = is_full and fanout is not None \
+                    and row[0].shape[0] > fanout
+                entries[index] = (ROW_RAW if over else ROW_FINAL, *row)
             whole, capped = missing[full], missing[~full]
             cache.put_raw_rows(targets[whole],
-                               [entries[i][1:] for i in whole],
+                               [entries[i][1:] for i in whole.tolist()],
                                versions=versions[whole])
             if capped.size:
-                cache.put_capped_rows(targets[capped], fanout, hop, epoch,
-                                      [entries[i][1:] for i in capped],
-                                      versions=versions[capped])
+                cache.put_capped_rows(
+                    targets[capped], fanout, hop, epoch,
+                    [entries[i][1:] for i in capped.tolist()],
+                    versions=versions[capped])
 
         # Cap every still-raw row in one vectorized pass (cache hits that
         # were stored as full rows plus freshly fetched over-fanout rows).
-        raw = np.flatnonzero([entry[0] == ROW_RAW for entry in entries])
-        if raw.size:
+        raw = [i for i, entry in enumerate(entries) if entry[0] == ROW_RAW]
+        if raw:
             counts = np.asarray([entries[i][1].shape[0] for i in raw],
                                 dtype=np.int64)
             cols = np.concatenate([entries[i][1] for i in raw])
