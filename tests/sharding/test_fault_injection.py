@@ -132,9 +132,8 @@ class TestStartupFailure:
     @staticmethod
     def _configs(artifact, graph, **overrides):
         from repro.graphs.partition import partition_graph
-        from repro.sharding import WorkerConfig
-
         from repro.graphs.sampling import degree_state
+        from repro.sharding import WorkerConfig
 
         _, row_weight, inv_sqrt = degree_state(graph)
         settings = {"artifact": artifact, "graph": graph, "fanouts": 3,
