@@ -498,7 +498,7 @@ def _report_load(args, run, metrics: dict, session, name: str, header: str,
     if args.emit:
         meta = {"dataset": args.dataset, "scale": args.scale,
                 "seed": args.seed, "traffic_seed": args.traffic_seed,
-                "conv": args.conv, "pattern": args.pattern,
+                "conv": session.artifact.conv_type, "pattern": args.pattern,
                 "skew": args.skew, "arrival": args.arrival,
                 "fanout": args.fanout, "batch_size": args.batch_size,
                 "cache_size": args.cache_size, "workers": args.workers,

@@ -185,6 +185,23 @@ class TestParserSnapshot:
         assert result["metrics"]["requests"] == 8  # 12 requests - 4 warm-up
         assert result["meta"]["dataset"] == "cora"
 
+    def test_loadtest_emit_records_the_artifacts_conv(self, tmp_path, capsys):
+        """``--conv`` is ignored with ``--artifact``: the trajectory meta
+        names the family that was served, not the flag's default."""
+        from repro.loadgen.report import load_payload
+
+        artifact_path = tmp_path / "sage.npz"
+        emit_path = tmp_path / "bench.json"
+        common = ["--dataset", "cora", "--scale", "0.05", "--seed", "0"]
+        assert main(["export", *common, "--conv", "sage", "--epochs", "2",
+                     "--out", str(artifact_path)]) == 0
+        assert main(["loadtest", *common, "--artifact", str(artifact_path),
+                     "--mode", "closed", "--clients", "1", "--requests", "6",
+                     "--warmup", "2", "--emit", str(emit_path)]) == 0
+        capsys.readouterr()
+        result = load_payload(emit_path)["results"]["loadtest.zipfian.closed"]
+        assert result["meta"]["conv"] == "sage"
+
     def test_streamtest_options_snapshot(self):
         snapshot = _option_snapshot(_subcommands(build_parser())["streamtest"])
         assert set(snapshot) == {
