@@ -244,11 +244,10 @@ def _build_block_session(artifact, graph, args, cache_bytes=None):
             artifact, graph, shards=shards, partition=args.partition,
             fanouts=fanout, batch_size=args.batch_size, seed=args.seed,
             cache_size=args.cache_size, cache_bytes=cache_bytes,
-            backend=args.backend or None, request_deadline_s=deadline)
+            request_deadline_s=deadline)
     return BlockSession(artifact, graph, fanouts=fanout,
                         batch_size=args.batch_size, seed=args.seed,
-                        cache_size=args.cache_size, cache_bytes=cache_bytes,
-                        backend=args.backend or None)
+                        cache_size=args.cache_size, cache_bytes=cache_bytes)
 
 
 def _add_block_session_arguments(parser: argparse.ArgumentParser) -> None:
@@ -268,11 +267,6 @@ def _add_block_session_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="thread-pool width for micro-batches inside one "
                              "flush (default: 1 = synchronous)")
-    parser.add_argument("--backend", default="",
-                        help="kernel backend for the integer hot path "
-                             "(see `repro.kernels`; default: the "
-                             "REPRO_KERNEL_BACKEND env var, else numpy; "
-                             "all backends are bit-identical)")
 
 
 def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
@@ -370,7 +364,7 @@ def _command_predict(args) -> int:
         return 1
 
     if args.mode == "full":
-        session = FullGraphSession(artifact, graph, backend=args.backend or None)
+        session = FullGraphSession(artifact, graph)
         if args.cache_size:
             print("note: --cache-size only applies to block mode",
                   file=sys.stderr)

@@ -1,16 +1,16 @@
-"""The ``vectorized`` backend: same bits, fewer passes.
+"""The serving kernels (``vectorized``): same bits, fewer passes.
 
 Three hot-path rewrites over the :class:`~repro.kernels.numpy_backend.
 NumpyBackend` reference, each exact by construction:
 
 * **CSR edge aggregation** — ``np.add.at`` is a scalar scatter-loop in
   numpy; this backend sorts the edge list by target once (memoised per
-  edge-array identity) into a CSR structure and runs each head's
-  accumulation as one int64 sparse-dense matmul.  Integer addition is
-  exact and order-invariant, so however scipy's kernel associates the
-  per-row sums the result is bit-identical to the reference scatter; the
-  small per-target coefficient sums come from ``np.add.reduceat`` over
-  the same sorted order.
+  ``dst`` identity, shared with the softmax) into a CSR structure and
+  runs each head's accumulation as one int64 sparse-dense matmul.
+  Integer addition is exact and order-invariant, so however scipy's
+  kernel associates the per-row sums the result is bit-identical to the
+  reference scatter; the small per-target coefficient sums come from
+  ``np.add.reduceat`` over the same sorted order.
 * **Batched per-head score projection** — the reference loops over heads;
   here all heads evaluate in one ``(N, H, D)`` elementwise multiply +
   ``sum(axis=-1)``.  Both forms reduce each head's contiguous
@@ -46,61 +46,40 @@ from repro.kernels.numpy_backend import (
     check_multi_head_shapes,
 )
 
-#: Entry bounds of the per-backend memo dicts (weights / edge sorters).
-#: Generous for any realistic artifact (layers × plans) and request mix,
-#: tiny in bytes next to the arrays they index.
-_MEMO_ENTRIES = 64
+#: Entry bound of the dequantized-weight memo: generous for any realistic
+#: artifact (layers × weight slots).
+_WEIGHT_ENTRIES = 64
 
-#: (order, segment starts, segment target ids) of one sorted edge list.
-_Segments = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Entry bound of the by-target memo, sized by what is reused — a
+#: full-graph session's one edge list, a repeated request's hop stack, two
+#: workers each mid-layer — since an entry pins a dead block's arrays.
+_STRUCTURE_ENTRIES = 4
 
-#: (order, csr column indices, csr indptr, segment starts, target ids) of
-#: one edge list sorted by target — everything of a CSR operator except
-#: its per-call coefficient data.
-_CsrStructure = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                      np.ndarray]
-
-
-def _build_segments(dst: np.ndarray) -> _Segments:
-    """Stable sort of the edge targets plus its segment boundaries."""
-    order = np.argsort(dst, kind="stable")
-    if order.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return order, empty, empty
-    sorted_dst = np.asarray(dst)[order]
-    boundaries = np.empty(sorted_dst.shape[0], dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_dst[1:], sorted_dst[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    return order, starts, sorted_dst[starts]
+#: (order, indptr, segment starts, non-empty target ids) of one edge list
+#: sorted by target: everything of a ``dst × src`` CSR operator except its
+#: per-call columns and coefficients.
+_ByTarget = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _build_csr_structure(src: np.ndarray, dst: np.ndarray,
-                         num_dst: int) -> _CsrStructure:
-    """The reusable half of a ``dst × src`` CSR operator.
-
-    Row pointers come from the target counts, column indices are the
-    sources in target-sorted order; only the coefficient data changes per
-    call.  ``starts``/``targets`` index the non-empty rows for the
-    reduceat coefficient sums.
-    """
+def _build_by_target(dst: np.ndarray, num_dst: int) -> _ByTarget:
+    """Stable sort of the edge targets plus the CSR row pointers;
+    ``starts`` / ``targets`` index the non-empty rows ``reduceat`` walks."""
     order = np.argsort(dst, kind="stable")
     counts = np.bincount(np.asarray(dst, dtype=np.int64), minlength=num_dst)
     indptr = np.zeros(num_dst + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.asarray(src, dtype=np.int64)[order]
     targets = np.flatnonzero(counts)
-    return order, indices, indptr, indptr[targets], targets
+    return order, indptr, indptr[targets], targets
 
 
 class VectorizedBackend(NumpyBackend):
-    """CSR-matmul + batched-head backend (registered as ``"vectorized"``).
+    """CSR-matmul + batched-head kernels: what every session serves with.
 
-    Carries three bounded, identity-keyed memo dicts (dequantized weights,
-    edge-list sorters, CSR operator structures).  Entries store the keyed
-    object(s) themselves, so a recycled ``id()`` can never alias a
-    different array; all dicts are lock-guarded because sessions share one
-    backend instance across the serving engine's worker pool.
+    Carries two bounded, identity-keyed memo dicts (dequantized weights,
+    by-target edge structures).  Entries store the keyed object itself,
+    so a recycled ``id()`` can never alias a different array; both dicts
+    are lock-guarded because sessions share this one instance across the
+    serving engine's worker pool.
     """
 
     name = "vectorized"
@@ -108,11 +87,8 @@ class VectorizedBackend(NumpyBackend):
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._weights: Dict[int, Tuple[object, np.ndarray]] = {}  # guarded-by: self._lock
-        self._sorters: Dict[int, Tuple[np.ndarray, _Segments]] = {}  # guarded-by: self._lock
         self._structures: Dict[
-            Tuple[int, int],
-            Tuple[np.ndarray, np.ndarray, int, _CsrStructure],
-        ] = {}  # guarded-by: self._lock
+            int, Tuple[np.ndarray, int, _ByTarget]] = {}  # guarded-by: self._lock
 
     # ------------------------------------------------------------------ #
     # memoised ingredients
@@ -125,47 +101,26 @@ class VectorizedBackend(NumpyBackend):
         matrix = weight.dequantized()
         with self._lock:
             self._weights[id(weight)] = (weight, matrix)
-            while len(self._weights) > _MEMO_ENTRIES:
+            while len(self._weights) > _WEIGHT_ENTRIES:
                 self._weights.pop(next(iter(self._weights)))
         return matrix
 
-    def _segments(self, dst: np.ndarray) -> _Segments:
-        """Per-``dst``-identity memo of :func:`_build_segments`.
+    def _by_target(self, dst: np.ndarray, num_dst: int) -> _ByTarget:
+        """Per-``dst``-identity memo of :func:`_build_by_target`.
 
-        Full-graph sessions and cache-reused blocks present the same edge
-        arrays run after run, so steady-state serving sorts each edge list
-        once.  A rebuild race is benign (the result is deterministic).
+        A layer's ``edge_softmax`` and ``edge_spmm`` present the same
+        ``dst`` array, and so do full-graph sessions and cache-reused
+        blocks run after run, so each edge list is sorted once.  A rebuild
+        race is benign (the result is deterministic).
         """
         with self._lock:
-            entry = self._sorters.get(id(dst))
-        if entry is not None and entry[0] is dst:
-            return entry[1]
-        segments = _build_segments(dst)
+            entry = self._structures.get(id(dst))
+        if entry is not None and entry[0] is dst and entry[1] == num_dst:
+            return entry[2]
+        structure = _build_by_target(dst, num_dst)
         with self._lock:
-            self._sorters[id(dst)] = (dst, segments)
-            while len(self._sorters) > _MEMO_ENTRIES:
-                self._sorters.pop(next(iter(self._sorters)))
-        return segments
-
-    def _csr_structure(self, src: np.ndarray, dst: np.ndarray,
-                       num_dst: int) -> _CsrStructure:
-        """Per-edge-list-identity memo of :func:`_build_csr_structure`.
-
-        Keyed by both endpoint arrays (and verified against ``num_dst``):
-        the same pair reappears run after run in full-graph sessions and
-        cache-reused blocks, so steady-state serving builds each operator
-        structure once.  A rebuild race is benign (deterministic result).
-        """
-        key = (id(src), id(dst))
-        with self._lock:
-            entry = self._structures.get(key)
-        if entry is not None and entry[0] is src and entry[1] is dst \
-                and entry[2] == num_dst:
-            return entry[3]
-        structure = _build_csr_structure(src, dst, num_dst)
-        with self._lock:
-            self._structures[key] = (src, dst, num_dst, structure)
-            while len(self._structures) > _MEMO_ENTRIES:
+            self._structures[id(dst)] = (dst, num_dst, structure)
+            while len(self._structures) > _STRUCTURE_ENTRIES:
                 self._structures.pop(next(iter(self._structures)))
         return structure
 
@@ -179,12 +134,12 @@ class VectorizedBackend(NumpyBackend):
         q_edge_arr = np.asarray(q_edge, dtype=np.int64)
         qx_int = np.asarray(qx, dtype=np.int64)
         num_src = qx_int.shape[0]
-        order, indices, indptr, starts, targets = \
-            self._csr_structure(src, dst, num_dst)
-        # Only the coefficients change per call; the duplicate column
-        # entries of the non-canonical CSR sum correctly under matmul, and
-        # int64 addition is exact, so the product is bit-identical to the
-        # reference scatter-add.
+        order, indptr, starts, targets = self._by_target(dst, num_dst)
+        # Only the columns and coefficients change per call; the duplicate
+        # column entries of the non-canonical CSR sum correctly under
+        # matmul, and int64 addition is exact, so the product is
+        # bit-identical to the reference scatter-add.
+        indices = np.asarray(src, dtype=np.int64)[order]
         q_sorted = q_edge_arr[order]
         if q_edge_arr.ndim == 2:
             check_multi_head_shapes(q_edge_arr, qx_int)
@@ -229,7 +184,7 @@ class VectorizedBackend(NumpyBackend):
     # ------------------------------------------------------------------ #
     def edge_softmax(self, scores: np.ndarray, dst: np.ndarray,
                      num_dst: int) -> np.ndarray:
-        order, starts, targets = self._segments(dst)
+        order, _, starts, targets = self._by_target(dst, num_dst)
         per_target_max = np.full((num_dst,) + scores.shape[1:], -np.inf)
         if order.shape[0]:
             per_target_max[targets] = np.maximum.reduceat(

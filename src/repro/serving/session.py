@@ -30,11 +30,10 @@ their block stacks by ``artifact.total_hops``.
 
 The hot-path kernels — Theorem-1 aggregation, the attention score stages
 and the dense layer transforms — are not executed inline but dispatched
-through the session's kernel backend (:mod:`repro.kernels`), chosen at
-session build time via ``backend=`` (default: the ``REPRO_KERNEL_BACKEND``
-environment variable, else the bit-defining ``numpy`` reference).  Every
-registered backend is certified bit-identical on the integer path, so the
-knob trades latency, never numerics.
+through the session's kernel backend (:mod:`repro.kernels`): the serving
+kernels, unless ``backend=`` names the ``numpy`` reference they are
+certified bit-identical to (a test's oracle) or hands over an instance (a
+timing or capturing wrapper).
 """
 
 from __future__ import annotations
@@ -154,10 +153,8 @@ class InferenceSession:
             raise ValueError("the inference session needs at least one layer")
         self.artifact = artifact
         self.graph = graph
-        # The kernel backend every hot-path stage dispatches through.  All
-        # registered backends are bit-identical on the integer path, so
-        # this choice affects latency only; instances are process-shared
-        # and thread-safe (see repro.kernels).
+        # The kernels every hot-path stage dispatches through: process-
+        # shared and thread-safe (see repro.kernels).
         self.kernels = resolve_backend(backend)
         self.backend_name = self.kernels.name
         # Request-invariant operators of the bound graph, built once per
@@ -561,10 +558,9 @@ class BlockSession(InferenceSession):
         requests reuse per-seed rows.  Cached serving is bit-identical to
         uncached serving.
     backend:
-        Kernel backend name or instance (see :mod:`repro.kernels`); all
-        registered backends serve bit-identical logits, so this selects
-        latency only.  ``None`` resolves ``REPRO_KERNEL_BACKEND``, then
-        the ``numpy`` reference.
+        ``None`` serves with the serving kernels; ``"numpy"`` asks for the
+        reference they are certified against, an instance is used as
+        given (see :mod:`repro.kernels`).  Logits are bit-identical.
     """
 
     supports_updates = True

@@ -37,8 +37,8 @@ class ShardedBlockSession(InferenceSession):
     """Block serving over ``shards`` worker processes.
 
     Parameters mirror :class:`~repro.serving.BlockSession` (``fanouts``,
-    ``batch_size``, ``seed``, ``cache_size``/``cache_bytes`` — per shard —
-    and ``backend``), plus:
+    ``batch_size``, ``seed``, ``cache_size``/``cache_bytes`` — per shard),
+    plus:
 
     partition:
         Strategy of :func:`repro.graphs.partition_graph`; the assignment
@@ -58,9 +58,9 @@ class ShardedBlockSession(InferenceSession):
                  shards: int = 2, partition: str = "hash",
                  fanouts: Union[Fanout, Sequence[Fanout]] = None,
                  batch_size: int = 1024, seed: int = 0, cache_size: int = 0,
-                 cache_bytes: Optional[int] = None, backend: Optional[str] = None,
+                 cache_bytes: Optional[int] = None,
                  request_deadline_s: Optional[float] = None):
-        super().__init__(artifact, graph, backend=backend)
+        super().__init__(artifact, graph)
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = int(shards)
@@ -73,14 +73,12 @@ class ShardedBlockSession(InferenceSession):
         self.assignment = partition_graph(graph, self.shards,
                                           strategy=partition)
         _, row_weight, inv_sqrt = degree_state(graph)
-        backend_name = None if backend is None else self.backend_name
         configs = [
             WorkerConfig(shard=shard, assignment=self.assignment,
                          artifact=artifact, graph=graph, fanouts=fanouts,
                          batch_size=self.batch_size, seed=seed,
                          cache_size=cache_size, cache_bytes=cache_bytes,
-                         backend=backend_name, row_weight=row_weight,
-                         inv_sqrt=inv_sqrt)
+                         row_weight=row_weight, inv_sqrt=inv_sqrt)
             for shard in range(self.shards)]
         self.router = ShardRouter(configs,
                                   request_deadline_s=request_deadline_s)

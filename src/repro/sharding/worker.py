@@ -177,7 +177,6 @@ class WorkerConfig:
     seed: int
     cache_size: int
     cache_bytes: Optional[int]
-    backend: Optional[str]
     #: Full-graph degree vectors (:func:`~repro.graphs.sampling.degree_state`),
     #: computed once in the router process.
     row_weight: np.ndarray
@@ -196,7 +195,7 @@ class ShardWorkerSession(BlockSession):
             restricted_graph(config.graph, config.assignment, config.shard),
             fanouts=config.fanouts, batch_size=config.batch_size,
             seed=config.seed, cache_size=config.cache_size,
-            cache_bytes=config.cache_bytes, backend=config.backend)
+            cache_bytes=config.cache_bytes)
 
     def _make_sampler(self, graph: Graph, **kwargs) -> ShardSampler:
         config = self._config

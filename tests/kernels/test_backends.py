@@ -8,7 +8,7 @@ integer-grid inputs, so a contract break names the exact operation.
 import numpy as np
 import pytest
 
-from repro.kernels import available_backends, get_backend
+from repro.kernels import VectorizedBackend, available_backends, get_backend, vectorized
 from repro.tensor.sparse import SparseTensor
 
 REFERENCE = get_backend("numpy")
@@ -137,6 +137,68 @@ class TestVectorizedMemoisation:
         second = backend.edge_spmm(*arguments)  # served from the dst memo
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, REFERENCE.edge_spmm(*arguments))
+
+    def test_softmax_and_spmm_share_one_sort(self, monkeypatch):
+        """A layer hands both edge kernels the same ``dst`` array: the
+        by-target structure is built (and the edge list sorted) once."""
+        built = []
+        build = vectorized._build_by_target
+
+        def counting_build(dst, num_dst):
+            built.append(dst)
+            return build(dst, num_dst)
+
+        monkeypatch.setattr(vectorized, "_build_by_target", counting_build)
+        rng = _rng()
+        backend = VectorizedBackend()
+        src, dst = _edges(rng)
+        scores = rng.normal(size=(NUM_EDGES, HEADS))
+        q_edge = rng.integers(0, 127, size=(NUM_EDGES, HEADS))
+        qx = rng.integers(-64, 64, size=(NUM_NODES, HEADS, HEAD_DIM))
+        arguments = (q_edge, 0.02, qx, 0.3, 1.0, src, dst, NUM_DST)
+        np.testing.assert_array_equal(
+            backend.edge_softmax(scores, dst, NUM_DST),
+            REFERENCE.edge_softmax(scores, dst, NUM_DST))
+        np.testing.assert_array_equal(backend.edge_spmm(*arguments),
+                                      REFERENCE.edge_spmm(*arguments))
+        assert len(built) == 1 and built[0] is dst
+
+    def test_structure_memo_is_bounded_and_releases_evicted_edges(self):
+        import gc
+        import weakref
+
+        rng = _rng()
+        backend = VectorizedBackend()
+        bound = vectorized._STRUCTURE_ENTRIES
+        _, first = _edges(rng)
+        released = weakref.ref(first)
+        scores = rng.normal(size=NUM_EDGES)
+        backend.edge_softmax(scores, first, NUM_DST)
+        del first
+        assert released() is not None  # pinned while memoised
+        for _ in range(bound):
+            backend.edge_softmax(scores, _edges(rng)[1], NUM_DST)
+        assert len(backend._structures) == bound
+        gc.collect()
+        assert released() is None
+
+    def test_memo_entry_of_another_array_is_never_served(self):
+        """A recycled ``id()`` must not alias: an entry is used only for
+        the very array (and target count) it was built from."""
+        rng = _rng()
+        backend = VectorizedBackend()
+        src, dst = _edges(rng)
+        other = np.sort(dst)
+        q_edge = rng.integers(0, 127, size=NUM_EDGES)
+        qx = rng.integers(-64, 64, size=(NUM_NODES, 8))
+        backend._structures[id(dst)] = (
+            other, NUM_DST, vectorized._build_by_target(other, NUM_DST))
+        arguments = (q_edge, 0.02, qx, 0.3, 1.0, src, dst, NUM_DST)
+        np.testing.assert_array_equal(backend.edge_spmm(*arguments),
+                                      REFERENCE.edge_spmm(*arguments))
+        wider = (q_edge, 0.02, qx, 0.3, 1.0, src, dst, NUM_DST + 3)
+        np.testing.assert_array_equal(backend.edge_spmm(*wider),
+                                      REFERENCE.edge_spmm(*wider))
 
     def test_thread_safety_under_concurrent_calls(self):
         import threading

@@ -119,7 +119,7 @@ class TestParserSnapshot:
             "--artifact", "--dataset", "--scale", "--seed", "--mode",
             "--fanout", "--batch-size", "--nodes", "--split", "--requests",
             "--cache-size", "--cache-mb", "--workers", "--repeat", "--out",
-            "--backend", "--shards", "--partition", "--shard-deadline"}
+            "--shards", "--partition", "--shard-deadline"}
         assert snapshot["--mode"][0] == "block"
         assert snapshot["--fanout"][0] == 10
         assert snapshot["--batch-size"][0] == 256
@@ -142,7 +142,7 @@ class TestParserSnapshot:
             "--requests", "--seeds-per-request", "--mode", "--clients",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
             "--batch-size", "--cache-size", "--workers", "--max-wait-ms",
-            "--emit", "--name", "--backend", "--shards", "--partition",
+            "--emit", "--name", "--shards", "--partition",
             "--shard-deadline"}
         assert snapshot["--pattern"][0] == "zipfian"
         assert snapshot["--skew"][0] == pytest.approx(1.1)
@@ -211,7 +211,7 @@ class TestParserSnapshot:
             "--requests", "--seeds-per-request", "--update-every",
             "--edges-per-update", "--feature-nodes", "--update-seed",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
-            "--batch-size", "--cache-size", "--workers", "--backend",
+            "--batch-size", "--cache-size", "--workers",
             "--max-wait-ms", "--emit", "--name"}
         assert snapshot["--update-every"][0] == 8
         assert snapshot["--edges-per-update"][0] == 4
@@ -240,6 +240,13 @@ class TestParserSnapshot:
         assert result["metrics"]["updates"] >= 1
         assert result["metrics"]["final_version"] >= 1
         assert result["meta"]["update_every"] == 6
+
+    def test_backend_flag_is_gone(self, capsys):
+        """The serving kernels are not a command-line choice."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--artifact", "a.npz", "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_predict_help_documents_defaults(self):
         # collapse argparse's terminal-width wrapping before matching

@@ -138,8 +138,8 @@ class TestStartupFailure:
         _, row_weight, inv_sqrt = degree_state(graph)
         settings = {"artifact": artifact, "graph": graph, "fanouts": 3,
                     "batch_size": 32, "seed": 7, "cache_size": 0,
-                    "cache_bytes": None, "backend": None,
-                    "row_weight": row_weight, "inv_sqrt": inv_sqrt,
+                    "cache_bytes": None, "row_weight": row_weight,
+                    "inv_sqrt": inv_sqrt,
                     **overrides}
         assignment = partition_graph(graph, 2, strategy="hash")
         return [WorkerConfig(shard=shard, assignment=assignment, **settings)
