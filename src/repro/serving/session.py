@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.cache import BlockCache, CacheStats
 from repro.gnn.attention import AttentionEdges
-from repro.kernels import BackendLike, resolve_backend
+from repro.kernels import BackendLike, dequantize_from, quantize_onto, resolve_backend
 from repro.graphs.graph import Graph
 from repro.graphs.sampling import Fanout, NeighborSampler, SubgraphBlock
 from repro.quant.bitops import FP32_BITS, BitOpsCounter, conv_bit_operations
@@ -62,21 +62,11 @@ if TYPE_CHECKING:  # pragma: no cover - circular only for annotations
 GraphLike = Union[Graph, SubgraphBlock]
 
 
-def _quantize_with(params: QuantizationParameters, values: np.ndarray) -> np.ndarray:
-    scale, zero_point = params.as_scalars()
-    return np.clip(np.rint(values / scale) + zero_point, params.qmin, params.qmax)
-
-
-def _dequantize_with(params: QuantizationParameters, integers: np.ndarray) -> np.ndarray:
-    scale, zero_point = params.as_scalars()
-    return (integers - zero_point) * scale
-
-
 def _fake_quantize(params: Optional[QuantizationParameters],
                    values: np.ndarray) -> np.ndarray:
     if params is None:
         return values
-    return _dequantize_with(params, _quantize_with(params, values))
+    return dequantize_from(params, quantize_onto(params, values))
 
 
 def _quantize_input(plan: LayerPlan, x: np.ndarray,
@@ -87,8 +77,8 @@ def _quantize_input(plan: LayerPlan, x: np.ndarray,
     params = plan.params("input") if plan.params("input") is not None else incoming
     if params is None:
         return x, None, None
-    x_int = _quantize_with(params, x)
-    return _dequantize_with(params, x_int), x_int, params
+    x_int = quantize_onto(params, x)
+    return dequantize_from(params, x_int), x_int, params
 
 
 def _target_rows(x: np.ndarray, graph_like: GraphLike) -> np.ndarray:
@@ -225,8 +215,8 @@ class InferenceSession:
         with self._cache_lock:
             entry = self._quantized_cache.get(key)
         if entry is None or entry[0] is not adjacency or entry[1] is not params:
-            integers = _quantize_with(params, adjacency.values.astype(np.float64))
-            values = _dequantize_with(params, integers) if fake else integers
+            integers = quantize_onto(params, adjacency.values.astype(np.float64))
+            values = dequantize_from(params, integers) if fake else integers
             quantized = adjacency.with_values(values.astype(np.float32))
             entry = (adjacency, params, quantized)
             with self._cache_lock:
@@ -278,7 +268,7 @@ class InferenceSession:
         head_dim)`` — merging is the caller's job.
         """
         if attention_params is not None and x_params is not None and x_int is not None:
-            attention_int = _quantize_with(attention_params, attention)
+            attention_int = quantize_onto(attention_params, attention)
             scale_e, _ = attention_params.as_scalars()
             scale_x, zero_x = x_params.as_scalars()
             return self.kernels.edge_spmm(attention_int, scale_e,
@@ -465,8 +455,8 @@ class InferenceSession:
                                          propagated, propagated_int, params_p)
             propagated_int = None
             if hop_out is not None:
-                propagated_int = _quantize_with(hop_out, propagated)
-                propagated = _dequantize_with(hop_out, propagated_int)
+                propagated_int = quantize_onto(hop_out, propagated)
+                propagated = dequantize_from(hop_out, propagated_int)
             params_p = hop_out
             out = out + propagated[:num_final] @ self.kernels.weight_matrix(
                 plan.weights[f"hop{hop}"])
