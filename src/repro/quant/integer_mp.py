@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.kernels import BackendLike, resolve_backend
+from repro.kernels import get_backend
 from repro.quant.quantizer import AffineQuantizer
 from repro.tensor.sparse import SparseTensor
 
@@ -95,27 +95,24 @@ def quantized_matmul_dense(qa: np.ndarray, sa: VectorOrScalar, za: VectorOrScala
 
 def quantized_spmm(qa: SparseTensor, sa: VectorOrScalar,
                    qx: np.ndarray, sx: VectorOrScalar, zx: VectorOrScalar,
-                   sy: VectorOrScalar = 1.0, zy: VectorOrScalar = 0.0,
-                   backend: "BackendLike" = None) -> np.ndarray:
+                   sy: VectorOrScalar = 1.0, zy: VectorOrScalar = 0.0) -> np.ndarray:
     """Sparse fast path of Theorem 1 (requires a symmetric adjacency, Z_a = 0).
 
     The integer sparse-dense product runs on int64 arrays; only the rank-one
     corrections touch floating point, exactly as the theorem prescribes.
 
-    Dispatches to a kernel backend (:mod:`repro.kernels`): ``backend`` may
-    be a registry name or instance; ``None`` resolves the process default
-    (``REPRO_KERNEL_BACKEND`` env var, else the ``numpy`` reference).  All
-    registered backends are certified bit-identical on this path.
+    Always the ``numpy`` reference kernel (:mod:`repro.kernels`): this is
+    the statement of the theorem tests compare against, so it does not
+    follow the serving kernels.
     """
     if not isinstance(qa, SparseTensor):
         raise TypeError("quantized_spmm expects the quantized adjacency as SparseTensor")
-    return resolve_backend(backend).spmm(qa, sa, qx, sx, zx, sy=sy, zy=zy)
+    return get_backend("numpy").spmm(qa, sa, qx, sx, zx, sy=sy, zy=zy)
 
 
 def quantized_edge_spmm(q_edge: np.ndarray, s_edge: float,
                         qx: np.ndarray, sx: VectorOrScalar, zx: VectorOrScalar,
-                        src: np.ndarray, dst: np.ndarray, num_dst: int,
-                        backend: "BackendLike" = None) -> np.ndarray:
+                        src: np.ndarray, dst: np.ndarray, num_dst: int) -> np.ndarray:
     """Theorem 1 over an explicit edge list — the per-edge *score plan* path.
 
     The attention executor cannot pre-materialise its operator (coefficients
@@ -135,10 +132,10 @@ def quantized_edge_spmm(q_edge: np.ndarray, s_edge: float,
     case with the head axis squeezed.  Integer accumulation is exact, so
     the head axis changes shapes only, never values.
 
-    Dispatches to a kernel backend exactly like :func:`quantized_spmm`.
+    The ``numpy`` reference kernel, exactly like :func:`quantized_spmm`.
     """
-    return resolve_backend(backend).edge_spmm(q_edge, s_edge, qx, sx, zx,
-                                              src, dst, num_dst)
+    return get_backend("numpy").edge_spmm(q_edge, s_edge, qx, sx, zx,
+                                          src, dst, num_dst)
 
 
 def integer_message_passing(adjacency: SparseTensor, features: np.ndarray,
