@@ -24,7 +24,11 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Union
 
-from repro.kernels.numpy_backend import NumpyBackend, dequantize_from, quantize_onto
+from repro.kernels.numpy_backend import (
+    NumpyBackend,
+    dequantize_from,
+    quantize_onto,
+)
 from repro.kernels.vectorized import VectorizedBackend
 
 #: What a session's ``backend=`` accepts: a name, a ready backend
