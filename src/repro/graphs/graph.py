@@ -29,6 +29,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (deltas are applied h
     from repro.streaming.delta import GraphDelta
 
 
+def _edges_leaving(edge_index: np.ndarray, sources: np.ndarray,
+                   num_nodes: int) -> np.ndarray:
+    """Positions of the edges whose source is one of ``sources``: one
+    flag lookup per edge, which for the few nodes a delta names is several
+    times cheaper than a sorted or hashed membership test on the list."""
+    is_source = np.zeros(num_nodes, dtype=bool)
+    is_source[sources] = True
+    return np.flatnonzero(is_source[edge_index[0]])
+
+
 class Graph:
     """A single attributed graph.
 
@@ -158,26 +168,30 @@ class Graph:
             raise ValueError(
                 f"feature rows must have width {self.num_features}, "
                 f"got {delta.features.shape[1]}")
-        # Pair codes make "drop every occurrence" a vectorised membership
-        # test; only locals change until it has passed, so absence rejects
-        # atomically.
+        # Only the edges leaving a removed pair's source can match it, so
+        # pair codes are compared on those few and the full edge list is
+        # read once; only locals change until every pair was found, so
+        # absence rejects atomically.
         edge_index = self.edge_index
         edge_weight = self.edge_weight
         if delta.removed_edges is not None:
-            edge_codes = edge_index[0] * num_nodes + edge_index[1]
+            candidates = _edges_leaving(edge_index, delta.removed_edges[0],
+                                        num_nodes)
+            codes = edge_index[0, candidates] * num_nodes \
+                + edge_index[1, candidates]
             removed_codes = np.unique(
                 delta.removed_edges[0] * num_nodes + delta.removed_edges[1])
-            # Each edge is looked up among the few sorted removed codes, never
-            # the reverse: that hashes the whole edge list on every delta.
-            slot = np.searchsorted(removed_codes, edge_codes)
-            drop = removed_codes[slot.clip(max=removed_codes.size - 1)] == edge_codes
-            missing = np.setdiff1d(removed_codes, edge_codes[drop])
+            drop = np.isin(codes, removed_codes)
+            missing = np.setdiff1d(removed_codes, codes[drop])
             if missing.size:
                 raise ValueError(
                     f"cannot remove absent edge "
                     f"({missing[0] // num_nodes}, {missing[0] % num_nodes})")
-            edge_index = edge_index[:, ~drop]
-            edge_weight = edge_weight[~drop]
+            keep = np.ones(edge_index.shape[1], dtype=bool)
+            keep[candidates[drop]] = False
+            # (``edge_index[:, keep]`` reads the same columns 4x slower.)
+            edge_index = np.compress(keep, edge_index, axis=1)
+            edge_weight = edge_weight[keep]
         if delta.added_edges is not None:
             weights = delta.added_weights
             if weights is None:
@@ -194,10 +208,10 @@ class Graph:
         cached = self._cache.get("adj_False")
         self._cache.clear()
         if cached is not None and changed.size:
-            mask = np.isin(edge_index[0], changed)
-            local = np.searchsorted(changed, edge_index[0][mask])
+            leaving = _edges_leaving(edge_index, changed, num_nodes)
+            local = np.searchsorted(changed, edge_index[0, leaving])
             replacement = SparseTensor(sp.csr_matrix(
-                (edge_weight[mask], (local, edge_index[1][mask])),
+                (edge_weight[leaving], (local, edge_index[1, leaving])),
                 shape=(changed.shape[0], num_nodes)))
             self._cache["adj_False"] = cached.with_rows(changed, replacement)
         elif cached is not None:

@@ -58,17 +58,14 @@ def affected_region(graph: Any, touched: np.ndarray,
     affected[touched] = True
     if num_hops <= 0:
         return touched
-    # Row i of the transpose holds i's *in*-neighbours: the nodes one
-    # forward step away from reaching i.
-    reverse = graph.adjacency(add_self_loops=False).csr.T.tocsr()
-    frontier = touched
+    # One forward step away from reaching the region are the rows holding
+    # an entry that points into it: a flag lookup per entry finds them
+    # without transposing the whole adjacency on every update.
+    forward = graph.adjacency(add_self_loops=False).csr
     for _ in range(int(num_hops)):
-        if frontier.size == 0:
-            break
-        neighbours = np.unique(reverse[frontier].indices)
-        fresh = neighbours[~affected[neighbours]]
-        affected[fresh] = True
-        frontier = fresh
+        entries = np.flatnonzero(affected[forward.indices])
+        affected[np.searchsorted(forward.indptr, entries,
+                                 side="right") - 1] = True
     return np.flatnonzero(affected)
 
 

@@ -96,11 +96,12 @@ class SparseTensor:
         ``replacement`` is a ``(len(rows), num_cols)`` sparse matrix whose
         row ``i`` becomes row ``rows[i]`` of the result; every other row is
         carried over unchanged.  This is the incremental-update primitive
-        behind :meth:`~repro.graphs.graph.Graph.apply_delta`: cost is
-        ``O(nnz)`` array copies with no global re-sort, and — because CSR
-        canonicalisation (duplicate summing, index sorting) acts on each
-        row independently — the result is bit-identical to rebuilding the
-        whole matrix from the edited edge list.
+        behind :meth:`~repro.graphs.graph.Graph.apply_delta`: cost is one
+        ``O(nnz)`` copy of each entry array, with no global re-sort and no
+        per-entry index arithmetic, and — because CSR canonicalisation
+        (duplicate summing, index sorting) acts on each row independently
+        — the result is bit-identical to rebuilding the whole matrix from
+        the edited edge list.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         old = self.csr
@@ -114,32 +115,28 @@ class SparseTensor:
             raise ValueError(f"replacement must have shape "
                              f"({rows.shape[0]}, {old.shape[1]}), "
                              f"got {new_rows.shape}")
-        old_counts = np.diff(old.indptr).astype(np.int64)
-        counts = old_counts.copy()
+        if not rows.size:
+            return self
+        order = np.argsort(rows)
+        rows, new_rows = rows[order], new_rows[order]
+        counts = np.diff(old.indptr)
         counts[rows] = np.diff(new_rows.indptr)
         indptr = np.zeros(num_rows + 1, dtype=old.indptr.dtype)
         np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=old.indices.dtype)
-        data = np.empty(int(indptr[-1]), dtype=old.data.dtype)
-        # Scatter kept entries: each unchanged row's slice keeps its
-        # internal order, shifted to the row's new start offset.
-        replaced = np.zeros(num_rows, dtype=bool)
-        replaced[rows] = True
-        entry_rows = np.repeat(np.arange(num_rows, dtype=np.int64), old_counts)
-        within_row = np.arange(old.nnz, dtype=np.int64) \
-            - np.repeat(old.indptr[:-1].astype(np.int64), old_counts)
-        keep = ~replaced[entry_rows]
-        destination = indptr[:-1][entry_rows] + within_row
-        indices[destination[keep]] = old.indices[keep]
-        data[destination[keep]] = old.data[keep]
-        # Scatter replacement entries under their global row offsets.
-        rep_counts = np.diff(new_rows.indptr).astype(np.int64)
-        rep_rows = np.repeat(rows, rep_counts)
-        rep_within = np.arange(new_rows.nnz, dtype=np.int64) \
-            - np.repeat(new_rows.indptr[:-1].astype(np.int64), rep_counts)
-        rep_destination = indptr[:-1][rep_rows] + rep_within
-        indices[rep_destination] = new_rows.indices
-        data[rep_destination] = new_rows.data
+        # Cut the entry arrays at both ends of every replaced row: the even
+        # pieces are the runs of kept rows, carried over by plain copies;
+        # the odd ones are the replaced rows' old entries, swapped for the
+        # new ones.
+        cuts = np.stack([old.indptr[rows], old.indptr[rows + 1]],
+                        axis=1).reshape(-1)
+
+        def splice(old_entries: np.ndarray, new_entries: np.ndarray):
+            pieces = np.split(old_entries, cuts)
+            pieces[1::2] = np.split(new_entries, new_rows.indptr[1:-1])
+            return np.concatenate(pieces)
+
+        indices = splice(old.indices, new_rows.indices)
+        data = splice(old.data, new_rows.data)
         return SparseTensor(sp.csr_matrix((data, indices, indptr),
                                           shape=old.shape))
 

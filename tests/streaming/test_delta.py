@@ -168,6 +168,32 @@ class TestWithRows:
         np.testing.assert_array_equal(spliced.indices, rebuilt.indices)
         np.testing.assert_array_equal(spliced.data, rebuilt.data)
 
+    def test_splice_of_unsorted_adjacent_and_border_rows(self):
+        """Rows in any order, next to each other, first and last, emptied
+        and filled — and no rows at all."""
+        import scipy.sparse as sp
+        rng = np.random.default_rng(5)
+        dense = (rng.random((9, 6)) * (rng.random((9, 6)) < 0.5)) \
+            .astype(np.float32)
+        dense[3] = 0.0
+        tensor = SparseTensor(sp.csr_matrix(dense))
+        rows = np.asarray([8, 3, 0, 4])
+        new_rows = (rng.random((4, 6)) * (rng.random((4, 6)) < 0.6)) \
+            .astype(np.float32)
+        new_rows[0] = 0.0
+        spliced = tensor.with_rows(
+            rows, SparseTensor(sp.csr_matrix(new_rows))).csr
+        expected = dense.copy()
+        expected[rows] = new_rows
+        rebuilt = sp.csr_matrix(expected)
+        np.testing.assert_array_equal(spliced.indptr, rebuilt.indptr)
+        np.testing.assert_array_equal(spliced.indices, rebuilt.indices)
+        np.testing.assert_array_equal(spliced.data, rebuilt.data)
+        unchanged = tensor.with_rows(
+            np.asarray([], dtype=np.int64),
+            SparseTensor(sp.csr_matrix((0, 6), dtype=np.float32))).csr
+        np.testing.assert_array_equal(unchanged.toarray(), dense)
+
     def test_rejects_bad_rows(self):
         import scipy.sparse as sp
         tensor = SparseTensor(sp.csr_matrix(np.eye(4)))

@@ -26,6 +26,24 @@ class TestAffectedRegion:
             np.testing.assert_array_equal(region,
                                           np.arange(4 - hops, 5))
 
+    def test_matches_powers_of_the_reverse_adjacency(self):
+        """Random graph with empty rows, duplicate edges and self loops:
+        the region is the support of (I + A^T)^k applied to the touched
+        set."""
+        rng = np.random.default_rng(3)
+        edges = rng.integers(0, 30, size=(2, 45))
+        edges[:, :3] = [[7, 7, 12], [7, 9, 12]]
+        graph = Graph(np.zeros((40, 2), dtype=np.float32), edges)
+        step = np.eye(40, dtype=np.int64)
+        step[edges[0], edges[1]] = 1
+        touched = np.asarray([9, 12, 35])
+        reached = np.zeros(40, dtype=np.int64)
+        reached[touched] = 1
+        for hops in range(4):
+            np.testing.assert_array_equal(
+                affected_region(graph, touched, hops), np.flatnonzero(reached))
+            reached = step @ reached
+
     def test_zero_hops_returns_touched_set(self):
         graph = _path_graph(5)
         np.testing.assert_array_equal(
