@@ -59,8 +59,8 @@ def affected_region(graph: Any, touched: np.ndarray,
     if num_hops <= 0:
         return touched
     # One forward step away from reaching the region are the rows holding
-    # an entry that points into it: a flag lookup per entry finds them
-    # without transposing the whole adjacency on every update.
+    # an entry that points into it: a flag lookup per entry finds them in
+    # the forward CSR, so no reverse adjacency is built per update.
     forward = graph.adjacency(add_self_loops=False).csr
     for _ in range(int(num_hops)):
         entries = np.flatnonzero(affected[forward.indices])
