@@ -11,6 +11,9 @@ Execution model (single thread, message-driven)::
 
     router ── cmd_q ──▶ worker ── out_q ──▶ router
 
+BLAS runs on that thread too (:mod:`repro.sharding._blas`), and the
+worker's cache keeps rows, not whole batches (see ``_make_sampler``).
+
 * ``predict`` — run one seed chunk through the worker's block session.
   Chunks arrive exactly as the single-process :class:`BlockSession` would
   have formed them (request order, ``batch_size`` micro-batches), which is
@@ -54,6 +57,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.sampling import Fanout, NeighborSampler, _salt
 from repro.serving.artifact import QuantizedArtifact
 from repro.serving.session import BlockSession
+from repro.sharding._blas import pin_blas_to_one_thread
 
 #: Flat row payload shipped between shards: (cols, weights, counts) of the
 #: requested nodes, in request order.
@@ -199,9 +203,12 @@ class ShardWorkerSession(BlockSession):
 
     def _make_sampler(self, graph: Graph, **kwargs) -> ShardSampler:
         config = self._config
+        # A chunk is the router's coalesced seed list, which practically
+        # never repeats byte for byte: a whole-batch entry would never be
+        # hit, so the worker caches rows only.
         return ShardSampler(graph, config.assignment, config.shard,
                             self._halo_fetch, config.row_weight,
-                            config.inv_sqrt, **kwargs)
+                            config.inv_sqrt, cache_batches=False, **kwargs)
 
 
 def _rows_reply(session: ShardWorkerSession, message: tuple) -> tuple:
@@ -266,6 +273,9 @@ def worker_main(config: WorkerConfig, cmd_q, out_q) -> None:
     except Exception as error:  # noqa: BLE001 - shipped to the router
         out_q.put(("init_error", repr(error)))
         return
+    # After the build, not at fork: pinning restarts OpenBLAS's thread
+    # pool, whose helper would spin through the whole session build.
+    pin_blas_to_one_thread()
     out_q.put(("ready",))
 
     while True:

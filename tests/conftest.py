@@ -66,6 +66,46 @@ def tu_graphs():
     return load_tu_dataset("imdb-b", num_graphs=24, seed=0)
 
 
+@pytest.fixture(scope="session")
+def in_pinned_child():
+    """``run(function) -> (pinned, function())`` in a forked child that
+    first pinned its BLAS to one thread, as a shard worker does; ``pinned``
+    counts the OpenBLAS copies found (0: nothing to test).  The child
+    inherits the caller's memory, so ``function`` may compare against
+    results computed here without shipping them."""
+    import multiprocessing
+
+    from repro.sharding._blas import pin_blas_to_one_thread
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    context = multiprocessing.get_context("fork")
+
+    def run(function, timeout: float = 60.0):
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            try:
+                send.send((pin_blas_to_one_thread(), function()))
+            except Exception as error:  # noqa: BLE001 - reported below
+                send.send((None, repr(error)))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(timeout), "the forked child sent no result"
+            pinned, result = receive.recv()
+        finally:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        assert pinned is not None, result
+        return pinned, result
+
+    return run
+
+
 # --------------------------------------------------------------------------- #
 # parity-matrix builders (see tests/parity_matrix.py)
 # --------------------------------------------------------------------------- #

@@ -7,9 +7,10 @@ import pytest
 
 from repro.cache import BlockCache
 from repro.graphs.partition import partition_graph
-from repro.graphs.sampling import NeighborSampler, _salt
+from repro.graphs.sampling import NeighborSampler, _salt, degree_state
 from repro.serving import AsyncServingEngine, BlockSession, ServingEngine
-from repro.sharding import (ShardSampler, ShardedBlockSession,
+from repro.sharding import (ShardSampler, ShardWorkerSession,
+                            ShardedBlockSession, WorkerConfig,
                             restricted_graph, serve_rows)
 
 
@@ -78,6 +79,40 @@ class TestShardSampler:
         assert plans and all(0 not in plan for plan in plans)
         if cached:
             assert sampler.cache.stats().hits > 0
+
+
+class TestShardWorkerSession:
+    """Process-free: a worker's session whose halo fetch is answered in
+    process by a full-graph sampler."""
+
+    def test_caches_rows_not_batches(self, shard_artifact, parity_graph):
+        assignment = partition_graph(parity_graph, 2, strategy="hash")
+        _, row_weight, inv_sqrt = degree_state(parity_graph)
+        owner = NeighborSampler(parity_graph, fanouts=3, seed=7,
+                                shuffle=False)
+
+        def halo_fetch(plan, fanout, hop, epoch):
+            return {shard: serve_rows(owner, nodes, fanout, hop, epoch)
+                    for shard, nodes in plan.items()}
+
+        session = ShardWorkerSession(WorkerConfig(
+            shard=0, assignment=assignment, artifact=shard_artifact,
+            graph=parity_graph, fanouts=3, batch_size=32, seed=7,
+            cache_size=4096, cache_bytes=None, row_weight=row_weight,
+            inv_sqrt=inv_sqrt), halo_fetch)
+        chunk = np.arange(0, 64, 2, dtype=np.int64)  # seeds of both shards
+        first = session.run(chunk)
+        cold = session.cache_stats()
+        second = session.run(chunk)
+        warm = session.cache_stats()
+
+        assert session.sampler.cache_batches is False
+        assert all(key[0] != "bat" for key in session.cache._lru.keys())
+        assert warm.misses == cold.misses and warm.hits > cold.hits
+        reference = BlockSession(shard_artifact, parity_graph, fanouts=3,
+                                 batch_size=32, seed=7).run(chunk)
+        np.testing.assert_array_equal(first.logits, reference.logits)
+        np.testing.assert_array_equal(second.logits, reference.logits)
 
 
 class TestShardedBlockSession:
