@@ -584,9 +584,8 @@ class NeighborSampler:
         """Move to the next rng-epoch and invalidate stale cached samples.
 
         Called automatically at the start of every ``__iter__`` epoch.
-        Cached *raw* rows survive (they carry no randomness — the
-        low-degree/unlimited-fanout neighbourhoods the ROADMAP calls
-        deterministic); cached sampled rows and batches of other epochs are
+        Cached *raw* rows survive (a node's whole adjacency row carries no
+        randomness); cached sampled rows and batches of other epochs are
         explicitly evicted.
         """
         self.rng_epoch += 1

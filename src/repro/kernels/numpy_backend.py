@@ -72,7 +72,7 @@ def dequantize_from(params, integers: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend:
-    """Reference kernel backend (always registered as ``"numpy"``).
+    """Reference kernel backend (``get_backend("numpy")``).
 
     Stateless and allocation-per-call by design: nothing here may be
     faster than obvious, because this is the implementation every other
@@ -80,7 +80,7 @@ class NumpyBackend:
     override individual kernels.
     """
 
-    #: Registry name; subclasses override.
+    #: What ``session.backend_name`` reports; subclasses override.
     name = "numpy"
 
     # ------------------------------------------------------------------ #
