@@ -1,16 +1,13 @@
 """One BLAS thread per shard worker process.
 
-A worker's layer transform (a ~600 x 64 @ 64 x 32 GEMM) is above
-OpenBLAS's threading threshold, so OpenBLAS splits it over a helper thread
-that then busy-waits for the next job.  A worker sleeps between chunks,
-which turns that wait into a whole core spinning per worker.  Workers
-therefore run BLAS on the calling thread; a row of ``x @ W`` does not
-depend on the thread count (``tests/kernels/test_blas_thread_count.py``),
-so sharded logits stay bitwise equal to the threaded single-process ones.
-
-OpenBLAS is found through ``/proc/self/maps``: numpy and scipy each map
-their own copy, exporting the setter under a prefixed or suffixed name.
-Without ``/proc``, or with another BLAS, nothing changes.
+A worker's chunk-sized layer GEMM is above OpenBLAS's threading threshold,
+so OpenBLAS runs it on a second thread that then busy-waits through the
+worker's idle gaps: a core spinning per worker.  Workers run BLAS on the
+calling thread instead (bitwise the same: ``tests/kernels/
+test_blas_thread_count.py``).  Every OpenBLAS mapped into the process is
+found through ``/proc/self/maps`` — numpy and scipy each ship a copy,
+under prefixed symbol names; with no ``/proc`` or another BLAS, nothing
+changes.
 """
 
 from __future__ import annotations
@@ -19,16 +16,15 @@ import ctypes
 import os
 from typing import Callable, List
 
-#: Where Linux lists the shared objects mapped into this process.
 _MAPS = "/proc/self/maps"
 
-#: ``{}`` is ``set`` / ``get``: scipy-openblas ILP64 (numpy), scipy-openblas
-#: LP64 (scipy), then a plain OpenBLAS with and without the ILP64 suffix.
+#: ``{}`` is ``set`` / ``get``: numpy's ILP64 copy, scipy's LP64 copy, then
+#: a system OpenBLAS with and without the ILP64 suffix.
 _NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
-def _openblas_functions(verb: str) -> List[Callable]:
+def _openblas_functions(verb: str, argtypes: list, restype) -> List[Callable]:
     """``openblas_<verb>_num_threads`` of every OpenBLAS mapped here."""
     try:
         with open(_MAPS) as maps:
@@ -46,6 +42,7 @@ def _openblas_functions(verb: str) -> List[Callable]:
         for name in _NAMES:
             function = getattr(library, name.format(verb), None)
             if function is not None:
+                function.argtypes, function.restype = argtypes, restype
                 functions.append(function)
                 break
     return functions
@@ -54,18 +51,12 @@ def _openblas_functions(verb: str) -> List[Callable]:
 def pin_blas_to_one_thread() -> int:
     """Run every mapped OpenBLAS on the calling thread; returns how many
     were pinned (0 where none is found)."""
-    setters = _openblas_functions("set")
+    setters = _openblas_functions("set", [ctypes.c_int], None)
     for setter in setters:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
         setter(1)
     return len(setters)
 
 
 def blas_thread_counts() -> List[int]:
     """The thread count of every mapped OpenBLAS, in map order."""
-    getters = _openblas_functions("get")
-    for getter in getters:
-        getter.argtypes = []
-        getter.restype = ctypes.c_int
-    return [getter() for getter in getters]
+    return [getter() for getter in _openblas_functions("get", [], ctypes.c_int)]

@@ -11,8 +11,7 @@ Execution model (single thread, message-driven)::
 
     router ── cmd_q ──▶ worker ── out_q ──▶ router
 
-BLAS runs on that thread too (:mod:`repro.sharding._blas`), and the
-worker's cache keeps rows, not whole batches (see ``_make_sampler``).
+BLAS runs on that thread too (:mod:`repro.sharding._blas`).
 
 * ``predict`` — run one seed chunk through the worker's block session.
   Chunks arrive exactly as the single-process :class:`BlockSession` would
