@@ -3,9 +3,9 @@
 Shard workers run BLAS on one thread (``repro.sharding._blas``); the
 single-process session they must match bitwise runs on OpenBLAS's default
 count.  The parity matrix's graphs are too small to cross OpenBLAS's
-threading threshold, so this pins ``x @ W`` and ``linear_requant`` at the
-sizes a 100k-node serving workload multiplies (a 600-row chunk layer, a
-4096-row batch, a 25k-row frontier).
+threading threshold, so this pins ``x @ W`` and ``linear_requant`` above
+it: a sharded 100k-node workload's 600-row chunk layer, 4,096 rows, and
+25,000 rows, about a 128-seed GAT request's input layer.
 """
 
 import numpy as np
