@@ -20,13 +20,17 @@ from repro.tensor.tensor import Tensor
 
 
 class GINConv(MessagePassing):
-    """One GIN convolution ``MLP((1 + eps) X + A X)``."""
+    """One GIN convolution ``MLP((1 + eps) X + A X)``.
+
+    GIN-0 by default: ``eps`` stays 0 unless ``train_eps`` is set (PyG's
+    ``GINConv`` default), as in the quantized and served GIN.
+    """
 
     conv_type = "gin"
 
     def __init__(self, in_features: int, out_features: int,
                  hidden_features: Optional[int] = None,
-                 eps: float = 0.0, train_eps: bool = True,
+                 eps: float = 0.0, train_eps: bool = False,
                  batch_norm: bool = True,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()

@@ -102,9 +102,9 @@ GOLDEN = {'figure1': {'gat-1': (822196, 0.625, 1218),
              'gcn-1': (802564, 0.8125, 1204),
              'gcn-2': (1933916, 0.875, 2871),
              'gcn-3': (2161308, 0.8125, 3143),
-             'gin-1': (1413864, 0.765625, 1261),
-             'gin-2': (2716288, 0.640625, 3201),
-             'gin-3': (3114752, 0.265625, 3746),
+             'gin-1': (1413864, 0.78125, 1260),
+             'gin-2': (2716288, 0.546875, 3199),
+             'gin-3': (3114752, 0.296875, 3743),
              'sage-1': (2044692, 0.796875, 2401),
              'sage-2': (4235524, 0.796875, 5719),
              'sage-3': (4618436, 0.828125, 6247),
@@ -124,15 +124,15 @@ GOLDEN = {'figure1': {'gat-1': (822196, 0.625, 1218),
             'gcn-minibatch': {'accuracy': 1.0,
                               'logits': '9e8a9cce9cb893710c35fa639884cd7f00d877c38b2a596e2f359138ed1b5fa0'},
             'gin': {'accuracy': 1.0,
-                    'logits': '03c578e830f2991cf06fa3e65da1a6367b58a7612088744874b219f935dafe94'},
+                    'logits': 'a31f78576f246b5fe211fc3be00c706615f6f7398112a091d9ff9adbf4c3ecd7'},
             'sage': {'accuracy': 1.0,
                      'logits': 'bc96320265b6d849000207a9635cf8e301f9a718e0116a49090a8d0dc2fc8730'},
             'tag': {'accuracy': 1.0,
                     'logits': 'dd6b173f10b0513750ac60a7777c42e3532514e42ab3a652f08ff6ce30c18f75'},
             'transformer-h2': {'accuracy': 1.0,
                                'logits': 'cea2a93dc0baa789bd91322a6e1b35a43a55c236fd4f0626de54716a104f680c'}},
- 'table8': {'imdb-b': ([0.8, 0.8, 0.95], 0.08116608),
-            'proteins': ([0.55, 0.5, 0.7], 0.118011968)}}
+ 'table8': {'imdb-b': ([0.8, 0.75, 0.65], 0.08116608),
+            'proteins': ([0.55, 0.5, 0.6], 0.118011968)}}
 
 
 @pytest.mark.parametrize("case", sorted(LOGIT_CASES))
