@@ -19,7 +19,7 @@ import numpy as np
 from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
-from repro.gnn.models import build_node_model
+from repro.core.build import build_node_model
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
 from repro.training.minibatch import MinibatchTrainer
 from repro.training.trainer import train_node_classifier

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import MixQGraphClassifier
-from repro.gnn.models import GraphClassifier
 from repro.graphs.datasets import load_tu_dataset
 from repro.graphs.datasets.tu import dataset_labels
 from repro.graphs.splits import stratified_k_fold_indices
+from repro.quant.qmodules import QuantGraphClassifier
 from repro.training import train_graph_classifier
 
 
@@ -33,9 +33,9 @@ def main() -> None:
         train_graphs = [graphs[i] for i in train_idx]
         test_graphs = [graphs[i] for i in test_idx]
 
-        fp32_model = GraphClassifier(graphs[0].num_features, 16, num_classes,
-                                     num_layers=5, batch_norm=False,
-                                     rng=np.random.default_rng(fold))
+        # FP32: the GIN-0 classifier with no bit-widths assigned
+        fp32_model = QuantGraphClassifier(graphs[0].num_features, 16, num_classes, {},
+                                          num_layers=5, rng=np.random.default_rng(fold))
         fp32 = train_graph_classifier(fp32_model, train_graphs, test_graphs, epochs=10,
                                       rng=np.random.default_rng(fold))
         fp32_scores.append(fp32.test_accuracy)

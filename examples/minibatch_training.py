@@ -23,8 +23,7 @@ import time
 
 import numpy as np
 
-from repro.core.build import layer_dimensions
-from repro.gnn import build_node_model
+from repro.core.build import build_node_model, layer_dimensions
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
 from repro.graphs.sampling import NeighborSampler
 from repro.quant.qmodules import (

@@ -17,9 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import MixQNodeClassifier
-from repro.gnn import build_node_model
+from repro.core.build import build_node_model
 from repro.graphs.datasets import load_cora
-from repro.quant.bitops import FP32_BITS
 from repro.training import train_node_classifier
 
 
@@ -29,10 +28,11 @@ def main() -> None:
     hidden = 16
 
     # ---------------------------------------------------------------- FP32
+    # The FP32 model is the GCN family with no bit-widths assigned.
     fp32_model = build_node_model("gcn", graph.num_features, hidden, graph.num_classes,
                                   num_layers=2, rng=np.random.default_rng(0))
     fp32 = train_node_classifier(fp32_model, graph, epochs=80, lr=0.02)
-    fp32_gbitops = fp32_model.operation_count(graph) * FP32_BITS / 1e9
+    fp32_gbitops = fp32_model.bit_operations(graph).giga_bit_operations()
     print(f"FP32 baseline:     accuracy={fp32.test_accuracy:.3f}  "
           f"bits=32.00  GBitOPs={fp32_gbitops:.4f}")
 

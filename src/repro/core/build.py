@@ -12,6 +12,9 @@ architecture with the mixture factory
 (:func:`~repro.core.relaxed_quantizer.mixture_quantizer_factory`): one
 :class:`~repro.core.relaxed_quantizer.RelaxedQuantizer` per component, and
 ``component_bits()`` of the result is the arg-max assignment ``S``.
+
+The same family built with an empty assignment is the FP32 model the
+paper's savings are measured against (:func:`build_node_model`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,26 @@ def layer_dimensions(in_features: int, hidden_features: int, num_classes: int,
     dims.extend((hidden_features, hidden_features) for _ in range(num_layers - 2))
     dims.append((hidden_features, num_classes))
     return dims
+
+
+def build_node_model(layer_type: str, in_features: int, hidden_features: int,
+                     num_classes: int, num_layers: int = 2, dropout: float = 0.5,
+                     heads: int = 1, head_merge: str = "concat",
+                     rng: Optional[np.random.Generator] = None) -> QuantNodeClassifier:
+    """The FP32 node classifier of a layer family (the paper's FP32 rows).
+
+    It is the family built with an empty assignment: every quantizer is an
+    :class:`~repro.quant.quantizer.IdentityQuantizer`, and
+    ``bit_operations`` reports every function at 32 bits.  One layer maps
+    straight from input features to class logits; deeper models insert
+    ``hidden_features``-wide intermediate layers.  ``heads`` applies to the
+    attention families only: hidden layers merge by ``head_merge``, the
+    output layer by ``mean``.  TAG layers take 3 hops.
+    """
+    return QuantNodeClassifier.from_assignment(
+        layer_dimensions(in_features, hidden_features, num_classes, num_layers),
+        layer_type.lower(), {}, dropout=dropout, heads=heads,
+        head_merge=head_merge, rng=rng)
 
 
 def build_relaxed_node_classifier(conv_type: str, layer_dims: Sequence[Tuple[int, int]],

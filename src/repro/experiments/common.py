@@ -13,7 +13,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.mixq import MixQNodeClassifier, MixQResult
-from repro.gnn.models import build_node_model
 from repro.graphs.graph import Graph
 from repro.quant.a2q import A2QNodeClassifier
 from repro.quant.bitops import FP32_BITS, BitOpsCounter
@@ -23,7 +22,7 @@ from repro.quant.qmodules import (
     conv_component_names,
     uniform_assignment,
 )
-from repro.core.build import layer_dimensions
+from repro.core.build import build_node_model, layer_dimensions
 from repro.training.minibatch import MinibatchTrainer
 from repro.training.trainer import train_node_classifier
 
@@ -98,9 +97,8 @@ def run_fp32(graph: Graph, conv_type: str = "gcn", hidden: int = 16,
                              num_layers=num_layers, rng=rng)
     result = _train(model, graph, epochs, lr, multilabel, minibatch, fanout,
                     batch_size, seed)
-    operations = model.operation_count(graph)
     return MethodRow("FP32", [result.test_accuracy], bits=float(FP32_BITS),
-                     giga_bit_operations=operations * FP32_BITS / 1e9)
+                     giga_bit_operations=model.bit_operations(graph).giga_bit_operations())
 
 
 def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int = 16,

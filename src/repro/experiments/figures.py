@@ -8,6 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.build import build_node_model
 from repro.core.search_space import (
     assignment_average_bits,
     bit_width_histogram,
@@ -16,7 +17,6 @@ from repro.core.search_space import (
 )
 from repro.experiments.common import run_mixq
 from repro.experiments.config import ExperimentScale, QUICK
-from repro.gnn.models import build_node_model
 from repro.graphs.datasets import load_node_dataset
 from repro.quant.bitops import FP32_BITS
 from repro.quant.qmodules import (
@@ -60,7 +60,7 @@ def figure1_operations_vs_accuracy(
             points.append(Figure1Point(
                 layer_type=layer_type,
                 num_layers=depth,
-                operations=model.operation_count(graph),
+                operations=model.bit_operations(graph).total_operations,
                 accuracy=result.test_accuracy,
                 num_parameters=model.num_parameters(),
             ))

@@ -9,7 +9,6 @@ import numpy as np
 from repro.core.mixq import MixQGraphClassifier
 from repro.experiments.common import MethodRow
 from repro.experiments.config import ExperimentScale, QUICK
-from repro.gnn.models import GraphClassifier
 from repro.graphs.batch import GraphBatch
 from repro.graphs.datasets import load_csl, load_tu_dataset
 from repro.graphs.datasets.tu import dataset_labels
@@ -39,9 +38,8 @@ def _fp32_fold_row(graphs: List[Graph], train_idx: np.ndarray, test_idx: np.ndar
                    dropout: float = 0.5) -> float:
     rng = np.random.default_rng(seed)
     num_classes = int(dataset_labels(graphs).max()) + 1
-    model = GraphClassifier(graphs[0].num_features, hidden, num_classes,
-                            num_layers=num_layers, batch_norm=False, dropout=dropout,
-                            rng=rng)
+    model = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes, {},
+                                 num_layers=num_layers, dropout=dropout, rng=rng)
     train_graphs = [graphs[i] for i in train_idx]
     test_graphs = [graphs[i] for i in test_idx]
     result = train_graph_classifier(model, train_graphs, test_graphs,
@@ -118,14 +116,14 @@ def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins")
                 mixq_rows[lam].accuracies.append(fold_result.accuracy)
                 mixq_rows[lam].bits = fold_result.average_bits
                 mixq_rows[lam].giga_bit_operations = fold_result.giga_bit_operations
-        # FP32 BitOPs reference: the float model on one reference batch.
+        # FP32 BitOPs reference: the FP32 model on one reference batch.
         num_classes = int(labels.max()) + 1
-        reference_model = GraphClassifier(graphs[0].num_features, scale.hidden_features,
-                                          num_classes, num_layers=num_layers,
-                                          batch_norm=False)
+        reference_model = QuantGraphClassifier(graphs[0].num_features,
+                                               scale.hidden_features, num_classes, {},
+                                               num_layers=num_layers)
         reference_batch = GraphBatch(graphs[:min(len(graphs), 32)])
-        fp32_row.giga_bit_operations = (
-            reference_model.operation_count(reference_batch) * FP32_BITS / 1e9)
+        fp32_row.giga_bit_operations = \
+            reference_model.bit_operations(reference_batch).giga_bit_operations()
         qat_row.giga_bit_operations = fp32_row.giga_bit_operations \
             * min(bit_choices) / FP32_BITS
         results[dataset] = [fp32_row, qat_row,

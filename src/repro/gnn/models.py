@@ -1,34 +1,22 @@
-"""Reference GNN architectures used throughout the experiments.
+"""Helpers that run a conv stack: hop plans, block routing, head merges.
 
-* :class:`NodeClassifier` — a stack of convolutions with ReLU/dropout in
-  between, producing per-node logits (the two/three-layer GCN and GraphSAGE
-  architectures of Tables 3-7).
-* :class:`GraphClassifier` — the five-layer GIN architecture with global max
-  pooling and a two-layer readout head from Table 8 / Table 9.
-* :func:`build_node_model` — factory over layer families used by the
-  Figure 1 operations-versus-accuracy sweep.
+The conv families are the ``Quant*Conv`` layers of
+:mod:`repro.quant.qmodules`.  The FP32 model is a family built with an
+empty assignment (:func:`repro.core.build.build_node_model`), so these
+helpers serve the FP32, QAT, Degree-Quant and relaxed search models alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional, Union
 
-import numpy as np
-
-from repro.gnn.gat import GATConv, TransformerConv
-from repro.gnn.gcn import GCNConv
-from repro.gnn.gin import GINConv
-from repro.gnn.message_passing import MessagePassing
-from repro.gnn.sage import SAGEConv
-from repro.gnn.tag import TAGConv
-from repro.graphs.batch import GraphBatch
 from repro.graphs.graph import Graph
-from repro.graphs.sampling import BlockBatch
-from repro.graphs.pooling import get_pooling
-from repro.nn.activations import Dropout, ReLU
-from repro.nn.linear import Linear
-from repro.nn.module import Module, ModuleList
+from repro.graphs.sampling import BlockBatch, SubgraphBlock
+from repro.nn.module import Module
 from repro.tensor.tensor import Tensor
+
+#: What a layer propagates over: a full graph or one bipartite block.
+GraphLike = Union[Graph, SubgraphBlock]
 
 
 def hop_plan(convs) -> List[int]:
@@ -50,9 +38,10 @@ def forward_blocks(classifier: Module, batch: BlockBatch,
                    x: Optional[Tensor] = None) -> Tensor:
     """Run a convolution-stack classifier over a sampled :class:`BlockBatch`.
 
-    Shared by the float, quantized and relaxed node classifiers — they all
-    expose ``convs`` / ``activation`` / ``dropout`` — so minibatch execution
-    is one code path regardless of the quantization wrapper in use.
+    The classifier exposes ``convs`` / ``activation`` / ``dropout``.  The
+    FP32, QAT, Degree-Quant and relaxed search models are one
+    :class:`~repro.quant.qmodules.QuantNodeClassifier` with different
+    quantizer factories, so minibatch execution is one code path for all.
 
     Blocks are assigned to layers by the model's hop plan: single-hop layers
     consume one block, multi-hop layers (TAG) a stack of ``conv.hops``
@@ -91,102 +80,6 @@ def forward_blocks(classifier: Module, batch: BlockBatch,
     return x
 
 
-class NodeClassifier(Module):
-    """Convolution stack for transductive node classification.
-
-    The final convolution outputs ``num_classes`` logits directly (matching
-    the two-layer GCN formulation the paper quantizes).
-
-    Besides a full :class:`Graph`, the forward pass accepts a
-    :class:`~repro.graphs.sampling.BlockBatch` from the neighbor sampler, in
-    which case layer ``i`` consumes bipartite block ``i`` and the output has
-    one logits row per seed node.
-    """
-
-    def __init__(self, convs: List[MessagePassing], dropout: float = 0.5,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not convs:
-            raise ValueError("NodeClassifier needs at least one convolution")
-        self.convs = ModuleList(convs)
-        self.activation = ReLU()
-        self.dropout = Dropout(dropout, rng=rng)
-
-    def forward(self, graph, x: Optional[Tensor] = None) -> Tensor:
-        if isinstance(graph, BlockBatch):
-            return forward_blocks(self, graph, x)
-        if x is None:
-            x = Tensor(graph.x)
-        num_layers = len(self.convs)
-        for index, conv in enumerate(self.convs):
-            x = conv(x, graph)
-            if index < num_layers - 1:
-                x = self.activation(x)
-                x = self.dropout(x)
-        return x
-
-    def operation_count(self, graph: Graph) -> int:
-        return sum(conv.operation_count(graph) for conv in self.convs)
-
-
-class GraphClassifier(Module):
-    """GIN-style architecture for graph classification.
-
-    ``num_layers`` GIN convolutions followed by global pooling (max by
-    default, per the paper's overflow argument) and a two-layer MLP head.
-    """
-
-    def __init__(self, in_features: int, hidden_features: int, num_classes: int,
-                 num_layers: int = 5, pooling: str = "max", dropout: float = 0.5,
-                 batch_norm: bool = True,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        convs: List[MessagePassing] = []
-        for layer in range(num_layers):
-            fan_in = in_features if layer == 0 else hidden_features
-            convs.append(GINConv(fan_in, hidden_features, batch_norm=batch_norm, rng=rng))
-        self.convs = ModuleList(convs)
-        self.pooling_name = pooling
-        self._pool = get_pooling(pooling)
-        self.head_hidden = Linear(hidden_features, hidden_features, rng=rng)
-        self.head_out = Linear(hidden_features, num_classes, rng=rng)
-        self.activation = ReLU()
-        self.dropout = Dropout(dropout, rng=rng)
-
-    def forward(self, batch: GraphBatch, x: Optional[Tensor] = None) -> Tensor:
-        if x is None:
-            x = Tensor(batch.x)
-        for conv in self.convs:
-            x = conv(x, batch)
-            x = self.activation(x)
-        pooled = self._pool(x, batch.batch, batch.num_graphs)
-        hidden = self.activation(self.head_hidden(pooled))
-        hidden = self.dropout(hidden)
-        return self.head_out(hidden)
-
-    def operation_count(self, graph: Graph) -> int:
-        ops = sum(conv.operation_count(graph) for conv in self.convs)
-        num_graphs = getattr(graph, "num_graphs", 1)
-        ops += self.head_hidden.operation_count(num_graphs)
-        ops += self.head_out.operation_count(num_graphs)
-        return ops
-
-
-#: Layer families available to :func:`build_node_model` (Figure 1 sweep).
-LAYER_FAMILIES: Dict[str, Callable[..., MessagePassing]] = {
-    "gcn": GCNConv,
-    "gat": GATConv,
-    "gin": lambda fan_in, fan_out, rng=None: GINConv(fan_in, fan_out, batch_norm=False,
-                                                     rng=rng),
-    "sage": SAGEConv,
-    "tag": TAGConv,
-    "transformer": TransformerConv,
-}
-
-#: Families whose layers carry a multi-head attention axis.
-HEADED_FAMILIES = ("gat", "transformer")
-
-
 def head_merge_for_layer(index: int, num_layers: int, heads: int,
                          head_merge: str = "concat") -> str:
     """Merge mode of layer ``index`` in a ``num_layers`` attention stack.
@@ -200,40 +93,3 @@ def head_merge_for_layer(index: int, num_layers: int, heads: int,
     if heads <= 1:
         return "concat"
     return "mean" if index == num_layers - 1 else head_merge
-
-
-def build_node_model(layer_type: str, in_features: int, hidden_features: int,
-                     num_classes: int, num_layers: int = 2, dropout: float = 0.5,
-                     heads: int = 1, head_merge: str = "concat",
-                     rng: Optional[np.random.Generator] = None) -> NodeClassifier:
-    """Build a node classifier from a named layer family.
-
-    One layer maps straight from input features to class logits; deeper
-    models insert ``hidden_features``-wide intermediate layers.  ``heads``
-    applies to the attention families (:data:`HEADED_FAMILIES`) only:
-    hidden layers merge by ``head_merge``, the output layer by ``mean``
-    (see :func:`head_merge_for_layer`).
-    """
-    key = layer_type.lower()
-    if key not in LAYER_FAMILIES:
-        raise KeyError(f"unknown layer family {layer_type!r}; "
-                       f"options: {sorted(LAYER_FAMILIES)}")
-    factory = LAYER_FAMILIES[key]
-
-    def build(index: int, fan_in: int, fan_out: int) -> MessagePassing:
-        if key in HEADED_FAMILIES:
-            return factory(fan_in, fan_out, heads=heads,
-                           head_merge=head_merge_for_layer(index, num_layers,
-                                                           heads, head_merge),
-                           rng=rng)
-        return factory(fan_in, fan_out, rng=rng)
-
-    convs: List[MessagePassing] = []
-    if num_layers == 1:
-        convs.append(build(0, in_features, num_classes))
-    else:
-        convs.append(build(0, in_features, hidden_features))
-        for middle in range(num_layers - 2):
-            convs.append(build(middle + 1, hidden_features, hidden_features))
-        convs.append(build(num_layers - 1, hidden_features, num_classes))
-    return NodeClassifier(convs, dropout=dropout, rng=rng)

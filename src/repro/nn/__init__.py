@@ -2,8 +2,6 @@
 
 from repro.nn.module import Module, Parameter, Sequential, ModuleList
 from repro.nn.linear import Linear
-from repro.nn.mlp import MLP
-from repro.nn.normalization import BatchNorm1d, LayerNorm
 from repro.nn.activations import ReLU, Sigmoid, Tanh, Identity, Dropout
 from repro.nn import init
 
@@ -13,9 +11,6 @@ __all__ = [
     "Sequential",
     "ModuleList",
     "Linear",
-    "MLP",
-    "BatchNorm1d",
-    "LayerNorm",
     "ReLU",
     "Sigmoid",
     "Tanh",

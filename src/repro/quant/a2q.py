@@ -23,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.gnn.message_passing import MessagePassing
 from repro.graphs.graph import Graph
 from repro.nn.activations import Dropout, ReLU
 from repro.nn.module import Module, ModuleList, Parameter
@@ -85,7 +84,7 @@ class A2QNodeClassifier(Module):
                  init_bits: float = 4.0, weight_bits: int = 8,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
-        convs: List[MessagePassing] = []
+        convs: List[Module] = []
         quantizers: List[A2QQuantizer] = []
         for index, (fan_in, fan_out) in enumerate(layer_dims):
             bits = {"weight": weight_bits, "linear_out": weight_bits,

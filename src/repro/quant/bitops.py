@@ -107,10 +107,10 @@ def conv_bit_operations(layer, prefix: str, bits: Callable[[str], int],
                         incoming_bits: int = FP32_BITS) -> Tuple[BitOpsCounter, int]:
     """BitOPs records of one convolution layer — the repo's only accountant.
 
-    The float ``operation_count`` (every width FP32), the QAT modules'
-    ``bit_operations`` and the serving sessions all call this, so the FP32
-    row, the quantized rows and the serving reports of a table are the same
-    function of the same layer.  The convention:
+    ``Quant*Conv.bit_operations`` (the FP32 model passes 32 for every
+    width) and the serving sessions both call this, so the FP32 row, the
+    quantized rows and the serving reports of a table are the same function
+    of the same layer.  The convention:
 
     * a function's width is ``min(max(operand widths), 32)``;
     * a linear over ``rows`` rows costs ``2 * rows * in * out``, plus
@@ -123,8 +123,8 @@ def conv_bit_operations(layer, prefix: str, bits: Callable[[str], int],
       first layer quantizes its input); attention scores and softmax stay
       FP32.
 
-    ``layer`` describes the shape — a float conv, a ``Quant*Conv`` or a
-    serving ``LayerPlan``: ``conv_type``, ``in_features``, ``out_features``,
+    ``layer`` describes the shape — a ``Quant*Conv`` or a serving
+    ``LayerPlan``: ``conv_type``, ``in_features``, ``out_features``,
     ``has_bias`` (whether the family's bias terms are present) and, where
     the family has them, ``hidden_features`` (gin) or ``heads`` /
     ``head_dim`` (attention).  ``bits`` maps an artifact slot (quantization

@@ -32,8 +32,7 @@ import numpy as np
 
 from repro.gnn.attention import attention_edges, attention_head_dim
 from repro.gnn.gat import head_scores, merge_heads
-from repro.gnn.message_passing import GraphLike, MessagePassing
-from repro.gnn.models import NodeClassifier, forward_blocks, head_merge_for_layer
+from repro.gnn.models import GraphLike, forward_blocks, head_merge_for_layer
 from repro.gnn.sage import mean_adjacency
 from repro.gnn.tag import TAGGraphLike, hop_views
 from repro.graphs.batch import GraphBatch
@@ -186,8 +185,9 @@ class QuantPoint(NamedTuple):
     is the artifact slot its trained parameters are exported under (``None``
     for weight quantizers, which travel inside their weight plan).
     ``shares`` marks a point with no component of its own: it is built from
-    that component's bit-width and never reported (GIN's first-MLP output —
-    the ROADMAP's open ``mlp0_out`` question, preserved as is).
+    that component's bit-width and never reported.  GIN's first-MLP output
+    ``mlp0_out`` follows ``aggregate_out``, because the paper's GIN
+    component set has no MLP-internal activation.
     """
 
     component: str
@@ -223,8 +223,8 @@ def _expand(rows, hops: int):
                               for field in row))
 
 
-class QuantConv(MessagePassing):
-    """Base of the quantized conv families: one declarative table per family.
+class QuantConv(Module):
+    """Base of the conv families: one declarative table per family.
 
     A family declares its quantization points (:attr:`POINTS`), its exported
     matrices (:attr:`WEIGHTS`) and the aggregation :meth:`operator` it
@@ -233,13 +233,24 @@ class QuantConv(MessagePassing):
     :func:`conv_component_names`, the artifact export and its slot tables,
     the serving session's operator, and the BitOPs of the layer.  What
     remains per family is its ``forward`` (and the integer ``_run_*`` twin
-    in :mod:`repro.serving.session`).
+    in :mod:`repro.serving.session`).  Under the default factory a
+    component missing from the assignment is an :class:`IdentityQuantizer`,
+    so a family built from an empty assignment is its FP32 layer.
     """
 
     POINTS: Tuple[QuantPoint, ...] = ()
     WEIGHTS: Tuple[WeightSpec, ...] = ()
 
+    #: Family key of :data:`CONV_CLASSES`.
+    conv_type: Optional[str] = None
+
+    #: Propagation steps one layer consumes.  TAG overrides it per instance;
+    #: samplers emit one block per hop, so a model needs ``sum(conv.hops)``
+    #: blocks (:func:`~repro.gnn.models.hop_plan`).
+    hops = 1
+
     #: Layer-plan scalars; families that have them override per instance.
+    #: ``eps`` is never overridden: GIN is GIN-0.
     eps = 0.0
     negative_slope = 0.2
     heads = 1
@@ -365,7 +376,8 @@ class QuantGINConv(QuantConv):
 
     Components: ``input`` (first layer only), ``adjacency``,
     ``aggregate_out``, ``weight_0`` / ``weight_1`` (the two MLP layers) and
-    ``output``.
+    ``output``.  GIN-0: ``eps`` is fixed at 0 here, in the artifact's
+    ``LayerPlan.eps`` and in the served layer (PyG's ``train_eps=False``).
     """
 
     conv_type = "gin"
@@ -594,7 +606,7 @@ class QuantTAGConv(QuantConv):
     (the propagated features after every hop, one shared quantizer),
     ``weight_0`` … ``weight_K`` (one per adjacency power) and ``output``.
     In minibatch mode the layer consumes ``hops`` stacked blocks — its
-    per-layer hop plan — exactly like the float :class:`TAGConv`.
+    per-layer hop plan (:func:`~repro.gnn.tag.hop_views`).
     """
 
     conv_type = "tag"
@@ -668,23 +680,25 @@ def _conv_class(conv_type: str):
     return CONV_CLASSES[conv_type]
 
 
-def float_operation_count(conv: MessagePassing, graph: Graph) -> int:
-    """Scalar operations of one float layer: its family's BitOPs records with
-    every width at FP32, counted in operations.  ``conv`` is the float twin
-    of a ``Quant*Conv`` (same ``conv_type`` and shape attributes)."""
-    operator = _conv_class(conv.conv_type).operator(graph)
-    counter, _ = conv_bit_operations(
-        conv, "", lambda slot: FP32_BITS, graph.num_nodes, graph.num_nodes,
-        [operator.nnz] * conv.hops)
-    return counter.total_operations
-
-
 class QuantNodeClassifier(Module):
-    """Quantized counterpart of :class:`~repro.gnn.models.NodeClassifier`."""
+    """Convolution stack for transductive node classification.
 
-    def __init__(self, convs: List[MessagePassing], dropout: float = 0.5,
+    The final convolution outputs ``num_classes`` logits directly (matching
+    the two-layer GCN formulation the paper quantizes).  Built from an empty
+    assignment it is the FP32 model (:func:`repro.core.build.build_node_model`);
+    the QAT, Degree-Quant and relaxed search models differ from it only in
+    their quantizer factory.
+
+    Besides a full :class:`Graph`, the forward pass accepts a
+    :class:`~repro.graphs.sampling.BlockBatch` from the neighbor sampler, in
+    which case the output has one logits row per seed node.
+    """
+
+    def __init__(self, convs: List[Module], dropout: float = 0.5,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
+        if not convs:
+            raise ValueError("QuantNodeClassifier needs at least one convolution")
         self.convs = ModuleList(convs)
         self.activation = ReLU()
         self.dropout = Dropout(dropout, rng=rng)
@@ -737,7 +751,7 @@ class QuantNodeClassifier(Module):
         (:func:`~repro.gnn.models.head_merge_for_layer`).
         """
         conv_class = _conv_class(conv_type)
-        convs: List[MessagePassing] = []
+        convs: List[Module] = []
         for index, (fan_in, fan_out) in enumerate(layer_dims):
             layer_bits = _layer_assignment(assignment, f"conv{index}")
             if conv_type == "tag":
@@ -754,61 +768,14 @@ class QuantNodeClassifier(Module):
                                     **extra))
         return cls(convs, dropout=dropout, rng=rng)
 
-    @classmethod
-    def from_float(cls, model: NodeClassifier, assignment: BitWidthAssignment,
-                   dropout: float = 0.5,
-                   quantizer_factory: QuantizerFactory = default_quantizer_factory,
-                   rng: Optional[np.random.Generator] = None) -> "QuantNodeClassifier":
-        """Mirror a float :class:`NodeClassifier`, copying its layer dimensions."""
-        layer_dims = [(conv.in_features, conv.out_features) for conv in model.convs]
-        conv_types = {conv.conv_type for conv in model.convs}
-        if len(conv_types) != 1 or not conv_types <= set(CONV_CLASSES):
-            raise TypeError("from_float supports one family per stack out of "
-                            "GCN / GIN / GraphSAGE / GAT / TAG / Transformer")
-        conv_type = conv_types.pop()
-        tag_hops = {conv.hops for conv in model.convs}
-        if len(tag_hops) > 1:
-            # from_assignment builds every layer with one hops value; a mixed
-            # stack would silently change the mirrored architecture.
-            raise TypeError(f"from_float needs uniform TAG hops per stack, "
-                            f"got {sorted(tag_hops)}")
-        hops = tag_hops.pop()  # 1 for every family but TAG, which alone reads it
-        layer_heads = set()
-        hidden_merges = set()
-        if conv_type in ("gat", "transformer"):
-            for index, conv in enumerate(model.convs):
-                layer_heads.add(conv.heads)
-                if index < len(model.convs) - 1:
-                    hidden_merges.add(conv.head_merge)
-        if len(layer_heads) > 1:
-            raise TypeError(f"from_float needs a uniform head count per stack, "
-                            f"got {sorted(layer_heads)}")
-        if len(hidden_merges) > 1:
-            raise TypeError(f"from_float needs one hidden-layer head merge, "
-                            f"got {sorted(hidden_merges)}")
-        heads = layer_heads.pop() if layer_heads else 1
-        head_merge = hidden_merges.pop() if hidden_merges else "concat"
-        if heads > 1:
-            # from_assignment rebuilds each layer's merge through
-            # head_merge_for_layer; a float stack that deviates from that
-            # policy (e.g. a concat-merged output layer) would be silently
-            # mirrored into a different architecture — refuse instead.
-            for index, conv in enumerate(model.convs):
-                expected = head_merge_for_layer(index, len(model.convs),
-                                                heads, head_merge)
-                if conv.head_merge != expected:
-                    raise TypeError(
-                        f"from_float cannot mirror layer {index}'s head merge "
-                        f"{conv.head_merge!r}: multi-head stacks are rebuilt "
-                        f"with {expected!r} there (hidden layers merge by the "
-                        f"shared head_merge, the output layer by 'mean')")
-        return cls.from_assignment(layer_dims, conv_type, assignment, dropout=dropout,
-                                   quantizer_factory=quantizer_factory, hops=hops,
-                                   heads=heads, head_merge=head_merge, rng=rng)
-
 
 class QuantGraphClassifier(Module):
-    """Quantized counterpart of :class:`~repro.gnn.models.GraphClassifier`."""
+    """GIN architecture for graph classification (Tables 8 and 9).
+
+    ``num_layers`` GIN-0 convolutions followed by global pooling (max by
+    default, per the paper's overflow argument) and a two-layer readout
+    head.  Built from an empty assignment it is the FP32 model.
+    """
 
     def __init__(self, in_features: int, hidden_features: int, num_classes: int,
                  assignment: BitWidthAssignment, num_layers: int = 5,
@@ -816,7 +783,7 @@ class QuantGraphClassifier(Module):
                  quantizer_factory: QuantizerFactory = default_quantizer_factory,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
-        convs: List[MessagePassing] = []
+        convs: List[Module] = []
         for index in range(num_layers):
             fan_in = in_features if index == 0 else hidden_features
             layer_bits = _layer_assignment(assignment, f"conv{index}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cache import BlockCache
-from repro.gnn.models import build_node_model
+from repro.core.build import build_node_model
 from repro.graphs.sampling import NeighborSampler
 from repro.serving import BlockSession
 from repro.training.minibatch import MinibatchTrainer

@@ -118,7 +118,7 @@ def parity_graph(sbm_graph) -> Graph:
 @pytest.fixture(scope="session")
 def parity_float_model(parity_graph):
     """Memoised ``(family, heads) -> eval-mode float NodeClassifier``."""
-    from repro.gnn.models import build_node_model
+    from repro.core.build import build_node_model
 
     cache = {}
 

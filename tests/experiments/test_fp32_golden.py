@@ -15,14 +15,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.build import layer_dimensions
+from repro.core.build import build_node_model, layer_dimensions
 from repro.experiments.common import run_fp32
 from repro.experiments.config import QUICK
 from repro.experiments.figures import figure1_operations_vs_accuracy
 from repro.experiments.graph_tables import table8_graph_classification
-from repro.gnn.models import NodeClassifier, build_node_model
-from repro.gnn.tag import TAGConv
 from repro.graphs.datasets import load_node_dataset
+from repro.quant.qmodules import QuantNodeClassifier
 from repro.tensor.tensor import no_grad
 from repro.training.minibatch import MinibatchTrainer
 from repro.training.trainer import train_node_classifier
@@ -53,8 +52,8 @@ def _fp32_model(family: str, heads: int, graph):
     if family == "tag":
         # build_node_model has no hops argument
         dims = layer_dimensions(graph.num_features, HIDDEN, graph.num_classes, 2)
-        return NodeClassifier([TAGConv(fan_in, fan_out, hops=TAG_HOPS, rng=rng)
-                               for fan_in, fan_out in dims], rng=rng)
+        return QuantNodeClassifier.from_assignment(dims, "tag", {}, hops=TAG_HOPS,
+                                                   rng=rng)
     return build_node_model(family, graph.num_features, HIDDEN, graph.num_classes,
                             heads=heads, rng=rng)
 

@@ -3,7 +3,7 @@
 The fanout=∞ bit-identity contract itself (block execution == full-graph
 execution for every conv family × float/QAT/integer × head count) lives in
 the unified parity matrix, ``tests/parity_matrix.py`` — this file keeps the
-float-layer behaviour around it: the canonical edge list, the multi-head
+FP32-layer behaviour around it: the canonical edge list, the multi-head
 configuration (score columns ``(E, H)``, concat/mean merges, width
 accounting), TAG hop plans and minibatch training.
 """
@@ -13,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.build import build_node_model
 from repro.gnn.attention import attention_edges, attention_head_dim
-from repro.gnn.gat import GATConv, TransformerConv
-from repro.gnn.models import build_node_model, hop_plan, total_hops
-from repro.gnn.tag import TAGConv, hop_views
+from repro.gnn.models import hop_plan, total_hops
+from repro.gnn.tag import hop_views
 from repro.graphs.sampling import NeighborSampler
+from repro.quant.bitops import FP32_BITS
+from repro.quant.qmodules import QuantGATConv, QuantTAGConv, QuantTransformerConv
 from repro.tensor.tensor import Tensor, no_grad
 from repro.training.minibatch import MinibatchTrainer
 
@@ -96,20 +98,20 @@ class TestMultiHeadConfiguration:
         with pytest.raises(ValueError, match="divisible"):
             attention_head_dim(7, 4, "concat")
         with pytest.raises(ValueError, match="divisible"):
-            GATConv(5, 7, heads=4, rng=np.random.default_rng(0))
+            QuantGATConv(5, 7, {}, heads=4, rng=np.random.default_rng(0))
 
     def test_rejects_unknown_merge_and_zero_heads(self):
         with pytest.raises(ValueError, match="head merge"):
             attention_head_dim(8, 2, "sum")
         with pytest.raises(ValueError, match="at least one head"):
-            TransformerConv(5, 8, heads=0, rng=np.random.default_rng(0))
+            QuantTransformerConv(5, 8, {}, heads=0, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("conv_class", [GATConv, TransformerConv])
+    @pytest.mark.parametrize("conv_class", [QuantGATConv, QuantTransformerConv])
     @pytest.mark.parametrize("heads,merge", [(2, "concat"), (4, "concat"),
                                              (3, "mean")])
     def test_merged_width_is_always_out_features(self, sbm_graph, conv_class,
                                                  heads, merge):
-        conv = conv_class(sbm_graph.num_features, 8, heads=heads,
+        conv = conv_class(sbm_graph.num_features, 8, {}, heads=heads,
                           head_merge=merge, rng=np.random.default_rng(0))
         with no_grad():
             out = conv(Tensor(sbm_graph.x), sbm_graph)
@@ -136,12 +138,16 @@ class TestMultiHeadConfiguration:
         assert result.loss_history[-1] < result.loss_history[0]
 
     def test_operation_count_grows_with_heads_under_mean(self, sbm_graph):
-        single = GATConv(sbm_graph.num_features, 8, heads=1,
-                         rng=np.random.default_rng(0))
-        multi = GATConv(sbm_graph.num_features, 8, heads=4, head_merge="mean",
-                        rng=np.random.default_rng(0))
-        assert multi.operation_count(sbm_graph) \
-            > single.operation_count(sbm_graph)
+        single = QuantGATConv(sbm_graph.num_features, 8, {}, heads=1,
+                              rng=np.random.default_rng(0))
+        multi = QuantGATConv(sbm_graph.num_features, 8, {}, heads=4,
+                             head_merge="mean", rng=np.random.default_rng(0))
+
+        def operations(conv):
+            counter, _ = conv.bit_operations(sbm_graph, FP32_BITS, "conv0")
+            return counter.total_operations
+
+        assert operations(multi) > operations(single)
 
 
 class TestHopPlans:
@@ -153,8 +159,8 @@ class TestHopPlans:
         assert total_hops(model.convs) == 6
 
     def test_tag_rejects_wrong_block_count(self, sbm_graph):
-        conv = TAGConv(sbm_graph.num_features, 4, hops=2,
-                       rng=np.random.default_rng(0))
+        conv = QuantTAGConv(sbm_graph.num_features, 4, {}, hops=2,
+                            rng=np.random.default_rng(0))
         batch = _full_batch(sbm_graph, 1)
         with pytest.raises(ValueError, match="hops=2"):
             conv(Tensor(batch.x), batch.blocks)

@@ -1,19 +1,30 @@
-"""Tests for the reference architectures (NodeClassifier, GraphClassifier, factory)."""
+"""Tests for the FP32 reference architectures (node and graph classifiers)."""
 
 import numpy as np
 import pytest
 
-from repro.gnn import GCNConv, NodeClassifier, build_node_model
-from repro.gnn.models import LAYER_FAMILIES, GraphClassifier
+from repro.core.build import build_node_model
 from repro.graphs.batch import GraphBatch
+from repro.quant.bitops import FP32_BITS
+from repro.quant.qmodules import (
+    CONV_CLASSES,
+    QuantGraphClassifier,
+    QuantNodeClassifier,
+    gin_component_names,
+)
 from repro.tensor import functional as F
 from repro.optim import Adam
+
+
+def fp32_graph_classifier(tu_graphs, num_layers=2, **kwargs):
+    return QuantGraphClassifier(tu_graphs[0].num_features, 8, 2, {},
+                                num_layers=num_layers, **kwargs)
 
 
 class TestNodeClassifier:
     def test_requires_at_least_one_conv(self):
         with pytest.raises(ValueError):
-            NodeClassifier([])
+            QuantNodeClassifier([])
 
     def test_logit_shape(self, tiny_graph):
         model = build_node_model("gcn", 5, 8, 3, num_layers=2,
@@ -34,7 +45,7 @@ class TestNodeClassifier:
         with pytest.raises(KeyError):
             build_node_model("mlpconv", 5, 8, 3)
 
-    @pytest.mark.parametrize("family", sorted(LAYER_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(CONV_CLASSES))
     def test_every_family_runs(self, family, tiny_graph):
         model = build_node_model(family, 5, 8, 3, num_layers=2,
                                  rng=np.random.default_rng(0))
@@ -47,7 +58,8 @@ class TestNodeClassifier:
                                    small_cora.num_classes, num_layers=1)
         deep = build_node_model("gcn", small_cora.num_features, 16,
                                 small_cora.num_classes, num_layers=3)
-        assert deep.operation_count(small_cora) > shallow.operation_count(small_cora)
+        assert deep.bit_operations(small_cora).total_operations \
+            > shallow.bit_operations(small_cora).total_operations
 
     def test_training_reduces_loss(self, small_cora):
         model = build_node_model("gcn", small_cora.num_features, 16,
@@ -77,22 +89,20 @@ class TestNodeClassifier:
 class TestGraphClassifier:
     def test_output_shape(self, tu_graphs):
         batch = GraphBatch(tu_graphs[:6])
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=3,
-                                batch_norm=False, rng=np.random.default_rng(0))
+        model = fp32_graph_classifier(tu_graphs, num_layers=3,
+                                      rng=np.random.default_rng(0))
         assert model(batch).shape == (6, 2)
 
     def test_pooling_options(self, tu_graphs):
         batch = GraphBatch(tu_graphs[:4])
         for pooling in ("max", "mean", "sum"):
-            model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                    pooling=pooling, batch_norm=False,
-                                    rng=np.random.default_rng(0))
+            model = fp32_graph_classifier(tu_graphs, pooling=pooling,
+                                          rng=np.random.default_rng(0))
             assert model(batch).shape == (4, 2)
 
     def test_gradients_flow_through_pooling(self, tu_graphs):
         batch = GraphBatch(tu_graphs[:4])
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                batch_norm=False, rng=np.random.default_rng(0))
+        model = fp32_graph_classifier(tu_graphs, rng=np.random.default_rng(0))
         loss = F.cross_entropy(model(batch), batch.y)
         loss.backward()
         grads = [p.grad for p in model.parameters() if p.grad is not None]
@@ -100,14 +110,18 @@ class TestGraphClassifier:
 
     def test_operation_count(self, tu_graphs):
         batch = GraphBatch(tu_graphs[:4])
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                batch_norm=False)
-        assert model.operation_count(batch) > 0
+        counter = fp32_graph_classifier(tu_graphs).bit_operations(batch)
+        assert counter.total_operations > 0
+
+    def test_every_component_at_fp32(self, tu_graphs):
+        """An empty assignment leaves the readout head unquantized too."""
+        bits = fp32_graph_classifier(tu_graphs).component_bits()
+        assert set(bits) == set(gin_component_names(2))
+        assert set(bits.values()) == {FP32_BITS}
 
     def test_per_graph_predictions_independent_of_batching(self, tu_graphs):
         """Predicting a graph alone or inside a batch gives the same logits."""
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                batch_norm=False, rng=np.random.default_rng(0))
+        model = fp32_graph_classifier(tu_graphs, rng=np.random.default_rng(0))
         model.eval()
         single = model(GraphBatch([tu_graphs[0]])).data[0]
         batched = model(GraphBatch(tu_graphs[:3])).data[0]

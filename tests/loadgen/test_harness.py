@@ -133,7 +133,9 @@ class TestWarmup:
     def test_warmup_excluded_from_measured_window(self):
         session = StubSession()
         trace = _trace(num_requests=20)
-        with _engine(session) as engine:
+        # dedup off: open-loop requests that coalesce into one flush would
+        # share seeds, and the stub would see fewer rows than were requested
+        with _engine(session, dedup_seeds=False) as engine:
             run = run_load(engine, trace, mode="open", warmup_requests=8)
         # the stub saw every row, the measured window only the tail
         assert session.rows_served == 20 * 4

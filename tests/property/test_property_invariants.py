@@ -200,8 +200,8 @@ class TestMultiHeadAttentionProperties:
         pipelines are independent), and match the standalone single-head
         layer to float32 round-off (BLAS may tile the wider transform
         matmul differently)."""
-        from repro.gnn.gat import GATConv
         from repro.graphs.graph import Graph
+        from repro.quant.qmodules import QuantGATConv
 
         rng = np.random.default_rng(seed)
         in_features = 5
@@ -210,11 +210,11 @@ class TestMultiHeadAttentionProperties:
         graph = Graph(rng.standard_normal((num_nodes, in_features))
                       .astype(np.float32), edges, name="prop")
 
-        single = GATConv(in_features, head_dim, heads=1,
-                         rng=np.random.default_rng(seed + 1))
-        multi = GATConv(in_features, heads * head_dim, heads=heads,
-                        head_merge="concat",
-                        rng=np.random.default_rng(seed + 2))
+        single = QuantGATConv(in_features, head_dim, {}, heads=1,
+                              rng=np.random.default_rng(seed + 1))
+        multi = QuantGATConv(in_features, heads * head_dim, {}, heads=heads,
+                             head_merge="concat",
+                             rng=np.random.default_rng(seed + 2))
         # tile the single head's parameters across every head
         multi.linear.weight.data[:] = np.tile(single.linear.weight.data,
                                               (1, heads))

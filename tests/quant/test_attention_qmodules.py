@@ -3,7 +3,7 @@
 The fanout=∞ block-vs-full bit-identity contract for the QAT models lives
 in the unified parity matrix (``tests/parity_matrix.py``, QAT × direct
 rows) — this file keeps the quantization-specific behaviour: component
-sets, head-axis plumbing, Degree-Quant alignment and relaxed mirrors.
+sets, head-axis plumbing, Degree-Quant alignment and relaxed families.
 """
 
 from __future__ import annotations
@@ -115,42 +115,6 @@ class TestMultiHeadQuant:
             .bit_operations(sbm_graph)
         assert multi.total_bit_operations > single.total_bit_operations
 
-    def test_from_float_copies_heads_and_merge(self, sbm_graph):
-        from repro.gnn.models import build_node_model
-
-        model = build_node_model("gat", sbm_graph.num_features, 16,
-                                 sbm_graph.num_classes, heads=2,
-                                 rng=np.random.default_rng(0))
-        mirrored = QuantNodeClassifier.from_float(model, {})
-        assert [conv.heads for conv in mirrored.convs] == [2, 2]
-        assert [conv.head_merge for conv in mirrored.convs] \
-            == ["concat", "mean"]
-
-    def test_from_float_rejects_mixed_heads(self, sbm_graph):
-        from repro.gnn.gat import GATConv
-        from repro.gnn.models import NodeClassifier
-
-        rng = np.random.default_rng(0)
-        model = NodeClassifier([
-            GATConv(sbm_graph.num_features, 8, heads=2, rng=rng),
-            GATConv(8, sbm_graph.num_classes, heads=1, rng=rng)])
-        with pytest.raises(TypeError, match="uniform head count"):
-            QuantNodeClassifier.from_float(model, {})
-
-    def test_from_float_rejects_concat_merged_output_layer(self, sbm_graph):
-        """A concat-merged multi-head *output* layer is a legal float stack
-        but from_assignment rebuilds the last layer with mean merge — the
-        mirror must refuse rather than silently change the architecture."""
-        from repro.gnn.gat import GATConv
-        from repro.gnn.models import NodeClassifier
-
-        rng = np.random.default_rng(0)
-        model = NodeClassifier([
-            GATConv(sbm_graph.num_features, 8, heads=2, rng=rng),
-            GATConv(8, 8, heads=2, head_merge="concat", rng=rng)])
-        with pytest.raises(TypeError, match="cannot mirror layer 1"):
-            QuantNodeClassifier.from_float(model, {})
-
 
 class TestDegreeQuantAlignment:
     def test_tag_hop_quantizers_see_per_hop_blocks(self, sbm_graph,
@@ -184,28 +148,6 @@ class TestDegreeQuantAlignment:
         # re-aligns to each of its two hop views, then everything clears
         assert batch.blocks[0] in seen and batch.blocks[1] in seen
         assert seen[-1] is None
-
-    def test_from_float_rejects_mixed_tag_hops(self, sbm_graph):
-        from repro.gnn.models import NodeClassifier
-        from repro.gnn.tag import TAGConv
-
-        rng = np.random.default_rng(0)
-        model = NodeClassifier([
-            TAGConv(sbm_graph.num_features, 8, hops=2, rng=rng),
-            TAGConv(8, sbm_graph.num_classes, hops=3, rng=rng)])
-        with pytest.raises(TypeError, match="uniform TAG hops"):
-            QuantNodeClassifier.from_float(model, {})
-
-    def test_from_float_copies_tag_hops(self, sbm_graph):
-        from repro.gnn.models import NodeClassifier
-        from repro.gnn.tag import TAGConv
-
-        rng = np.random.default_rng(0)
-        model = NodeClassifier([
-            TAGConv(sbm_graph.num_features, 8, hops=2, rng=rng),
-            TAGConv(8, sbm_graph.num_classes, hops=2, rng=rng)])
-        mirrored = QuantNodeClassifier.from_float(model, {})
-        assert [conv.hops for conv in mirrored.convs] == [2, 2]
 
 
 class TestRelaxedFamilies:

@@ -16,9 +16,8 @@ from repro.quant.qmodules import (
     sage_component_names,
     uniform_assignment,
 )
+from repro.core.build import build_node_model
 from repro.graphs.batch import GraphBatch
-from repro.gnn.models import NodeClassifier
-from repro.gnn import GCNConv
 from repro.tensor import Tensor
 
 
@@ -111,16 +110,6 @@ class TestQuantNodeClassifier:
         assert model(small_cora).shape == (small_cora.num_nodes, small_cora.num_classes)
         assert model.average_bits() == pytest.approx(4.0)
 
-    def test_from_float_mirrors_architecture(self, small_cora):
-        float_model = NodeClassifier([
-            GCNConv(small_cora.num_features, 8, rng=np.random.default_rng(0)),
-            GCNConv(8, small_cora.num_classes, rng=np.random.default_rng(1)),
-        ])
-        assignment = uniform_assignment(gcn_component_names(2), 8)
-        model = QuantNodeClassifier.from_float(float_model, assignment)
-        assert len(model.convs) == 2
-        assert model.convs[0].in_features == small_cora.num_features
-
     def test_unknown_conv_type_rejected(self):
         with pytest.raises(KeyError):
             QuantNodeClassifier.from_assignment(LAYER_DIMS, "chebnet", {})
@@ -138,9 +127,9 @@ class TestQuantNodeClassifier:
         dims = [(small_cora.num_features, 8), (8, small_cora.num_classes)]
         model = QuantNodeClassifier.from_assignment(
             dims, "gcn", uniform_assignment(gcn_component_names(2), 8))
-        float_model = NodeClassifier([
-            GCNConv(small_cora.num_features, 8), GCNConv(8, small_cora.num_classes)])
-        fp32_bitops = float_model.operation_count(small_cora) * FP32_BITS
+        fp32_model = build_node_model("gcn", small_cora.num_features, 8,
+                                      small_cora.num_classes)
+        fp32_bitops = fp32_model.bit_operations(small_cora).total_bit_operations
         assert model.bit_operations(small_cora).total_bit_operations < fp32_bitops
 
     def test_mixed_assignment_average(self, small_cora):

@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.build import build_node_model
 from repro.core.mixq import MixQNodeClassifier
-from repro.gnn.models import build_node_model
-from repro.quant.qmodules import gcn_component_names, uniform_assignment
+from repro.nn.linear import Linear
+from repro.quant.qmodules import (
+    QuantNodeClassifier,
+    gcn_component_names,
+    uniform_assignment,
+)
 from repro.serving import (
     QUANTIZER_SLOTS,
     QuantizedArtifact,
@@ -48,9 +53,19 @@ class TestExport:
         assert artifact.layers[0].params("input") is not None
         assert artifact.layers[1].params("input") is None
 
-    def test_rejects_float_model(self, small_cora, rng):
+    def test_fp32_model_exports_as_float_artifact(self, small_cora, rng):
+        """The FP32 model is the family at an empty assignment, so it exports
+        to the float-export artifact: every weight and slot at 32 bits."""
         model = build_node_model("gcn", small_cora.num_features, 8,
                                  small_cora.num_classes, rng=rng)
+        artifact = QuantizedArtifact.from_model(model)
+        assert artifact.conv_type == "gcn"
+        for plan in artifact.layers:
+            assert all(weight.bits == 32 for weight in plan.weights.values())
+            assert all(params is None for params in plan.quantizers.values())
+
+    def test_rejects_non_quant_conv_stack(self):
+        model = QuantNodeClassifier([Linear(4, 3)])
         with pytest.raises(TypeError):
             QuantizedArtifact.from_model(model)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.build import build_node_model
 from repro.core.mixq import MixQNodeClassifier
-from repro.gnn.models import build_node_model
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
 from repro.quant.qmodules import (
     QuantNodeClassifier,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gnn import build_node_model
-from repro.gnn.models import GraphClassifier
+from repro.core.build import build_node_model
 from repro.graphs.datasets.tu import dataset_labels
+from repro.quant.qmodules import QuantGraphClassifier
 from repro.training import (
     accuracy,
     cross_validate_graph_classifier,
@@ -121,16 +121,16 @@ class TestNodeTraining:
 
 class TestGraphTraining:
     def test_training_runs_and_evaluates(self, tu_graphs):
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                batch_norm=False, rng=np.random.default_rng(0))
+        model = QuantGraphClassifier(tu_graphs[0].num_features, 8, 2, {}, num_layers=2,
+                                     rng=np.random.default_rng(0))
         result = train_graph_classifier(model, tu_graphs[:16], tu_graphs[16:], epochs=3,
                                         rng=np.random.default_rng(0))
         assert 0.0 <= result.test_accuracy <= 1.0
         assert len(result.loss_history) == 3
 
     def test_evaluate_counts_all_graphs(self, tu_graphs):
-        model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                batch_norm=False, rng=np.random.default_rng(0))
+        model = QuantGraphClassifier(tu_graphs[0].num_features, 8, 2, {}, num_layers=2,
+                                     rng=np.random.default_rng(0))
         score = evaluate_graph_classifier(model, tu_graphs, batch_size=7)
         assert 0.0 <= score <= 1.0
 
@@ -138,9 +138,9 @@ class TestGraphTraining:
         created = []
 
         def factory(train_graphs):
-            model = GraphClassifier(tu_graphs[0].num_features, 8, 2, num_layers=2,
-                                    batch_norm=False,
-                                    rng=np.random.default_rng(len(created)))
+            model = QuantGraphClassifier(tu_graphs[0].num_features, 8, 2, {},
+                                         num_layers=2,
+                                         rng=np.random.default_rng(len(created)))
             created.append(model)
             return model
 
