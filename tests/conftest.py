@@ -9,6 +9,8 @@ cheap enough for tier-1.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,62 @@ def in_pinned_child():
 # --------------------------------------------------------------------------- #
 # parity-matrix builders (see tests/parity_matrix.py)
 # --------------------------------------------------------------------------- #
+class GatedSession:
+    """Wraps a session so that its first ``run`` blocks until ``release()``.
+
+    :meth:`hold` submits one request and returns once the async engine's
+    dispatcher is stuck inside that request's flush.  Everything a test
+    submits after that is pending together, so it is served by one later
+    flush, whatever the dispatcher's batching policy.  ``batches`` records
+    the seeds of every ``run`` call and ``flushes`` the number of requests
+    of every flush of the held engine.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+        self.flushes = []
+        self._entered = threading.Event()
+        self._gate = threading.Event()
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def run(self, nodes):
+        with self._lock:
+            self.batches.append(np.asarray(nodes).copy())
+            first = len(self.batches) == 1
+        if first:
+            self._entered.set()
+            if not self._gate.wait(timeout=30):
+                raise TimeoutError("the held run was never released")
+        return self.inner.run(nodes)
+
+    def hold(self, engine, nodes=(0,)):
+        """Occupy ``engine``'s dispatcher; returns the held request's future."""
+        inner_flush = engine.engine.flush
+
+        def counted_flush():
+            results = inner_flush()
+            self.flushes.append(len(results))
+            return results
+
+        engine.engine.flush = counted_flush
+        future = engine.submit(nodes)
+        assert self._entered.wait(timeout=30), "the dispatcher never ran"
+        return future
+
+    def release(self) -> None:
+        self._gate.set()
+
+
+@pytest.fixture
+def gated_session_class():
+    """Session wrapper whose first run blocks (holds the dispatcher)."""
+    return GatedSession
+
+
 @pytest.fixture(scope="session")
 def parity_graph(sbm_graph) -> Graph:
     """The graph every parity-matrix cell runs against."""

@@ -343,18 +343,21 @@ class TestPerRequestError:
         original = Uncopyable("x")
         assert per_request_error(original) is original
 
-    def test_flush_failure_carries_distinct_exceptions(self):
+    def test_flush_failure_carries_distinct_exceptions(
+            self, gated_session_class):
         """Two requests failed by one micro-batch must not share one
         exception instance (shared tracebacks / mutated args bleed
         between callers)."""
-        session = FailingSession()
-        with AsyncServingEngine(session, max_batch=32,
-                                max_wait_ms=50.0) as engine:
+        session = gated_session_class(FailingSession())
+        with AsyncServingEngine(session, max_batch=32) as engine:
+            session.hold(engine)
             first = engine.submit([FailingSession.POISON, 0])
             second = engine.submit([FailingSession.POISON, 1])
-            engine.flush_now()
+            session.release()
             error_one = first.exception(timeout=10.0)
             error_two = second.exception(timeout=10.0)
+        # both requests were failed by the same flush
+        assert session.flushes == [1, 2]
         assert error_one is not None and error_two is not None
         assert error_one is not error_two
         assert type(error_one) is type(error_two)

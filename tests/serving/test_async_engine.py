@@ -152,13 +152,18 @@ class TestAsyncServingEngine:
         finally:
             engine.close()
 
-    def test_close_drains_pending_requests(self, block_session_factory):
-        engine = AsyncServingEngine(block_session_factory(), max_batch=10_000,
-                                    max_wait_ms=60_000.0)
+    def test_close_drains_pending_requests(self, block_session_factory,
+                                           gated_session_class):
+        session = gated_session_class(block_session_factory())
+        engine = AsyncServingEngine(session, max_batch=10_000)
+        held = session.hold(engine)
         futures = [engine.submit([node]) for node in range(5)]
+        session.release()
         engine.close()
-        for future in futures:
+        for future in [held, *futures]:
             assert future.result(timeout=5).logits.shape[0] == 1
+        # the five queued requests were drained by one flush
+        assert session.flushes == [1, 5]
         with pytest.raises(RuntimeError):
             engine.submit([0])
 
@@ -187,13 +192,14 @@ class TestAsyncServingEngine:
                 engine.submit([10_000_000])
 
     def test_micro_batch_failure_only_fails_affected_futures(
-            self, poisoned_session_class):
-        with AsyncServingEngine(poisoned_session_class({13}), max_batch=4,
-                                max_wait_ms=60_000.0) as engine:
+            self, poisoned_session_class, gated_session_class):
+        session = gated_session_class(poisoned_session_class({13}))
+        with AsyncServingEngine(session, max_batch=4) as engine:
+            held = session.hold(engine)
             good = engine.submit(np.arange(0, 4))
             bad = engine.submit(np.asarray([12, 13, 14, 15]))
             also_good = engine.submit(np.arange(20, 24))
-            engine.flush_now()
+            session.release()
             # only the future whose micro-batch raised sees the exception
             with pytest.raises(RuntimeError, match="poisoned"):
                 bad.result(timeout=30)
@@ -202,6 +208,10 @@ class TestAsyncServingEngine:
                 assert result.ok
                 assert result.logits.shape[0] == 4
                 assert result.latency_seconds > 0.0
+            assert held.result(timeout=30).ok
             stats = engine.stats
-        assert stats.requests == 3
+        # the three requests shared one flush of three micro-batches
+        assert session.flushes == [1, 3]
+        assert len(session.batches) == 4
+        assert stats.requests == 4
         assert stats.failures == 1
