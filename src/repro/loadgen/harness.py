@@ -196,7 +196,6 @@ def _replay_open(engine: AsyncServingEngine,
             first_submit = time.perf_counter()
         engine.submit(nodes).add_done_callback(tracker.recorder(index))
         index += 1
-    engine.flush_now()
     # Synchronise on the *callbacks*, not on Future.result(): see
     # _CompletionTracker.  This also makes a failed request a counted
     # outcome instead of an exception that aborts the whole replay.

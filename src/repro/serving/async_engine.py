@@ -1,14 +1,13 @@
-"""Asynchronous, deadline-batched serving on top of :class:`ServingEngine`.
+"""Asynchronous, work-conserving serving on top of :class:`ServingEngine`.
 
 :class:`AsyncServingEngine` turns the synchronous coalescing engine into an
 online server: callers (any number of threads) ``submit()`` seed-node
 requests and immediately receive a :class:`concurrent.futures.Future`; a
-background dispatcher thread coalesces the pending queue and flushes it
-through the wrapped :class:`~repro.serving.engine.ServingEngine` whenever
-
-* the queue holds at least ``max_batch`` seeds (work-triggered flush), or
-* the oldest pending request has waited ``max_wait_ms`` (latency-deadline
-  flush) — so a lone request is never stuck behind an empty queue.
+background dispatcher thread flushes the pending queue through the wrapped
+:class:`~repro.serving.engine.ServingEngine` as soon as it holds anything.
+An idle dispatcher never waits for company: a lone request is flushed at
+once.  Requests that arrive while a flush runs are pending together when it
+ends and share the next flush, so coalescing grows with load on its own.
 
 Inside one flush the engine may fan micro-batches over ``workers`` threads.
 Because every flush runs on the single dispatcher thread, the engine's
@@ -20,8 +19,7 @@ content).
 
 Typical use::
 
-    with AsyncServingEngine(session, max_batch=256, max_wait_ms=5.0,
-                            workers=4) as engine:
+    with AsyncServingEngine(session, max_batch=256, workers=4) as engine:
         futures = [engine.submit(nodes) for nodes in traffic]
         results = [future.result() for future in futures]
 """
@@ -49,18 +47,18 @@ if TYPE_CHECKING:  # pragma: no cover - circular only for annotations
 
 
 class AsyncServingEngine:
-    """Thread-safe, deadline-batched front over a coalescing engine.
+    """Thread-safe, work-conserving front over a coalescing engine.
 
     Parameters
     ----------
     session:
         The inference backend requests are served against.
     max_batch:
-        Flush as soon as this many seed nodes are pending (also the
-        micro-batch size of the wrapped engine).
+        Micro-batch size of the wrapped engine (seed nodes per
+        ``session.run``).
     max_wait_ms:
-        Upper bound on how long a pending request may wait for company
-        before its flush starts.
+        Accepted for existing callers and ignored: nothing reads it,
+        because the dispatcher never waits for company.
     workers:
         Thread-pool width for micro-batches inside one flush.
     dedup_seeds:
@@ -73,17 +71,12 @@ class AsyncServingEngine:
                  dedup_seeds: bool = True):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.engine = ServingEngine(session, max_batch_size=self.max_batch,
                                     workers=workers, dedup_seeds=dedup_seeds)
         self._lock = threading.Lock()
         self._pending: List[Tuple[Future, np.ndarray, float]] = []  # guarded-by: self._lock
         self._pending_updates: List[Tuple[Future, "GraphDelta"]] = []  # guarded-by: self._lock
-        self._pending_seeds = 0  # guarded-by: self._lock
-        self._force_flush = False  # guarded-by: self._lock
         self._wakeup = threading.Condition(self._lock)
         self._closed = False  # guarded-by: self._lock
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
@@ -130,7 +123,6 @@ class AsyncServingEngine:
             if self._closed:
                 raise RuntimeError("engine is closed")
             self._pending.append((future, nodes, time.perf_counter()))
-            self._pending_seeds += int(nodes.size)
             self._wakeup.notify()
         return future
 
@@ -160,47 +152,28 @@ class AsyncServingEngine:
         return future
 
     # ------------------------------------------------------------------ #
-    def _take_batch_locked(  # requires-lock: self._lock
-            self) -> List[Tuple[Future, np.ndarray, float]]:
-        batch, self._pending = self._pending, []
-        self._pending_seeds = 0
-        self._force_flush = False
-        return batch
-
-    def _due(self, now: float) -> bool:  # requires-lock: self._lock
-        """Flush condition (lock held): pending updates, full batch,
-        expired deadline, or an explicit :meth:`flush_now`."""
-        if self._pending_updates:
-            return True
-        if not self._pending:
-            return False
-        if self._force_flush or self._pending_seeds >= self.max_batch:
-            return True
-        oldest = self._pending[0][2]
-        return (now - oldest) * 1e3 >= self.max_wait_ms
-
     def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._due(time.perf_counter()) and not self._closed:
-                    if self._pending:
-                        oldest = self._pending[0][2]
-                        deadline = oldest + self.max_wait_ms / 1e3
-                        timeout = max(deadline - time.perf_counter(), 0.0)
-                        self._wakeup.wait(timeout=max(timeout, 1e-4))
-                    else:
+        try:
+            while True:
+                with self._lock:
+                    while not (self._pending or self._pending_updates
+                               or self._closed):
                         self._wakeup.wait()
-                if self._closed and not self._pending \
-                        and not self._pending_updates:
-                    return
-                # Updates and batch leave the lock together: everything
-                # taken this round is served at the post-update version.
-                updates, self._pending_updates = self._pending_updates, []
-                batch = self._take_batch_locked()
-            if updates:
-                self._apply_updates(updates)
-            if batch:
-                self._flush_batch(batch)
+                    if not (self._pending or self._pending_updates):
+                        return  # closed and drained
+                    # Updates and batch leave the lock together: everything
+                    # taken this round is served at the post-update version.
+                    updates, self._pending_updates = self._pending_updates, []
+                    batch, self._pending = self._pending, []
+                if updates:
+                    self._apply_updates(updates)
+                if batch:
+                    self._flush_batch(batch)
+        finally:
+            # The dispatcher is the engine's only user, so it closes it:
+            # a close() whose join timed out cannot shut the worker pool
+            # down under a running flush, or leave a pool recreated after.
+            self.engine.close()
 
     def _apply_updates(self,
                        updates: List[Tuple[Future, "GraphDelta"]]) -> None:
@@ -245,18 +218,24 @@ class AsyncServingEngine:
 
     # ------------------------------------------------------------------ #
     def flush_now(self) -> None:
-        """Force the dispatcher to serve whatever is pending right away."""
+        """Wake the dispatcher; it changes nothing a flush serves.
+
+        The dispatcher already flushes whenever anything is pending, so
+        this is kept only for callers that end a burst with it.
+        """
         with self._lock:
-            self._force_flush = bool(self._pending)
             self._wakeup.notify()
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain the queue and stop the dispatcher (idempotent)."""
+        """Drain the queue and stop the dispatcher (idempotent).
+
+        The dispatcher closes the wrapped engine as it exits.  If
+        ``timeout`` expires first, the drain carries on in the background.
+        """
         with self._lock:
             self._closed = True
             self._wakeup.notify()
         self._dispatcher.join(timeout=timeout)
-        self.engine.close()
 
     def __enter__(self) -> "AsyncServingEngine":
         return self

@@ -298,9 +298,6 @@ class _SlowCallbackEngine:
     def submit(self, nodes):
         return _SlowCallbackFuture(self.delay)
 
-    def flush_now(self):
-        pass
-
 
 class TestCompletionCallbackRace:
     def test_open_loop_waits_for_callbacks_not_results(self):

@@ -1,4 +1,5 @@
-"""Concurrency tests: worker-pool flushes, deadline batching, race-free stats."""
+"""Concurrency tests: worker-pool flushes, work-conserving dispatch, race-free
+stats."""
 
 from __future__ import annotations
 
@@ -114,43 +115,69 @@ class TestAsyncServingEngine:
         assert stats.nodes == num_threads * per_thread * 3
         assert stats.giga_bit_operations > 0.0
 
-    def test_deadline_flushes_lone_request(self, block_session_factory):
-        # max_batch is far larger than the request, so only the max_wait_ms
-        # deadline can trigger the flush.
-        with AsyncServingEngine(block_session_factory(), max_batch=10_000,
-                                max_wait_ms=25.0) as engine:
-            start = time.perf_counter()
-            result = engine.submit([1, 2, 3]).result(timeout=30)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-        assert result.logits.shape[0] == 3
-        # It waited for the deadline (not flushed immediately)...
-        assert elapsed_ms >= 10.0
-        # ...but not much longer (generous slack for slow CI machines).
-        assert elapsed_ms < 5_000.0
-        # The reported latency includes the queueing wait.
-        assert result.latency_seconds * 1e3 >= 10.0
-
-    def test_full_batch_flushes_before_deadline(self, block_session_factory):
-        # A queue holding >= max_batch seeds must flush without waiting for
-        # the (absurdly long) deadline.
-        with AsyncServingEngine(block_session_factory(), max_batch=4,
+    @pytest.mark.parametrize("max_batch, nodes", [
+        (10_000, [1, 2, 3]),           # far below a micro-batch
+        (4, list(range(8))),           # two full micro-batches
+    ])
+    def test_idle_dispatcher_flushes_lone_request(self, block_session_factory,
+                                                  max_batch, nodes):
+        # max_wait_ms is accepted but never waited on: an idle dispatcher
+        # serves a lone request at once, however small it is.
+        with AsyncServingEngine(block_session_factory(), max_batch=max_batch,
                                 max_wait_ms=60_000.0) as engine:
-            future = engine.submit(np.arange(8))
-            result = future.result(timeout=30)
-        assert result.logits.shape[0] == 8
+            result = engine.submit(nodes).result(timeout=10)
+        np.testing.assert_array_equal(result.nodes, nodes)
+        assert result.logits.shape[0] == len(nodes)
+        assert 0.0 < result.latency_seconds < 10.0
 
-    def test_flush_now_overrides_deadline(self, block_session_factory):
-        engine = AsyncServingEngine(block_session_factory(), max_batch=10_000,
-                                    max_wait_ms=60_000.0)
+    def test_requests_during_a_flush_share_the_next_flush(
+            self, block_session_factory, gated_session_class):
+        reference = block_session_factory()
+        session = gated_session_class(block_session_factory())
+        requests = [[1, 2, 3], [3, 4], [2, 5, 1]]
+        with AsyncServingEngine(session, max_batch=10_000) as engine:
+            held = session.hold(engine)
+            futures = [engine.submit(nodes) for nodes in requests]
+            engine.flush_now()             # a wake only: nothing flushes
+            assert not any(future.done() for future in futures)
+            session.release()
+            results = [future.result(timeout=10) for future in futures]
+            held.result(timeout=10)
+        # exactly one more flush, one run, each shared seed executed once
+        assert session.flushes == [1, len(requests)]
+        assert len(session.batches) == 2
+        np.testing.assert_array_equal(session.batches[1], [1, 2, 3, 4, 5])
+        for nodes, result in zip(requests, results):
+            np.testing.assert_array_equal(result.logits,
+                                          reference.predict(nodes))
+
+    def test_close_timeout_leaves_no_pool_behind(self, block_session_factory,
+                                                 gated_session_class):
+        def worker_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-serving-worker")}
+
+        before = worker_threads()
+        session = gated_session_class(block_session_factory())
+        engine = AsyncServingEngine(session, max_batch=4, workers=2)
+        held = session.hold(engine, nodes=np.arange(8))
+        queued = engine.submit(np.arange(8, 16))
+        release = threading.Timer(0.5, session.release)
+        release.start()
         try:
-            future = engine.submit([5, 6])
-            engine.flush_now()
-            result = future.result(timeout=30)
-            np.testing.assert_array_equal(result.nodes, [5, 6])
-            # The reported latency reflects the real wait, not the deadline.
-            assert result.latency_seconds < 30.0
+            start = time.perf_counter()
+            engine.close(timeout=0.05)
+            # close() neither waits for the held flush to end...
+            assert time.perf_counter() - start < 0.4
         finally:
-            engine.close()
+            release.join()
+        # ...nor stops the drain: both requests are still served
+        assert held.result(timeout=10).logits.shape[0] == 8
+        assert queued.result(timeout=10).logits.shape[0] == 8
+        engine.close()
+        assert session.flushes == [1, 1]
+        # the drain flush's worker pool was shut down with the engine
+        assert worker_threads() - before == set()
 
     def test_close_drains_pending_requests(self, block_session_factory,
                                            gated_session_class):
