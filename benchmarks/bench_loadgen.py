@@ -80,8 +80,7 @@ def _sweep():
     for mode in ("open", "closed"):
         session = BlockSession(artifact, graph, fanouts=FANOUT,
                                batch_size=256, seed=1, cache_size=65536)
-        with AsyncServingEngine(session, max_batch=256, max_wait_ms=2.0,
-                                workers=2) as engine:
+        with AsyncServingEngine(session, max_batch=256, workers=2) as engine:
             run = run_load(engine, trace, mode=mode, clients=4,
                            warmup_requests=WARMUP)
         runs[mode] = (run, metrics_from_run(run, deadline_ms=DEADLINE_MS))

@@ -106,8 +106,7 @@ def _measure(artifact, graph, trace, shards, clients):
         assignment = session.assignment
     streams = _shard_streams(trace, assignment, shards)
     try:
-        with AsyncServingEngine(session, max_batch=BATCH, max_wait_ms=2.0,
-                                workers=4) as engine:
+        with AsyncServingEngine(session, max_batch=BATCH, workers=4) as engine:
             # Warm pass per stream: fork-time page faults and cold caches
             # stay outside every measured window.
             for stream in streams.values():

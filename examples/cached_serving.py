@@ -13,8 +13,8 @@ like) three ways:
    overlapping requests and whole sampled batches across repeats, with
    **bit-identical** logits (asserted);
 3. the :class:`~repro.serving.AsyncServingEngine` — many client threads
-   submit concurrently, flushes are triggered by a ``max_batch`` /
-   ``max_wait_ms`` latency-deadline policy, micro-batches fan out over a
+   submit concurrently, an idle dispatcher flushes at once (requests that
+   arrive during a flush share the next one), micro-batches fan out over a
    worker pool.
 
 It doubles as a CI smoke test: the parity assertions and the warm-cache
@@ -91,11 +91,10 @@ def main() -> None:
     assert warm_stats.misses == cold_stats.misses, \
         "warm repeat traffic must be served entirely from the cache"
 
-    # 4. Async serving: concurrent clients, deadline batching -------------
+    # 4. Async serving: concurrent clients, work-conserving dispatch ------
     session = BlockSession(artifact, graph, fanouts=5, batch_size=32, seed=1,
                            cache_size=65536)
-    with AsyncServingEngine(session, max_batch=64, max_wait_ms=5.0,
-                            workers=4) as engine:
+    with AsyncServingEngine(session, max_batch=64, workers=4) as engine:
         futures = [engine.submit(nodes) for nodes in trace]
         results = [future.result(timeout=60) for future in futures]
     for nodes, result in zip(trace, results):

@@ -323,9 +323,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
                         help="trace generator seed — same seed, same "
                              "trace, bit for bit (default: 0)")
     _add_block_session_arguments(parser)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="deadline-batching wait of the async engine "
-                             "(default: 2.0)")
     parser.add_argument("--emit", default="",
                         help="append the result to this BENCH_*.json "
                              "trajectory file (default: print only)")
@@ -496,7 +493,6 @@ def _report_load(args, run, metrics: dict, session, name: str, header: str,
                 "skew": args.skew, "arrival": args.arrival,
                 "fanout": args.fanout, "batch_size": args.batch_size,
                 "cache_size": args.cache_size, "workers": args.workers,
-                "max_wait_ms": args.max_wait_ms,
                 "backend": session.backend_name, **meta}
         path = trajectory.emit(args.emit, name, metrics, meta=meta,
                                kind="loadtest")
@@ -520,7 +516,6 @@ def _command_loadtest(args) -> int:
 
     try:
         with AsyncServingEngine(session, max_batch=args.batch_size,
-                                max_wait_ms=args.max_wait_ms,
                                 workers=args.workers) as engine:
             run = run_load(engine, trace, mode=args.mode, clients=args.clients,
                            warmup_requests=args.warmup)
@@ -566,7 +561,6 @@ def _command_streamtest(args) -> int:
 
     try:
         with AsyncServingEngine(session, max_batch=args.batch_size,
-                                max_wait_ms=args.max_wait_ms,
                                 workers=args.workers) as engine:
             result = run_stream(engine, trace, warmup_events=args.warmup)
         metrics = metrics_from_stream(result, deadline_ms=args.deadline_ms)

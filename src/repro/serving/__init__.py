@@ -18,8 +18,9 @@ subsystem decoupled from training:
   per-request BitOPs / latency accounting, optionally fanning micro-batches
   over a worker pool (``workers``).
 * :class:`AsyncServingEngine` — thread-safe online front: futures-based
-  ``submit()`` from any number of threads, flushes triggered by a
-  ``max_batch`` / ``max_wait_ms`` latency-deadline batching policy.
+  ``submit()`` from any number of threads and a work-conserving
+  dispatcher: an idle one flushes at once, and requests that arrive during
+  a flush share the next one.
 
 Repeat/overlapping block-serving traffic is accelerated by the shared
 :class:`~repro.cache.BlockCache` (``BlockSession(cache_size=...)``), with

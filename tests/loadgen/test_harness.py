@@ -60,8 +60,7 @@ def _trace(num_requests=24, seeds_per_request=4, qps=400.0, arrival="fixed"):
 
 
 def _engine(session, **kwargs):
-    return AsyncServingEngine(session, max_batch=32, max_wait_ms=1.0,
-                              workers=1, **kwargs)
+    return AsyncServingEngine(session, max_batch=32, workers=1, **kwargs)
 
 
 class TestReplayModes:
@@ -223,8 +222,7 @@ class TestFailureAccounting:
         session = FailingSession()
         # max_batch=1: every request is its own micro-batch, so exactly
         # the poisoned requests fail
-        with AsyncServingEngine(session, max_batch=1, max_wait_ms=1.0,
-                                workers=1) as engine:
+        with AsyncServingEngine(session, max_batch=1, workers=1) as engine:
             run = run_load(engine, trace, mode=mode, clients=2)
         assert run.requests == 12
         assert run.failures == 4
@@ -242,8 +240,7 @@ class TestFailureAccounting:
     @pytest.mark.parametrize("mode", ["open", "closed"])
     def test_all_failed_run_raises(self, mode):
         trace = _poisoned_trace(num_requests=4, poison_every=1)
-        with AsyncServingEngine(FailingSession(), max_batch=1,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(FailingSession(), max_batch=1) as engine:
             with pytest.raises(RuntimeError, match="every measured request"):
                 run_load(engine, trace, mode=mode, clients=2)
 
@@ -254,8 +251,7 @@ class TestFailureAccounting:
         requests = tuple(base.requests[:4]) + tuple(clean.requests[4:])
         trace = LoadTrace(arrivals=base.arrivals, requests=requests,
                           config=base.config)
-        with AsyncServingEngine(FailingSession(), max_batch=1,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(FailingSession(), max_batch=1) as engine:
             run = run_load(engine, trace, mode="open", warmup_requests=4)
         assert run.requests == 6
         assert run.failures == 0

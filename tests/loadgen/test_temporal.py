@@ -127,8 +127,7 @@ class TestRunStream:
         session = UpdatableStubSession()
         trace = generate_temporal_trace(_config(num_requests=24,
                                                 update_every=6))
-        with AsyncServingEngine(session, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(session, max_batch=32) as engine:
             result = run_stream(engine, trace)
         assert result.updates == trace.num_updates == 3
         assert result.final_version == 3
@@ -143,8 +142,7 @@ class TestRunStream:
         trace = generate_temporal_trace(_config(num_requests=24,
                                                 update_every=6))
         # 8 warm-up events = 7 queries + the position-6 update
-        with AsyncServingEngine(session, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(session, max_batch=32) as engine:
             result = run_stream(engine, trace, warmup_events=8)
         assert result.load.requests == trace.num_queries - 7
         # warm-up updates still advanced the graph and are counted
@@ -154,8 +152,7 @@ class TestRunStream:
     def test_metrics_cover_loadtest_schema(self):
         session = UpdatableStubSession()
         trace = generate_temporal_trace(_config())
-        with AsyncServingEngine(session, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(session, max_batch=32) as engine:
             result = run_stream(engine, trace)
         metrics = metrics_from_stream(result, deadline_ms=50.0)
         assert LOADTEST_REQUIRED_METRICS <= metrics.keys()
@@ -165,8 +162,7 @@ class TestRunStream:
     def test_rejects_sessions_without_update_support(self):
         static = UpdatableStubSession()
         static.supports_updates = False
-        with AsyncServingEngine(static, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(static, max_batch=32) as engine:
             with pytest.raises(TypeError, match="does not support"):
                 run_stream(engine,
                            generate_temporal_trace(_config(update_every=6)))
@@ -180,8 +176,7 @@ class TestRunStream:
         events = (TemporalEvent(arrival=0.0, kind="add_edges",
                                 delta=GraphDelta()),)
         trace = TemporalTrace(events=events, config=_config())
-        with AsyncServingEngine(session, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(session, max_batch=32) as engine:
             with pytest.raises(ValueError, match="at least one query"):
                 run_stream(engine, trace)
 
@@ -206,8 +201,7 @@ class TestStreamingWarmupBoundary:
                                 seed=1)
         trace = generate_temporal_trace(config)
         assert trace.num_updates >= 3
-        with AsyncServingEngine(session, max_batch=64,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(session, max_batch=64) as engine:
             result = run_stream(engine, trace, warmup_events=10)
         run = result.load
         assert run.cache_hits is not None and run.cache_hits >= 0

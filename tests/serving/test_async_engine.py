@@ -75,8 +75,7 @@ class TestAsyncServingEngine:
         outputs = [None] * num_threads
 
         with AsyncServingEngine(block_session_factory(cache_size=65536),
-                                max_batch=32, max_wait_ms=5.0,
-                                workers=4) as engine:
+                                max_batch=32, workers=4) as engine:
             def worker(position: int) -> None:
                 outputs[position] = engine.submit(
                     requests[position]).result(timeout=30)
@@ -96,8 +95,8 @@ class TestAsyncServingEngine:
 
     def test_stats_counters_are_race_free(self, block_session_factory):
         num_threads, per_thread = 6, 5
-        with AsyncServingEngine(block_session_factory(), max_batch=16,
-                                max_wait_ms=2.0) as engine:
+        with AsyncServingEngine(block_session_factory(),
+                                max_batch=16) as engine:
             def worker(seed: int) -> None:
                 rng = np.random.default_rng(seed)
                 for _ in range(per_thread):
@@ -196,8 +195,8 @@ class TestAsyncServingEngine:
 
     def test_reset_stats_separates_measurement_windows(
             self, block_session_factory):
-        with AsyncServingEngine(block_session_factory(), max_batch=16,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(block_session_factory(),
+                                max_batch=16) as engine:
             # warm-up traffic; waiting on the futures commits the counters
             for node in range(4):
                 engine.submit([node]).result(timeout=30)

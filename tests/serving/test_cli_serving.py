@@ -141,7 +141,7 @@ class TestParserSnapshot:
             "--pattern", "--skew", "--arrival", "--qps", "--duration",
             "--requests", "--seeds-per-request", "--mode", "--clients",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
-            "--batch-size", "--cache-size", "--workers", "--max-wait-ms",
+            "--batch-size", "--cache-size", "--workers",
             "--emit", "--name", "--shards", "--partition",
             "--shard-deadline"}
         assert snapshot["--pattern"][0] == "zipfian"
@@ -156,7 +156,6 @@ class TestParserSnapshot:
         assert snapshot["--seeds-per-request"][0] == 8
         assert snapshot["--cache-size"][0] == 0
         assert snapshot["--workers"][0] == 1
-        assert snapshot["--max-wait-ms"][0] == pytest.approx(2.0)
         assert snapshot["--emit"][0] == ""
         # pattern/arrival/mode expose exactly the harness's vocabulary
         loadtest = _subcommands(build_parser())["loadtest"]
@@ -212,7 +211,7 @@ class TestParserSnapshot:
             "--edges-per-update", "--feature-nodes", "--update-seed",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
             "--batch-size", "--cache-size", "--workers",
-            "--max-wait-ms", "--emit", "--name"}
+            "--emit", "--name"}
         assert snapshot["--update-every"][0] == 8
         assert snapshot["--edges-per-update"][0] == 4
         assert snapshot["--feature-nodes"][0] == 2

@@ -192,8 +192,7 @@ class TestEngineIntegration:
         reference = BlockSession(shard_artifact, parity_graph, fanouts=3,
                                  batch_size=32, seed=7)
         nodes = np.arange(10, 42, dtype=np.int64)
-        with AsyncServingEngine(sharded_session, max_batch=32,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(sharded_session, max_batch=32) as engine:
             result = engine.submit(nodes).result(timeout=60)
         assert result.ok
         np.testing.assert_array_equal(result.logits,

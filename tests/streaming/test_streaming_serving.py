@@ -78,8 +78,7 @@ class TestSyncEngineUpdates:
 
 class TestAsyncEngineUpdates:
     def test_update_future_resolves_to_version(self, block_session):
-        with AsyncServingEngine(block_session, max_batch=64,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(block_session, max_batch=64) as engine:
             first = engine.submit_update(_delta(block_session.graph))
             assert first.result(timeout=10.0) == 1
             second = engine.submit_update(
@@ -88,8 +87,7 @@ class TestAsyncEngineUpdates:
         assert engine.stats.updates == 2
 
     def test_queries_after_update_see_new_graph(self, block_session):
-        with AsyncServingEngine(block_session, max_batch=64,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(block_session, max_batch=64) as engine:
             before = engine.submit([0, 1]).result(timeout=10.0)
             engine.submit_update(_delta(block_session.graph)) \
                 .result(timeout=10.0)
@@ -98,8 +96,7 @@ class TestAsyncEngineUpdates:
         assert block_session.graph.version == 1
 
     def test_pending_updates_drain_on_close(self, block_session):
-        engine = AsyncServingEngine(block_session, max_batch=64,
-                                    max_wait_ms=50.0)
+        engine = AsyncServingEngine(block_session, max_batch=64)
         future = engine.submit_update(_delta(block_session.graph))
         engine.close()
         assert future.result(timeout=1.0) == 1
@@ -109,8 +106,7 @@ class TestAsyncEngineUpdates:
                              [block_session.graph.num_nodes - 1]])
         # craft a pair that is certainly absent: remove it twice
         delta = GraphDelta(removed_edges=absent)
-        with AsyncServingEngine(block_session, max_batch=64,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(block_session, max_batch=64) as engine:
             engine.submit_update(
                 GraphDelta(added_edges=absent)).result(timeout=10.0)
             engine.submit_update(delta).result(timeout=10.0)  # removes it
@@ -121,8 +117,7 @@ class TestAsyncEngineUpdates:
             assert engine.submit([0]).result(timeout=10.0).logits.shape[0] == 1
 
     def test_rejects_sessions_without_update_support(self, block_session):
-        with AsyncServingEngine(block_session, max_batch=64,
-                                max_wait_ms=1.0) as engine:
+        with AsyncServingEngine(block_session, max_batch=64) as engine:
             # shadow the class attribute on the instance: the rejection
             # must happen on the caller thread, before dispatch
             block_session.supports_updates = False
