@@ -71,8 +71,7 @@ class AsyncServingEngine:
                  dedup_seeds: bool = True):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        self.max_batch = int(max_batch)
-        self.engine = ServingEngine(session, max_batch_size=self.max_batch,
+        self.engine = ServingEngine(session, max_batch_size=int(max_batch),
                                     workers=workers, dedup_seeds=dedup_seeds)
         self._lock = threading.Lock()
         self._pending: List[Tuple[Future, np.ndarray, float]] = []  # guarded-by: self._lock
