@@ -224,18 +224,41 @@ def _expand(rows, hops: int):
 
 
 class QuantConv(Module):
-    """Base of the conv families: one declarative table per family.
+    """Base of the conv families: one declarative table and one body each.
 
     A family declares its quantization points (:attr:`POINTS`), its exported
     matrices (:attr:`WEIGHTS`) and the aggregation :meth:`operator` it
     applies.  Everything else that depends on the family's structure reads
     this table: the ``*_quantizer`` attributes, ``component_bits``,
     :func:`conv_component_names`, the artifact export and its slot tables,
-    the serving session's operator, and the BitOPs of the layer.  What
-    remains per family is its ``forward`` (and the integer ``_run_*`` twin
-    in :mod:`repro.serving.session`).  Under the default factory a
-    component missing from the assignment is an :class:`IdentityQuantizer`,
-    so a family built from an empty assignment is its FP32 layer.
+    the serving session's operator, and the BitOPs of the layer.  Under the
+    default factory a component missing from the assignment is an
+    :class:`IdentityQuantizer`, so a family built from an empty assignment
+    is its FP32 layer.
+
+    What remains per family is its :meth:`body`: the layer arithmetic,
+    written once against an executor ``ex`` and one graph view per hop.
+    The ops are
+
+    * ``ex.point(component, x, rows=None)`` — the quantization point
+      ``component``; ``rows`` is the view whose target side indexes ``x``;
+    * ``ex.linear(slot, x, out=None, bias=True)`` — ``x`` times the matrix
+      ``slot`` plus its bias, then the point ``out``;
+    * ``ex.operator(view)`` and ``ex.aggregate(operator, x)`` — the family's
+      aggregation operator and its product with ``x``;
+    * ``ex.score(x, edges)`` — GAT's additive edge scores, leaky-ReLU'd;
+    * ``ex.attend(scores, edges, values)`` — the per-target softmax, the
+      ``attention`` point and the per-head weighted sums ``(N, H, D)``;
+    * ``ex.merge(aggregated, bias_of=None)`` — the head merge, plus the bias
+      of the matrix ``bias_of``;
+    * ``ex.relu(x)``;
+
+    and ``ex.layer`` carries the layer's scalars (``heads``, ``head_dim``,
+    ``eps`` …).  Plain array arithmetic stays in the body.
+    :class:`TrainingExecutor` runs a body with autograd and fake
+    quantization (QAT, the search, the FP32 model);
+    :class:`~repro.serving.session.IntegerExecutor` runs the same body on
+    an artifact's integer grids.
     """
 
     POINTS: Tuple[QuantPoint, ...] = ()
@@ -260,6 +283,14 @@ class QuantConv(Module):
     def operator(graph: GraphLike):
         """The aggregation operator this family applies to a graph view."""
         raise NotImplementedError
+
+    @staticmethod
+    def body(ex, x, views):
+        """The layer arithmetic over ``views`` (one graph view per hop)."""
+        raise NotImplementedError
+
+    def forward(self, x: Tensor, graph: TAGGraphLike) -> Tensor:
+        return self.body(TrainingExecutor(self), x, hop_views(graph, self.hops))
 
     @classmethod
     def points(cls, hops: int = 3) -> List[QuantPoint]:
@@ -301,10 +332,22 @@ class QuantConv(Module):
                 for component in self.components(self.hops)
                 if component != "input" or self.quantize_input}
 
+    @classmethod
+    def point_slot(cls, component: str) -> Optional[str]:
+        """The artifact slot the quantization point ``component`` exports to."""
+        return next(point.slot for point in cls.POINTS
+                    if point.component == component)
+
+    def weight_spec(self, slot: str) -> WeightSpec:
+        return next(spec for spec in self.weights(self.hops) if spec.slot == slot)
+
+    def holder(self, spec: WeightSpec):
+        return functools.reduce(getattr, spec.holder.split("."), self)
+
     def weight_entries(self):
         """``(slot, weight, weight quantizer or None, bias or None)`` per matrix."""
         for spec in self.weights(self.hops):
-            holder = functools.reduce(getattr, spec.holder.split("."), self)
+            holder = self.holder(spec)
             weight, bias = (holder.weight, holder.bias) \
                 if isinstance(holder, Linear) else (holder, None)
             if spec.bias is not None:
@@ -326,6 +369,69 @@ class QuantConv(Module):
         return conv_bit_operations(
             self, prefix, self.slot_bits, graph.num_nodes, graph.num_nodes,
             [self.operator(graph).nnz] * self.hops, incoming_bits)
+
+
+class TrainingExecutor:
+    """Runs a family body with autograd and fake quantization.
+
+    Points are the layer's quantizer modules and matrices its parameters.
+    Aggregation goes through the layer's :class:`_AdjacencyQuantization`, so
+    a mixture quantizer blends its per-candidate outputs.  A point given
+    ``rows`` first aligns node-indexed quantizers (Degree-Quant) with that
+    block: a TAG layer's hop outputs are row-indexed by each hop view's
+    target side, not by the input block
+    :func:`~repro.gnn.models.forward_blocks` announced.
+    """
+
+    def __init__(self, conv: QuantConv):
+        self.layer = conv
+
+    def operator(self, view):
+        return self.layer.operator(view)
+
+    def point(self, component: str, x: Tensor, rows=None) -> Tensor:
+        quantizer = self.layer.quantizer(component)
+        if isinstance(rows, SubgraphBlock):
+            set_active_block(quantizer, rows)
+        return quantizer(x)
+
+    def linear(self, slot: str, x: Tensor, out: Optional[str] = None,
+               bias: bool = True) -> Tensor:
+        spec = self.layer.weight_spec(slot)
+        holder = self.layer.holder(spec)
+        y = x.matmul(self.layer.quantizer(spec.component)(holder.weight))
+        if bias and holder.bias is not None:
+            y = y + holder.bias
+        return y if out is None else self.point(out, y)
+
+    def aggregate(self, operator: SparseTensor, x: Tensor) -> Tensor:
+        return self.layer._adjacency.aggregate(operator, x)
+
+    def score(self, x: Tensor, edges) -> Tensor:
+        layer = self.layer
+        score_src = head_scores(x, layer.attention_src, layer.heads, layer.head_dim)
+        score_dst = head_scores(x, layer.attention_dst, layer.heads, layer.head_dim)
+        return F.leaky_relu(score_src[edges.src] + score_dst[edges.dst],
+                            negative_slope=layer.negative_slope)
+
+    def attend(self, scores: Tensor, edges, values: Tensor) -> Tensor:
+        heads, head_dim = self.layer.heads, self.layer.head_dim
+        attention = self.point("attention", F.scatter_softmax(
+            scores, edges.dst, edges.num_dst))
+        per_head = values.reshape(-1, heads, head_dim)
+        messages = per_head[edges.src] * attention.reshape(-1, heads, 1)
+        return F.segment_sum(messages, edges.dst, edges.num_dst)
+
+    def merge(self, aggregated: Tensor, bias_of: Optional[str] = None) -> Tensor:
+        layer = self.layer
+        merged = merge_heads(aggregated, layer.heads, layer.head_dim,
+                             layer.head_merge)
+        if bias_of is None:
+            return merged
+        return merged + getattr(layer, layer.weight_spec(bias_of).bias)
+
+    def relu(self, x: Tensor) -> Tensor:
+        return x.relu()
 
 
 def _normalized_adjacency(graph: GraphLike) -> SparseTensor:
@@ -360,15 +466,12 @@ class QuantGCNConv(QuantConv):
         self.linear = Linear(in_features, out_features, bias=bias, rng=rng)
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        weight = self.weight_quantizer(self.linear.weight)
-        transformed = x.matmul(weight)
-        if self.linear.bias is not None:
-            transformed = transformed + self.linear.bias
-        transformed = self.linear_out_quantizer(transformed)
-        aggregated = self._adjacency.aggregate(self.operator(graph), transformed)
-        return self.aggregate_out_quantizer(aggregated)
+    @staticmethod
+    def body(ex, x, views):
+        x = ex.point("input", x)
+        transformed = ex.linear("weight", x, "linear_out")
+        aggregated = ex.aggregate(ex.operator(views[0]), transformed)
+        return ex.point("aggregate_out", aggregated)
 
 
 class QuantGINConv(QuantConv):
@@ -407,20 +510,16 @@ class QuantGINConv(QuantConv):
         self.hidden_features = hidden
         self.mlp_first = Linear(in_features, hidden, rng=rng)
         self.mlp_second = Linear(hidden, out_features, rng=rng)
-        self.activation = ReLU()
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        aggregated = self._adjacency.aggregate(self.operator(graph), x)
-        combined = target_features(x, graph) * (1.0 + self.eps) + aggregated
-        combined = self.aggregate_out_quantizer(combined)
-        hidden = combined.matmul(self.weight_0_quantizer(self.mlp_first.weight)) \
-            + self.mlp_first.bias
-        hidden = self.activation(self.mlp0_out_quantizer(hidden))
-        out = hidden.matmul(self.weight_1_quantizer(self.mlp_second.weight)) \
-            + self.mlp_second.bias
-        return self.output_quantizer(out)
+    @staticmethod
+    def body(ex, x, views):
+        x = ex.point("input", x)
+        aggregated = ex.aggregate(ex.operator(views[0]), x)
+        combined = target_features(x, views[0]) * (1.0 + ex.layer.eps) + aggregated
+        combined = ex.point("aggregate_out", combined)
+        hidden = ex.relu(ex.linear("mlp0", combined, "mlp0_out"))
+        return ex.linear("mlp1", hidden, "output")
 
 
 class QuantSAGEConv(QuantConv):
@@ -453,15 +552,14 @@ class QuantSAGEConv(QuantConv):
         self.linear_neighbour = Linear(in_features, out_features, bias=False, rng=rng)
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        aggregated = self.aggregate_out_quantizer(
-            self._adjacency.aggregate(self.operator(graph), x))
-        weight_root = self.weight_root_quantizer(self.linear_root.weight)
-        weight_neighbour = self.weight_neighbour_quantizer(self.linear_neighbour.weight)
-        out = target_features(x, graph).matmul(weight_root) + self.linear_root.bias \
-            + aggregated.matmul(weight_neighbour)
-        return self.output_quantizer(out)
+    @staticmethod
+    def body(ex, x, views):
+        x = ex.point("input", x)
+        aggregated = ex.point("aggregate_out",
+                              ex.aggregate(ex.operator(views[0]), x))
+        out = ex.linear("root", target_features(x, views[0])) \
+            + ex.linear("neighbour", aggregated)
+        return ex.point("output", out)
 
 
 class QuantGATConv(QuantConv):
@@ -515,25 +613,14 @@ class QuantGATConv(QuantConv):
         self.bias = Parameter(init.zeros((out_features,)), name="bias")
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        weight = self.weight_quantizer(self.linear.weight)
-        transformed = self.linear_out_quantizer(x.matmul(weight))
-        edges = self.operator(graph)
-        score_src = head_scores(transformed, self.attention_src,
-                                self.heads, self.head_dim)
-        score_dst = head_scores(transformed, self.attention_dst,
-                                self.heads, self.head_dim)
-        edge_scores = F.leaky_relu(score_src[edges.src] + score_dst[edges.dst],
-                                   negative_slope=self.negative_slope)
-        attention = F.scatter_softmax(edge_scores, edges.dst, edges.num_dst)
-        attention = self.attention_quantizer(attention)
-        per_head = transformed.reshape(-1, self.heads, self.head_dim)
-        messages = per_head[edges.src] * attention.reshape(-1, self.heads, 1)
-        aggregated = F.segment_sum(messages, edges.dst, edges.num_dst)
-        merged = merge_heads(aggregated, self.heads, self.head_dim,
-                             self.head_merge)
-        return self.aggregate_out_quantizer(merged + self.bias)
+    @staticmethod
+    def body(ex, x, views):
+        x = ex.point("input", x)
+        # The bias applies after the head merge, so the transform runs bias-free.
+        transformed = ex.linear("weight", x, "linear_out", bias=False)
+        edges = ex.operator(views[0])
+        aggregated = ex.attend(ex.score(transformed, edges), edges, transformed)
+        return ex.point("aggregate_out", ex.merge(aggregated, bias_of="weight"))
 
 
 class QuantTransformerConv(QuantConv):
@@ -577,26 +664,18 @@ class QuantTransformerConv(QuantConv):
         self.value = Linear(in_features, width, bias=True, rng=rng)
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        queries = x.matmul(self.weight_query_quantizer(self.query.weight))
-        keys = x.matmul(self.weight_key_quantizer(self.key.weight))
-        values = x.matmul(self.weight_value_quantizer(self.value.weight)) \
-            + self.value.bias
-        values = self.value_out_quantizer(values)
-        edges = self.operator(graph)
-        queries = queries.reshape(-1, self.heads, self.head_dim)
-        keys = keys.reshape(-1, self.heads, self.head_dim)
-        values = values.reshape(-1, self.heads, self.head_dim)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        edge_scores = (queries[edges.dst] * keys[edges.src]).sum(axis=-1) * scale
-        attention = F.scatter_softmax(edge_scores, edges.dst, edges.num_dst)
-        attention = self.attention_quantizer(attention)
-        messages = values[edges.src] * attention.reshape(-1, self.heads, 1)
-        aggregated = F.segment_sum(messages, edges.dst, edges.num_dst)
-        merged = merge_heads(aggregated, self.heads, self.head_dim,
-                             self.head_merge)
-        return self.aggregate_out_quantizer(merged)
+    @staticmethod
+    def body(ex, x, views):
+        x = ex.point("input", x)
+        heads, head_dim = ex.layer.heads, ex.layer.head_dim
+        queries = ex.linear("query", x).reshape(-1, heads, head_dim)
+        keys = ex.linear("key", x).reshape(-1, heads, head_dim)
+        values = ex.linear("value", x, "value_out")
+        edges = ex.operator(views[0])
+        scale = 1.0 / np.sqrt(head_dim)
+        scores = (queries[edges.dst] * keys[edges.src]).sum(axis=-1) * scale
+        return ex.point("aggregate_out",
+                        ex.merge(ex.attend(scores, edges, values)))
 
 
 class QuantTAGConv(QuantConv):
@@ -634,30 +713,20 @@ class QuantTAGConv(QuantConv):
              for k in range(hops + 1)])
         self._build_quantizers(bits, quantize_input, quantizer_factory)
 
-    def forward(self, x: Tensor, graph: TAGGraphLike) -> Tensor:
-        x = self.input_quantizer(x)
-        views = hop_views(graph, self.hops)
+    @staticmethod
+    def body(ex, x, views):
+        # Every hop's term is restricted to the last view's targets; hop
+        # outputs are row-indexed by their own view's target side.
+        x = ex.point("input", x)
         last = views[-1]
-        num_final = last.num_dst if isinstance(last, SubgraphBlock) else None
-
-        def final_rows(tensor: Tensor) -> Tensor:
-            return tensor if num_final is None else tensor[:num_final]
-
-        weight = self.weight_0_quantizer(self.linears[0].weight)
-        output = final_rows(x).matmul(weight) + self.linears[0].bias
+        output = ex.linear("hop0", target_features(x, last))
         propagated = x
         for hop, view in enumerate(views, start=1):
-            propagated = self._adjacency.aggregate(self.operator(view), propagated)
-            if isinstance(view, SubgraphBlock):
-                # Hop outputs are row-indexed by this hop's target side, not
-                # by the layer's input block (the one forward_blocks set).
-                set_active_block(self.hop_out_quantizer, view)
-            propagated = self.hop_out_quantizer(propagated)
-            weight = self.quantizer(f"weight_{hop}")(self.linears[hop].weight)
-            output = output + final_rows(propagated).matmul(weight)
-        if isinstance(last, SubgraphBlock):
-            set_active_block(self.output_quantizer, last)
-        return self.output_quantizer(output)
+            propagated = ex.point("hop_out", ex.aggregate(ex.operator(view),
+                                                          propagated), rows=view)
+            output = output + ex.linear(f"hop{hop}",
+                                        target_features(propagated, last))
+        return ex.point("output", output, rows=last)
 
 
 def _layer_assignment(assignment: BitWidthAssignment, prefix: str) -> ComponentBits:

@@ -13,27 +13,24 @@ Two backends share one layer executor:
   identical to the full-graph engine (the block operators are exact row
   slices of the full operators).
 
-Both quantize activations onto the artifact's stored integer grids, run the
-sparse aggregation as an int64 sparse-dense product plus the rank-one
-corrections of Theorem 1 (:func:`~repro.quant.integer_mp.quantized_spmm`),
-and return float logits plus per-run BitOPs.
+The layer executor is :class:`IntegerExecutor`: it runs each family's one
+:meth:`~repro.quant.qmodules.QuantConv.body`, the same arithmetic QAT
+trains, on the artifact's stored integer grids.  Matrix layers (GCN /
+SAGE / GIN / TAG) aggregate as an int64 sparse-dense product plus the
+rank-one corrections of Theorem 1 (the ``spmm`` kernel).  Attention layers
+(GAT / Transformer) execute a per-edge *score plan*: scores and softmax
+run in full precision on the canonical edge list
+(:func:`~repro.gnn.attention.attention_edges`), the coefficients are
+snapped onto the artifact's ``attention`` grid and the aggregation runs
+as an integer edge-list accumulation (the ``edge_spmm`` kernel).  TAG
+layers consume ``plan.hops`` graph views each (one per adjacency power),
+so samplers size their block stacks by ``artifact.total_hops``.
 
-Matrix layers (GCN / SAGE / GIN) aggregate with a pre-quantized operator;
-attention layers (GAT / Transformer) instead execute a per-edge *score
-plan*: scores and softmax run in full precision on the canonical edge list
-(:func:`~repro.gnn.attention.attention_edges`), the resulting coefficients
-are snapped onto the artifact's stored ``attention`` grid and the
-aggregation runs as an integer edge-list accumulation
-(:func:`~repro.quant.integer_mp.quantized_edge_spmm`).  TAG layers consume
-``plan.hops`` graph views each (one per adjacency power), so samplers size
-their block stacks by ``artifact.total_hops``.
-
-The hot-path kernels — Theorem-1 aggregation, the attention score stages
-and the dense layer transforms — are not executed inline but dispatched
-through the session's kernel backend (:mod:`repro.kernels`): the serving
-kernels, unless ``backend=`` names the ``numpy`` reference they are
-certified bit-identical to (a test's oracle) or hands over an instance (a
-timing or capturing wrapper).
+Every kernel — Theorem-1 aggregation, the attention score stages and the
+dense layer transforms — is dispatched through ``session.kernels``
+(:mod:`repro.kernels`): the serving kernels, unless ``backend=`` names the
+``numpy`` reference they are certified bit-identical to (a test's oracle)
+or hands over an instance (a timing or capturing wrapper).
 """
 
 from __future__ import annotations
@@ -60,45 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - circular only for annotations
     from repro.streaming.delta import GraphDelta
 
 GraphLike = Union[Graph, SubgraphBlock]
-
-
-def _fake_quantize(params: Optional[QuantizationParameters],
-                   values: np.ndarray) -> np.ndarray:
-    if params is None:
-        return values
-    return dequantize_from(params, quantize_onto(params, values))
-
-
-def _quantize_input(plan: LayerPlan, x: np.ndarray,
-                    incoming: Optional[QuantizationParameters]):
-    """Snap a layer's input onto its integer grid: the layer's own ``input``
-    point, else the grid the previous layer's output already sits on.
-    Returns ``(x, x_int, params)`` — ``x_int`` / ``params`` None in FP32."""
-    params = plan.params("input") if plan.params("input") is not None else incoming
-    if params is None:
-        return x, None, None
-    x_int = quantize_onto(params, x)
-    return dequantize_from(params, x_int), x_int, params
-
-
-def _target_rows(x: np.ndarray, graph_like: GraphLike) -> np.ndarray:
-    """Target-side activations: ``x[:num_dst]`` on a block, ``x`` on a graph."""
-    if isinstance(graph_like, SubgraphBlock):
-        return x[:graph_like.num_dst]
-    return x
-
-
-def _merge_heads(aggregated: np.ndarray, heads: int, head_dim: int,
-                 head_merge: str) -> np.ndarray:
-    """Merge per-head aggregations ``(N, H, D)`` into the layer output.
-
-    Mirrors :func:`repro.gnn.gat.merge_heads` (``concat`` reshapes, ``mean``
-    averages as ``sum * (1 / H)`` exactly like the QAT tensor path);
-    ``heads=1`` always takes the reshape branch, the identity on values.
-    """
-    if head_merge == "mean" and heads > 1:
-        return aggregated.sum(axis=1) * (1.0 / heads)
-    return aggregated.reshape(aggregated.shape[0], heads * head_dim)
 
 
 @dataclass
@@ -225,63 +183,6 @@ class InferenceSession:
                     self._quantized_cache.pop(next(iter(self._quantized_cache)))
         return entry[2]
 
-    # reprolint: integer-stage
-    def _aggregate(self, adjacency: SparseTensor,
-                   adjacency_params: Optional[QuantizationParameters],
-                   x: np.ndarray, x_int: Optional[np.ndarray],
-                   x_params: Optional[QuantizationParameters]) -> np.ndarray:
-        """``A @ X`` through Theorem 1 when both operands carry integer grids.
-
-        Falls back to a float sparse-dense product (with the adjacency still
-        on its fake-quantized grid, matching the QAT model) when either side
-        is kept in full precision.
-        """
-        if adjacency_params is not None and x_params is not None and x_int is not None:
-            scale_a, _ = adjacency_params.as_scalars()
-            scale_x, zero_x = x_params.as_scalars()
-            return self.kernels.spmm(
-                self._quantized_operator(adjacency, adjacency_params, fake=False),
-                scale_a, x_int, scale_x, zero_x)
-        if adjacency_params is not None:
-            adjacency = self._quantized_operator(adjacency, adjacency_params,
-                                                 fake=True)
-        return np.asarray(adjacency.csr @ x, dtype=np.float64)
-
-    # reprolint: integer-stage
-    def _aggregate_edges(self, attention: np.ndarray,
-                         attention_params: Optional[QuantizationParameters],
-                         x: np.ndarray, x_int: Optional[np.ndarray],
-                         x_params: Optional[QuantizationParameters],
-                         edges: AttentionEdges, heads: int,
-                         head_dim: int) -> np.ndarray:
-        """Attention-weighted aggregation through the per-edge score plan.
-
-        ``attention`` holds the float post-softmax coefficients, one column
-        per head (``(E, heads)``); ``x`` / ``x_int`` the pre-merge features
-        ``(N, heads * head_dim)``.  When both the coefficients and the
-        gathered features carry integer grids the accumulation runs through
-        Theorem 1's edge-list form
-        (:func:`~repro.quant.integer_mp.quantized_edge_spmm`, head axis and
-        all); otherwise it falls back to a float scatter-add with the
-        coefficients still on their fake-quantized grid, matching the QAT
-        model.  Returns the per-head aggregations ``(num_dst, heads,
-        head_dim)`` — merging is the caller's job.
-        """
-        if attention_params is not None and x_params is not None and x_int is not None:
-            attention_int = quantize_onto(attention_params, attention)
-            scale_e, _ = attention_params.as_scalars()
-            scale_x, zero_x = x_params.as_scalars()
-            return self.kernels.edge_spmm(attention_int, scale_e,
-                                          x_int.reshape(-1, heads, head_dim),
-                                          scale_x, zero_x, edges.src,
-                                          edges.dst, edges.num_dst)
-        attention = _fake_quantize(attention_params, attention)
-        per_head = x.reshape(-1, heads, head_dim)
-        aggregated = np.zeros((edges.num_dst, heads, head_dim))
-        np.add.at(aggregated, edges.dst,
-                  attention[:, :, None] * per_head[edges.src])
-        return aggregated
-
     # ------------------------------------------------------------------ #
     def _forward(self, layer_graphs: Sequence[GraphLike], x: np.ndarray,
                  counter: BitOpsCounter) -> Tuple[np.ndarray, int]:
@@ -306,163 +207,151 @@ class InferenceSession:
         for index, plan in enumerate(plans):
             views = list(layer_graphs[cursor:cursor + plan.hops])
             cursor += plan.hops
-            run_layer = getattr(self, f"_run_{plan.conv_type}", None)
-            if run_layer is None:
-                raise ValueError(f"unknown conv type {plan.conv_type!r}")
-            out, outgoing, nnz = run_layer(plan, views, x, incoming)
+            executor = IntegerExecutor(self, plan, incoming)
+            out = CONV_CLASSES[plan.conv_type].body(executor, x, views)
             layer_counter, _ = conv_bit_operations(
                 plan, f"conv{index}", plan.slot_bits, x.shape[0], out.shape[0],
-                nnz, FP32_BITS if incoming is None else int(incoming.bits))
+                executor.nnz, FP32_BITS if incoming is None else int(incoming.bits))
             counter.extend(layer_counter)
-            edges += sum(nnz)
-            x, incoming = out, outgoing
+            edges += sum(executor.nnz)
+            x, (_, incoming) = out, executor.grid(out)
             if index != last:
                 x = np.maximum(x, 0.0)  # ReLU between layers
         return x, edges
 
-    # ------------------------------------------------------------------ #
-    # The integer forwards, one per family: ``(plan, views, x, incoming)``
-    # -> ``(output, output grid, nnz of each operator applied)``.
-    # ------------------------------------------------------------------ #
-    def _run_gcn(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
+class IntegerExecutor:
+    """Runs a family's :meth:`~repro.quant.qmodules.QuantConv.body` on an
+    artifact's integer grids, with the :class:`LayerPlan` as parameter store.
+
+    Every array a point or a linear snaps onto a grid is remembered with its
+    grid integers, so aggregating that array runs through Theorem 1
+    (``spmm`` / ``edge_spmm``).  A layer without an ``input`` grid of its own
+    takes its input on ``incoming``, the grid the previous layer's output
+    sits on.  An operand without a grid is aggregated as a float product,
+    with the adjacency or attention still on its fake-quantized grid, as in
+    the QAT model.  ``nnz`` collects the non-zeros of every operator applied.
+    Every kernel call goes through ``session.kernels``.
+    """
+
+    def __init__(self, session: "InferenceSession", plan: LayerPlan,
                  incoming: Optional[QuantizationParameters]):
-        x = _fake_quantize(plan.params("input"), x)
-        linear_out = plan.params("linear_out")
-        transformed, transformed_int = self.kernels.linear_requant(
-            x, plan.weights["weight"], linear_out)
+        self.session = session
+        self.kernels = session.kernels
+        self.layer = plan
+        self.incoming = incoming
+        self.family = CONV_CLASSES[plan.conv_type]
+        self.nnz: List[int] = []
+        # id(array) -> (array, grid integers or None until needed, grid)
+        self._grids: dict = {}
 
-        adjacency = self._layer_operator("gcn", views[0])
-        aggregated = self._aggregate(adjacency, plan.params("adjacency"),
-                                     transformed, transformed_int, linear_out)
-        aggregate_out = plan.params("aggregate_out")
-        return _fake_quantize(aggregate_out, aggregated), aggregate_out, \
-            [adjacency.nnz]
+    def _on_grid(self, array: np.ndarray, integers: Optional[np.ndarray],
+                 params: Optional[QuantizationParameters]) -> np.ndarray:
+        if params is not None:
+            self._grids[id(array)] = (array, integers, params)
+        return array
 
-    def _run_sage(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                  incoming: Optional[QuantizationParameters]):
-        x, x_int, params_x = _quantize_input(plan, x, incoming)
+    def grid(self, array: np.ndarray):
+        """``(integers, params)`` of an array on a grid, else ``(None, None)``."""
+        entry = self._grids.get(id(array))
+        if entry is None or entry[0] is not array:
+            return None, None
+        _, integers, params = entry
+        if integers is None:
+            integers = quantize_onto(params, array)
+        return integers, params
 
-        adjacency = self._layer_operator("sage", views[0])
-        aggregated = self._aggregate(adjacency, plan.params("adjacency"),
-                                     x, x_int, params_x)
-        aggregated = _fake_quantize(plan.params("aggregate_out"), aggregated)
+    def operator(self, view: GraphLike):
+        return self.session._layer_operator(self.layer.conv_type, view)
 
-        out, _ = self.kernels.linear_requant(_target_rows(x, views[0]),
-                                             plan.weights["root"], None)
-        out = out + aggregated @ self.kernels.weight_matrix(
-            plan.weights["neighbour"])
-        output = plan.params("output")
-        return _fake_quantize(output, out), output, [adjacency.nnz]
+    def point(self, component: str, x: np.ndarray, rows=None) -> np.ndarray:
+        params = self.layer.params(self.family.point_slot(component))
+        if params is None:
+            # The previous layer's output already sits on ``incoming``.
+            return self._on_grid(x, None, self.incoming) \
+                if component == "input" else x
+        integers = quantize_onto(params, x)
+        return self._on_grid(dequantize_from(params, integers), integers, params)
 
-    def _run_gin(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                 incoming: Optional[QuantizationParameters]):
-        x, x_int, params_x = _quantize_input(plan, x, incoming)
+    def linear(self, slot: str, x: np.ndarray, out: Optional[str] = None,
+               bias: bool = True) -> np.ndarray:
+        params = None if out is None \
+            else self.layer.params(self.family.point_slot(out))
+        transformed, integers = self.kernels.linear_requant(
+            x, self.layer.weights[slot], params, add_bias=bias)
+        return self._on_grid(transformed, integers, params)
 
-        adjacency = self._layer_operator("gin", views[0])
-        aggregated = self._aggregate(adjacency, plan.params("adjacency"),
-                                     x, x_int, params_x)
-        combined = _target_rows(x, views[0]) * (1.0 + plan.eps) + aggregated
-        combined = _fake_quantize(plan.params("aggregate_out"), combined)
+    # reprolint: integer-stage
+    def aggregate(self, adjacency: SparseTensor, x: np.ndarray) -> np.ndarray:
+        """``A @ X``, through Theorem 1 when both operands carry grids."""
+        self.nnz.append(adjacency.nnz)
+        adjacency_params = self.layer.params("adjacency")
+        if adjacency_params is None:
+            return np.asarray(adjacency.csr @ x, dtype=np.float64)
+        x_int, x_params = self.grid(x)
+        if x_params is not None:
+            scale_a, _ = adjacency_params.as_scalars()
+            scale_x, zero_x = x_params.as_scalars()
+            return self.kernels.spmm(
+                self.session._quantized_operator(adjacency, adjacency_params,
+                                                 fake=False),
+                scale_a, x_int, scale_x, zero_x)
+        adjacency = self.session._quantized_operator(adjacency, adjacency_params,
+                                                     fake=True)
+        return np.asarray(adjacency.csr @ x, dtype=np.float64)
 
-        hidden, _ = self.kernels.linear_requant(combined, plan.weights["mlp0"],
-                                                plan.params("mlp0_out"))
-        hidden = np.maximum(hidden, 0.0)  # the MLP's internal ReLU
-
-        mlp1_out = plan.params("mlp1_out")
-        out, _ = self.kernels.linear_requant(hidden, plan.weights["mlp1"],
-                                             mlp1_out)
-        return out, mlp1_out, [adjacency.nnz]
-
-    # ------------------------------------------------------------------ #
-    # attention score plans
-    # ------------------------------------------------------------------ #
-    def _attend(self, plan: LayerPlan, scores: np.ndarray, edges: AttentionEdges,
-                values: np.ndarray, values_int: Optional[np.ndarray],
-                value_params: Optional[QuantizationParameters],
-                bias: Optional[np.ndarray] = None):
-        """Shared tail of the attention forwards: per-target softmax of the
-        edge scores, the attention-weighted aggregation of ``values``, the
-        head merge, the post-merge ``bias`` (GAT) and the output grid."""
-        attention = self.kernels.edge_softmax(scores, edges.dst, edges.num_dst)
-        aggregated = self._aggregate_edges(attention, plan.params("attention"),
-                                           values, values_int, value_params,
-                                           edges, plan.heads, plan.head_dim)
-        merged = _merge_heads(aggregated, plan.heads, plan.head_dim,
-                              plan.head_merge)
-        if bias is not None:
-            merged = merged + bias
-        aggregate_out = plan.params("aggregate_out")
-        return _fake_quantize(aggregate_out, merged), aggregate_out, \
-            [edges.num_edges]
-
-    def _run_gat(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                 incoming: Optional[QuantizationParameters]):
-        x = _fake_quantize(plan.params("input"), x)
-        weight = plan.weights["weight"]
-        linear_out = plan.params("linear_out")
-        # The GAT bias applies post-merge, so the transform runs bias-free.
-        transformed, transformed_int = self.kernels.linear_requant(
-            x, weight, linear_out, add_bias=False)
-
-        heads, head_dim = plan.heads, plan.head_dim
-        edges = self._layer_operator("gat", views[0])
+    def score(self, x: np.ndarray, edges: AttentionEdges) -> np.ndarray:
+        plan = self.layer
         attention_src = plan.weights["attention_src"].dequantized() \
-            .reshape(head_dim, heads)
+            .reshape(plan.head_dim, plan.heads)
         attention_dst = plan.weights["attention_dst"].dequantized() \
-            .reshape(head_dim, heads)
-        scores = self.kernels.gat_scores(transformed, attention_src,
-                                         attention_dst, edges.src, edges.dst,
-                                         heads, head_dim)
-        scores = np.where(scores > 0, scores, plan.negative_slope * scores)
-        return self._attend(plan, scores, edges, transformed, transformed_int,
-                            linear_out, bias=weight.bias)
+            .reshape(plan.head_dim, plan.heads)
+        scores = self.kernels.gat_scores(x, attention_src, attention_dst,
+                                         edges.src, edges.dst, plan.heads,
+                                         plan.head_dim)
+        return np.where(scores > 0, scores, plan.negative_slope * scores)
 
-    def _run_transformer(self, plan: LayerPlan, views: List[GraphLike],
-                         x: np.ndarray,
-                         incoming: Optional[QuantizationParameters]):
-        x = _fake_quantize(plan.params("input"), x)
-        heads, head_dim = plan.heads, plan.head_dim
-        queries = (x @ self.kernels.weight_matrix(plan.weights["query"])) \
-            .reshape(-1, heads, head_dim)
-        keys = (x @ self.kernels.weight_matrix(plan.weights["key"])) \
-            .reshape(-1, heads, head_dim)
-        value_out = plan.params("value_out")
-        values, values_int = self.kernels.linear_requant(
-            x, plan.weights["value"], value_out)
+    # reprolint: integer-stage
+    def attend(self, scores: np.ndarray, edges: AttentionEdges,
+               values: np.ndarray) -> np.ndarray:
+        """Softmax of the ``(E, heads)`` edge scores per target, then the
+        attention-weighted sums of ``values`` per head, ``(num_dst, heads,
+        head_dim)``: through Theorem 1's edge-list form when the
+        coefficients and ``values`` both carry grids."""
+        self.nnz.append(edges.num_edges)
+        heads, head_dim = self.layer.heads, self.layer.head_dim
+        attention = self.kernels.edge_softmax(scores, edges.dst, edges.num_dst)
+        attention_params = self.layer.params("attention")
+        x_int, x_params = self.grid(values) if attention_params is not None \
+            else (None, None)
+        if x_params is not None:
+            attention_int = quantize_onto(attention_params, attention)
+            scale_e, _ = attention_params.as_scalars()
+            scale_x, zero_x = x_params.as_scalars()
+            return self.kernels.edge_spmm(attention_int, scale_e,
+                                          x_int.reshape(-1, heads, head_dim),
+                                          scale_x, zero_x, edges.src,
+                                          edges.dst, edges.num_dst)
+        attention = self.point("attention", attention)
+        per_head = values.reshape(-1, heads, head_dim)
+        aggregated = np.zeros((edges.num_dst, heads, head_dim))
+        np.add.at(aggregated, edges.dst,
+                  attention[:, :, None] * per_head[edges.src])
+        return aggregated
 
-        edges = self._layer_operator("transformer", views[0])
-        scale = 1.0 / np.sqrt(head_dim)
-        scores = (queries[edges.dst] * keys[edges.src]).sum(axis=-1) * scale
-        return self._attend(plan, scores, edges, values, values_int, value_out)
+    def merge(self, aggregated: np.ndarray,
+              bias_of: Optional[str] = None) -> np.ndarray:
+        plan = self.layer
+        if plan.head_merge == "mean" and plan.heads > 1:
+            merged = aggregated.sum(axis=1) * (1.0 / plan.heads)
+        else:
+            merged = aggregated.reshape(aggregated.shape[0],
+                                        plan.heads * plan.head_dim)
+        if bias_of is None:
+            return merged
+        return merged + plan.weights[bias_of].bias
 
-    def _run_tag(self, plan: LayerPlan, views: List[GraphLike], x: np.ndarray,
-                 incoming: Optional[QuantizationParameters]):
-        x, x_int, params_x = _quantize_input(plan, x, incoming)
-
-        last = views[-1]
-        num_final = last.num_dst if isinstance(last, SubgraphBlock) else x.shape[0]
-
-        out, _ = self.kernels.linear_requant(x[:num_final],
-                                             plan.weights["hop0"], None)
-
-        hop_out = plan.params("hop_out")
-        propagated, propagated_int, params_p = x, x_int, params_x
-        per_hop_nnz: List[int] = []
-        for hop, view in enumerate(views, start=1):
-            adjacency = self._layer_operator("tag", view)
-            per_hop_nnz.append(adjacency.nnz)
-            propagated = self._aggregate(adjacency, plan.params("adjacency"),
-                                         propagated, propagated_int, params_p)
-            propagated_int = None
-            if hop_out is not None:
-                propagated_int = quantize_onto(hop_out, propagated)
-                propagated = dequantize_from(hop_out, propagated_int)
-            params_p = hop_out
-            out = out + propagated[:num_final] @ self.kernels.weight_matrix(
-                plan.weights[f"hop{hop}"])
-
-        output = plan.params("output")
-        return _fake_quantize(output, out), output, per_hop_nnz
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
 
 
 class FullGraphSession(InferenceSession):
