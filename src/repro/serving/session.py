@@ -223,14 +223,15 @@ class IntegerExecutor:
     """Runs a family's :meth:`~repro.quant.qmodules.QuantConv.body` on an
     artifact's integer grids, with the :class:`LayerPlan` as parameter store.
 
-    Every array a point or a linear snaps onto a grid is remembered with its
-    grid integers, so aggregating that array runs through Theorem 1
-    (``spmm`` / ``edge_spmm``).  A layer without an ``input`` grid of its own
-    takes its input on ``incoming``, the grid the previous layer's output
-    sits on.  An operand without a grid is aggregated as a float product,
-    with the adjacency or attention still on its fake-quantized grid, as in
-    the QAT model.  ``nnz`` collects the non-zeros of every operator applied.
-    Every kernel call goes through ``session.kernels``.
+    The executor remembers the last array a point or a linear snapped onto
+    a grid, with its grid integers; every family body aggregates that
+    array, which then runs through Theorem 1 (``spmm`` / ``edge_spmm``).  A
+    layer without an ``input`` grid of its own takes its input on
+    ``incoming``, the grid the previous layer's output sits on.  Any other
+    operand is aggregated as a float product, with the adjacency or
+    attention still on its fake-quantized grid, as in the QAT model.
+    ``nnz`` collects the non-zeros of every operator applied.  Every kernel
+    call goes through ``session.kernels``.
     """
 
     def __init__(self, session: "InferenceSession", plan: LayerPlan,
@@ -241,21 +242,21 @@ class IntegerExecutor:
         self.incoming = incoming
         self.family = CONV_CLASSES[plan.conv_type]
         self.nnz: List[int] = []
-        # id(array) -> (array, grid integers or None until needed, grid)
-        self._grids: dict = {}
+        # (array, its grid integers or None until needed, the grid)
+        self._snapped: tuple = (None, None, None)
 
-    def _on_grid(self, array: np.ndarray, integers: Optional[np.ndarray],
-                 params: Optional[QuantizationParameters]) -> np.ndarray:
+    def _snap(self, array: np.ndarray, integers: Optional[np.ndarray],
+              params: Optional[QuantizationParameters]) -> np.ndarray:
         if params is not None:
-            self._grids[id(array)] = (array, integers, params)
+            self._snapped = (array, integers, params)
         return array
 
     def grid(self, array: np.ndarray):
-        """``(integers, params)`` of an array on a grid, else ``(None, None)``."""
-        entry = self._grids.get(id(array))
-        if entry is None or entry[0] is not array:
+        """``(integers, params)`` if ``array`` is the last one snapped onto a
+        grid, else ``(None, None)``."""
+        snapped, integers, params = self._snapped
+        if snapped is not array:
             return None, None
-        _, integers, params = entry
         if integers is None:
             integers = quantize_onto(params, array)
         return integers, params
@@ -267,18 +268,22 @@ class IntegerExecutor:
         params = self.layer.params(self.family.point_slot(component))
         if params is None:
             # The previous layer's output already sits on ``incoming``.
-            return self._on_grid(x, None, self.incoming) \
+            return self._snap(x, None, self.incoming) \
                 if component == "input" else x
         integers = quantize_onto(params, x)
-        return self._on_grid(dequantize_from(params, integers), integers, params)
+        return self._snap(dequantize_from(params, integers), integers, params)
 
     def linear(self, slot: str, x: np.ndarray, out: Optional[str] = None,
                bias: bool = True) -> np.ndarray:
-        params = None if out is None \
-            else self.layer.params(self.family.point_slot(out))
+        params = None
+        if out is not None:
+            params = self.layer.params(self.family.point_slot(out))
+            # A new snap: drop the previous grid's integers before the
+            # transform allocates, or they raise the request's peak memory.
+            self._snapped = (None, None, None)
         transformed, integers = self.kernels.linear_requant(
             x, self.layer.weights[slot], params, add_bias=bias)
-        return self._on_grid(transformed, integers, params)
+        return self._snap(transformed, integers, params)
 
     # reprolint: integer-stage
     def aggregate(self, adjacency: SparseTensor, x: np.ndarray) -> np.ndarray:
