@@ -12,6 +12,7 @@ Three layers of coverage:
   stack under concurrency.
 """
 
+import ast
 import sys
 import textwrap
 import threading
@@ -170,6 +171,38 @@ class TestIntegerPurityRule:
                 return accumulator / 3  # reprolint: disable=RL02
         """)
         assert violations == []
+
+
+class TestServingIntegerStages:
+    """RL02 walks the serving executor's integer aggregation ops.
+
+    A clean tree proves nothing if a stage lost its marker, so each op is
+    seeded with an integer true division in a copy of the real
+    ``serving/session.py``, and RL02 must flag every seed.
+    """
+
+    SESSION = REPO_ROOT / "src" / "repro" / "serving" / "session.py"
+    STAGES = ("aggregate", "attend")
+
+    def test_executor_aggregate_ops_are_stages(self):
+        source = self.SESSION.read_text()
+        executor = next(node for node in ast.parse(source).body
+                        if isinstance(node, ast.ClassDef)
+                        and node.name == "IntegerExecutor")
+        firsts = {node.name: node.body[0] for node in executor.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in self.STAGES}
+        assert sorted(firsts) == sorted(self.STAGES)
+        lines = source.splitlines()
+        for name, first in sorted(firsts.items(),
+                                  key=lambda item: -item[1].lineno):
+            lines.insert(first.lineno - 1, " " * first.col_offset
+                         + f"_seed_{name} = np.zeros(1, dtype=np.int64) / 2")
+        violations = lint("\n".join(lines), rules=[RULES_BY_ID["RL02"]],
+                          path=self.SESSION)
+        flagged = {lines[violation.line - 1].split("=")[0].strip()
+                   for violation in violations}
+        assert flagged == {f"_seed_{name}" for name in self.STAGES}
 
 
 # --------------------------------------------------------------------- #
