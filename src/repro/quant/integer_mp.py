@@ -22,15 +22,14 @@ exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.kernels import get_backend
+from repro.kernels.numpy_backend import VectorOrScalar, as_column, as_row
 from repro.quant.quantizer import AffineQuantizer
 from repro.tensor.sparse import SparseTensor
-
-VectorOrScalar = Union[float, np.ndarray]
 
 
 @dataclass
@@ -43,19 +42,6 @@ class QuantizedMessagePassingResult:
     scale_a: np.ndarray
     scale_x: np.ndarray
     scale_y: np.ndarray
-
-
-def _as_column(vector: VectorOrScalar, length: int) -> np.ndarray:
-    array = np.asarray(vector, dtype=np.float64).reshape(-1)
-    if array.size == 1:
-        array = np.full(length, float(array[0]))
-    if array.size != length:
-        raise ValueError(f"expected scalar or length-{length} vector, got {array.size}")
-    return array.reshape(length, 1)
-
-
-def _as_row(vector: VectorOrScalar, length: int) -> np.ndarray:
-    return _as_column(vector, length).reshape(1, length)
 
 
 def quantized_matmul_dense(qa: np.ndarray, sa: VectorOrScalar, za: VectorOrScalar,
@@ -73,12 +59,12 @@ def quantized_matmul_dense(qa: np.ndarray, sa: VectorOrScalar, za: VectorOrScala
     n_rows, n_inner = qa.shape
     n_cols = qx.shape[1]
 
-    sa_col = _as_column(sa, n_rows)
-    za_col = _as_column(za, n_rows)
-    sx_row = _as_row(sx, n_cols)
-    zx_row = _as_row(zx, n_cols)
-    sy_row = _as_row(sy, n_cols)
-    zy_row = _as_row(zy, n_cols)
+    sa_col = as_column(sa, n_rows)
+    za_col = as_column(za, n_rows)
+    sx_row = as_row(sx, n_cols)
+    zx_row = as_row(zx, n_cols)
+    sy_row = as_row(sy, n_cols)
+    zy_row = as_row(zy, n_cols)
 
     integer_product = qa @ qx                              # (n_rows, n_cols)
     row_sum_qa = qa.sum(axis=1, keepdims=True)             # (n_rows, 1)
