@@ -8,7 +8,7 @@ counts so the full suite finishes on a CPU-only machine.
 """
 
 from repro.experiments.config import ExperimentScale, QUICK, STANDARD
-from repro.experiments.common import MethodRow, format_table, run_seeds
+from repro.experiments.common import MethodRow, format_table
 from repro.experiments import (
     ablation,
     figures,
@@ -24,7 +24,6 @@ __all__ = [
     "STANDARD",
     "MethodRow",
     "format_table",
-    "run_seeds",
     "figures",
     "node_tables",
     "graph_tables",

@@ -8,7 +8,7 @@ utilities used to print paper-style tables, and seed aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,12 +72,6 @@ def format_table(title: str, rows: Sequence[MethodRow],
         lines.append(f"{row.method:<22} {accuracy:>16} {row.bits:>8.2f} "
                      f"{row.giga_bit_operations:>10.3f}")
     return "\n".join(lines)
-
-
-def run_seeds(runner: Callable[[int], float], num_seeds: int,
-              base_seed: int = 0) -> List[float]:
-    """Run a scalar-returning experiment across seeds."""
-    return [runner(base_seed + offset) for offset in range(num_seeds)]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
 """Reference numbers from the paper, used for paper-vs-measured reporting.
 
 These are the headline values of the tables the reproduction targets.  The
-benchmarks print them next to the measured values (see EXPERIMENTS.md); they
-are *not* used as assertions because the synthetic dataset stand-ins shift
-absolute accuracies — only the qualitative shape is asserted.
+``benchmarks/bench_table*`` / ``bench_fig*`` files print them next to the
+measured values; they are *not* used as assertions because the synthetic
+dataset stand-ins shift absolute accuracies — only the qualitative shape is
+asserted.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 MixQ-GNN's output is a *bit-width assignment* — a small dictionary mapping
 component names to integers — plus the summary metrics of the quantized
 model.  Persisting these as JSON lets a search run on one machine be
-finalized and deployed on another, and lets the benchmark harness archive
-its measured tables next to EXPERIMENTS.md.
+finalized and deployed on another, and lets a measured table be archived
+and reloaded (:func:`save_table` / :func:`load_table`).
 """
 
 from __future__ import annotations
