@@ -225,7 +225,10 @@ class IntegerExecutor:
 
     The executor remembers the last array a point or a linear snapped onto
     a grid, with its grid integers; every family body aggregates that
-    array, which then runs through Theorem 1 (``spmm`` / ``edge_spmm``).  A
+    array, which then runs through Theorem 1 (``spmm`` / ``edge_spmm``).
+    Each snap forgets the previous one before it allocates, so a request
+    never holds two grids' integers at once (they would raise its peak
+    memory).  A
     layer without an ``input`` grid of its own takes its input on
     ``incoming``, the grid the previous layer's output sits on.  Any other
     operand is aggregated as a float product, with the adjacency or
@@ -270,6 +273,7 @@ class IntegerExecutor:
             # The previous layer's output already sits on ``incoming``.
             return self._snap(x, None, self.incoming) \
                 if component == "input" else x
+        self._snapped = (None, None, None)
         integers = quantize_onto(params, x)
         return self._snap(dequantize_from(params, integers), integers, params)
 
@@ -278,8 +282,6 @@ class IntegerExecutor:
         params = None
         if out is not None:
             params = self.layer.params(self.family.point_slot(out))
-            # A new snap: drop the previous grid's integers before the
-            # transform allocates, or they raise the request's peak memory.
             self._snapped = (None, None, None)
         transformed, integers = self.kernels.linear_requant(
             x, self.layer.weights[slot], params, add_bias=bias)
