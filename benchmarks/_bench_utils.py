@@ -1,34 +1,6 @@
 """Helpers shared by the benchmark files."""
 
-from __future__ import annotations
-
-import os
-from typing import Dict, Optional
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def emit_result(name: str, metrics: Dict[str, float],
-                meta: Optional[dict] = None, path: Optional[str] = None,
-                kind: str = "benchmark") -> Optional[str]:
-    """Append one named result to a ``BENCH_*.json`` perf-trajectory file.
-
-    Opt-in so interactive runs keep printing their tables and nothing
-    else: the write only happens when ``path`` or the ``REPRO_BENCH_EMIT``
-    environment variable names a target file.  Results merge into the
-    existing file (one trajectory file accumulates the whole perf surface
-    of a PR); see ``docs/benchmarks.md`` for the schema and
-    ``repro.loadgen.report`` for the implementation.
-
-    Returns the target path, or ``None`` when emission is off.
-    """
-    target = path or os.environ.get("REPRO_BENCH_EMIT", "")
-    if not target:
-        return None
-    from repro.loadgen.report import emit
-
-    emit(target, name, metrics, meta=meta, kind=kind)
-    return target

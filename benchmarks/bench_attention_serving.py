@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -129,15 +129,6 @@ def test_attention_serving_scaling(benchmark):
     assert full_ops[-1] > full_ops[0]
     assert block_ops[-1] < 2 * block_ops[0]
 
-    for num_nodes, full_time, block_time, warm_time, full_run, block_run, _ \
-            in rows:
-        emit_result(f"attention_serving.n{num_nodes}", {
-            "full_ms": full_time * 1e3, "block_ms": block_time * 1e3,
-            "warm_ms": warm_time * 1e3,
-            "full_gbitops": full_run.giga_bit_operations(),
-            "block_gbitops": block_run.giga_bit_operations(),
-        }, meta={"fanout": FANOUT, "request_seeds": REQUEST_SEEDS})
-
 
 HEAD_COUNTS = (1, 2, 4, 8)
 
@@ -187,9 +178,3 @@ def test_attention_heads_scaling(benchmark):
     # ...but under concat merge the transform/aggregate widths are head-
     # invariant, so 8 heads stay well below twice the single-head cost
     assert request_ops[-1] < 2 * request_ops[0]
-
-    for heads, latency, run, _, _ in rows:
-        emit_result(f"attention_heads.h{heads}", {
-            "latency_ms": latency * 1e3,
-            "request_gbitops": run.giga_bit_operations(),
-        }, meta={"fanout": FANOUT, "request_seeds": REQUEST_SEEDS})

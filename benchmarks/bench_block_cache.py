@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -130,10 +130,3 @@ def test_block_cache_hit_rate_and_latency(benchmark):
         # Hit rate grows with capacity and the warm working set fits.
         assert big_hit_rate >= small_hit_rate
         assert big_hit_rate > 0.5
-        emit_result(f"block_cache.n{num_nodes}", {
-            "uncached_warm_ms": uncached_latency * 1e3,
-            "cached_warm_ms": big_latency * 1e3,
-            "cache_hit_rate": big_hit_rate,
-        }, meta={"fanout": FANOUT, "requests": NUM_REQUESTS,
-                 "request_seeds": REQUEST_SEEDS,
-                 "cache_entries": CACHE_SIZES[-1]})

@@ -6,13 +6,12 @@ an :class:`~repro.serving.AsyncServingEngine` over a cached
 stream with sane tail latencies and a warm cache — and the whole
 measurement is *replayable*: the request trace is a pure function of its
 :class:`~repro.loadgen.TrafficConfig`, so the same seed produces the same
-traffic on every machine (the property CI's perf gate leans on).
+traffic on every machine.
 
 The sweep replays one deterministic trace open-loop (Poisson arrivals)
 and once closed-loop, asserting the accounting invariants (percentile
 ordering, SLO rate bounds, every request served exactly once) and the
-cache's steady-state effect.  Results land in the ``BENCH_*.json``
-trajectory via ``emit_result`` when ``REPRO_BENCH_EMIT`` is set.
+cache's steady-state effect.
 
 Sizes are deliberately modest at the quick scale (CI); run with
 ``REPRO_SCALE=standard`` for the larger sweep.
@@ -21,7 +20,7 @@ Sizes are deliberately modest at the quick scale (CI); run with
 from __future__ import annotations
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -113,8 +112,3 @@ def test_loadgen_replay(benchmark):
         assert metrics["achieved_qps"] > 0
         # zipfian repeat traffic keeps the warm cache useful
         assert metrics["cache_hit_rate"] > 0.2
-        emit_result(f"loadgen.{mode}", metrics,
-                    meta={"pattern": "zipfian", "skew": 1.2,
-                          "fanout": FANOUT, "warmup": WARMUP,
-                          "seeds_per_request": SEEDS_PER_REQUEST},
-                    kind="loadtest")

@@ -22,7 +22,7 @@ import time
 import tracemalloc
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -124,15 +124,3 @@ def test_serving_scaling(benchmark):
     assert frontier_run.num_input_nodes <= REQUEST_SEEDS * (FANOUT + 1) ** 2
     assert np.isfinite(frontier_run.logits).all()
     assert frontier_run.logits.shape == (REQUEST_SEEDS, 8)
-
-    for num_nodes, full_time, full_peak, block_time, block_peak in rows:
-        emit_result(f"serving.n{num_nodes}", {
-            "full_ms": full_time * 1e3, "full_peak_mb": full_peak / 1e6,
-            "block_ms": block_time * 1e3, "block_peak_mb": block_peak / 1e6,
-        }, meta={"fanout": FANOUT, "request_seeds": REQUEST_SEEDS})
-    emit_result("serving.frontier", {
-        "request_ms": frontier_run.seconds * 1e3,
-        "input_nodes": frontier_run.num_input_nodes,
-        "edges": frontier_run.num_edges,
-    }, meta={"nodes": frontier_size, "fanout": FANOUT,
-             "request_seeds": REQUEST_SEEDS})

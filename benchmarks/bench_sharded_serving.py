@@ -19,17 +19,15 @@ deterministic zipfian trace and the identical engine front:
   own host/core — and is the number expected to scale with shards.
 * ``fleet_qps`` — the same engine serving the full mixed trace
   *concurrently*.  On a host with >= shards cores this approaches the
-  aggregate; on a single-core host (CI containers — recorded in the
-  result meta as ``cpus``) every worker time-slices one core, so this
+  aggregate; on a single-core host (CI containers — the printed header
+  reports ``cpus``) every worker time-slices one core, so this
   number instead exposes the pure protocol overhead of sharding.
 
 The run asserts the deterministic accounting invariants (every request
 served exactly once, every shard exercised, warm caches actually
-hitting) and prints and emits the three rates; their ordering is a
-wall-clock outcome over ~128 requests — it flips run to run on a 2-CPU
-host — so it is reported, not asserted.  Results land in the
-``BENCH_*.json`` trajectory via ``emit_result`` when ``REPRO_BENCH_EMIT``
-is set.
+hitting) and prints the three rates; their ordering is a wall-clock
+outcome over ~128 requests — it flips run to run on a 2-CPU host — so it
+is reported, not asserted.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -177,19 +175,3 @@ def test_sharded_scaling(benchmark):
         assert len(result["streams"]) == shards
         # warm zipfian traffic keeps every cache useful
         assert result["cache_hit_rate"] > 0.5
-
-    for shards, result in results.items():
-        emit_result(
-            f"sharded_serving.shards{shards}",
-            {"aggregate_qps": round(result["aggregate_qps"], 1),
-             "fleet_qps": round(result["fleet_qps"], 1),
-             "cache_hit_rate": round(result["cache_hit_rate"], 4)},
-            meta={"partition": PARTITION, "fanout": FANOUT,
-                  "cache_per_process": CACHE_PER_PROCESS,
-                  "pattern": "zipfian", "skew": 1.1,
-                  "requests": trace.num_requests,
-                  "seeds_per_request": trace.config.seeds_per_request,
-                  "cpus": len(os.sched_getaffinity(0)),
-                  "aggregate_method": "sum of per-shard isolated "
-                                      "closed-loop replay"},
-            kind="benchmark")

@@ -20,7 +20,7 @@ both stay bit-identical to a fresh session on the equivalent static graph
 from __future__ import annotations
 
 import numpy as np
-from _bench_utils import emit_result, run_once
+from _bench_utils import run_once
 
 from repro.experiments.config import current_scale
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
@@ -151,12 +151,3 @@ def test_streaming_scoped_vs_naive_invalidation(benchmark):
     assert exact
     assert rates["scoped"] > rates["naive"]
     assert rates["scoped"] > 0.5
-
-    emit_result(f"streaming.n{num_nodes}", {
-        "scoped_hit_rate": rates["scoped"],
-        "naive_hit_rate": rates["naive"],
-        "retention_gain_hit_rate": rates["scoped"] - rates["naive"],
-    }, meta={"fanout": FANOUT, "requests": num_requests,
-             "request_seeds": REQUEST_SEEDS, "updates": num_updates,
-             "cache_entries": CACHE_ENTRIES,
-             "edges_per_update": EDGES_PER_UPDATE})

@@ -23,8 +23,7 @@ def test_table8_graph_classification(benchmark, light_scale):
         print(f"paper reference: {PAPER_TABLE8[dataset]}")
         by_method = {row.method: row for row in rows}
         fp32 = by_method["FP32"]
-        gentle = by_method["MixQ(λ=-1e-08)"] if "MixQ(λ=-1e-08)" in by_method \
-            else by_method["MixQ(λ=-1e-8)"]
+        gentle = by_method["MixQ(λ=-ε)"]
         aggressive = by_method["MixQ(λ=1)"]
 
         # Quantized models cost a fraction of FP32 BitOPs.

@@ -7,7 +7,7 @@ Seven sub-commands cover the everyday workflows::
     python -m repro.cli table    --name table3 --datasets cora
     python -m repro.cli export   --dataset cora --uniform-bits 8 --out artifact.npz
     python -m repro.cli predict  --artifact artifact.npz --dataset cora
-    python -m repro.cli loadtest --dataset cora --qps 200 --duration 2 --emit BENCH.json
+    python -m repro.cli loadtest --dataset cora --qps 200 --duration 2
     python -m repro.cli streamtest --dataset cora --qps 200 --update-every 8
 
 ``search`` runs the differentiable bit-width search and stores the selected
@@ -21,8 +21,7 @@ neighbor-sampled blocks — and reports per-request latency and BitOPs;
 ``loadtest`` replays deterministic production-shaped traffic (zipfian seed
 popularity, open- or closed-loop) against the async serving engine and
 reports p50/p95/p99 latency, achieved vs offered QPS, SLO violations and
-cache hit rate — optionally persisting them into a ``BENCH_*.json``
-trajectory file (see ``docs/benchmarks.md``); ``streamtest`` replays a
+cache hit rate (see ``docs/benchmarks.md``); ``streamtest`` replays a
 temporal trace — the same query stream with edge additions, feature
 overwrites and edge removals interleaved — against a block session with
 streaming updates and scoped cache invalidation enabled (see
@@ -271,7 +270,7 @@ def _add_block_session_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     """Every flag ``loadtest`` and ``streamtest`` share: what to serve, the
-    query traffic, the block session, the engine and the trajectory output."""
+    query traffic, the block session and the engine."""
     parser.add_argument("--artifact", default="",
                         help="serve this `repro export` artifact; when "
                              "omitted, a small uniform-bits model is "
@@ -323,12 +322,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
                         help="trace generator seed — same seed, same "
                              "trace, bit for bit (default: 0)")
     _add_block_session_arguments(parser)
-    parser.add_argument("--emit", default="",
-                        help="append the result to this BENCH_*.json "
-                             "trajectory file (default: print only)")
-    parser.add_argument("--name", default="",
-                        help="result name inside the trajectory file (default: "
-                             "derived from the command, pattern and arrival)")
 
 
 def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
@@ -457,23 +450,8 @@ def _loadtest_session(args):
     return graph, _build_block_session(artifact, graph, args)
 
 
-def _loadtest_result_name(args) -> str:
-    """Stable default result name: pattern, arrival process, replay mode."""
-    if args.name:
-        return args.name
-    suffix = f".shards{args.shards}" if args.shards > 1 else ""
-    if args.mode == "closed":
-        return f"loadtest.{args.pattern}.closed{suffix}"
-    return f"loadtest.{args.pattern}.{args.arrival}.open{suffix}"
-
-
-def _report_load(args, run, metrics: dict, session, name: str, header: str,
-                 meta: dict) -> None:
-    """Print one replay's latency / QPS / SLO report and, with ``--emit``,
-    append it to the trajectory file; ``meta`` carries what only the calling
-    command knows, the shared serving knobs are added here."""
-    from repro.loadgen import report as trajectory
-
+def _report_load(args, run, metrics: dict, session, header: str) -> None:
+    """Print one replay's latency / QPS / SLO report."""
     print(header)
     print(f"{'offered QPS':>18} {run.offered_qps:>10.1f}")
     print(f"{'achieved QPS':>18} {run.achieved_qps:>10.1f}")
@@ -485,18 +463,8 @@ def _report_load(args, run, metrics: dict, session, name: str, header: str,
     print(f"{'cache hit rate':>18} {metrics['cache_hit_rate']:>10.1%}")
     print(f"{'micro-batches':>18} {run.micro_batches:>10} "
           f"({run.nodes} seed nodes, {run.giga_bit_operations:.4f} GBitOPs, "
-          f"workers={args.workers})")
-    if args.emit:
-        meta = {"dataset": args.dataset, "scale": args.scale,
-                "seed": args.seed, "traffic_seed": args.traffic_seed,
-                "conv": session.artifact.conv_type, "pattern": args.pattern,
-                "skew": args.skew, "arrival": args.arrival,
-                "fanout": args.fanout, "batch_size": args.batch_size,
-                "cache_size": args.cache_size, "workers": args.workers,
-                "backend": session.backend_name, **meta}
-        path = trajectory.emit(args.emit, name, metrics, meta=meta,
-                               kind="loadtest")
-        print(f"trajectory written to {path}")
+          f"workers={args.workers}, conv={session.artifact.conv_type}, "
+          f"backend={session.backend_name})")
 
 
 def _command_loadtest(args) -> int:
@@ -524,15 +492,11 @@ def _command_loadtest(args) -> int:
         getattr(session, "close", lambda: None)()
 
     _report_load(
-        args, run, metrics, session, _loadtest_result_name(args),
+        args, run, metrics, session,
         header=f"loadtest: {args.pattern} traffic (skew {args.skew}), "
                f"{args.mode} loop, {run.requests} measured requests x "
                f"{config.seeds_per_request} seeds "
-               f"(+{trace.num_requests - run.requests} warm-up)",
-        meta={"mode": args.mode, "clients": args.clients,
-              "seeds_per_request": config.seeds_per_request,
-              "warmup_requests": trace.num_requests - run.requests,
-              "shards": args.shards, "partition": args.partition})
+               f"(+{trace.num_requests - run.requests} warm-up)")
     return 0
 
 
@@ -570,18 +534,11 @@ def _command_streamtest(args) -> int:
     run = result.load
     _report_load(
         args, run, metrics, session,
-        args.name or f"streamtest.{args.pattern}.{args.arrival}",
         header=f"streamtest: {args.pattern} traffic (skew {args.skew}), "
                f"{run.requests} measured queries x {traffic.seeds_per_request} "
                f"seeds, {result.updates} updates "
                f"(every {args.update_every} queries), "
-               f"final graph version {result.final_version}",
-        meta={"update_seed": args.update_seed,
-              "seeds_per_request": traffic.seeds_per_request,
-              "update_every": args.update_every,
-              "edges_per_update": args.edges_per_update,
-              "feature_nodes_per_update": args.feature_nodes,
-              "warmup_events": args.warmup})
+               f"final graph version {result.final_version}")
     return 0
 
 
@@ -697,10 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "open-loop arrivals, or closed-loop N-client replay), "
                     "drive it through AsyncServingEngine over a block "
                     "session, and report p50/p95/p99/max latency, achieved "
-                    "vs offered QPS, SLO-violation rate and cache hit rate. "
-                    "--emit appends the result to a BENCH_*.json perf "
-                    "trajectory file (see docs/benchmarks.md); CI's perf "
-                    "job gates it against the committed baseline.")
+                    "vs offered QPS, SLO-violation rate and cache hit rate "
+                    "(see docs/benchmarks.md).")
     _add_serving_arguments(loadtest)
     loadtest.add_argument("--mode", default="open", choices=["open", "closed"],
                           help="open-loop (submit at scheduled arrivals) or "
@@ -721,8 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "replay it open-loop through AsyncServingEngine over a "
                     "block session with streaming updates enabled.  Reports "
                     "the loadtest latency/QPS/SLO metrics plus the applied "
-                    "update count and failure rate; --emit appends them to "
-                    "a BENCH_*.json trajectory (see docs/streaming.md).")
+                    "update count and failure rate (see docs/streaming.md).")
     _add_serving_arguments(streamtest)
     streamtest.add_argument("--update-every", type=int, default=8,
                             help="one update event per this many queries; "

@@ -135,6 +135,12 @@ def run_a2q(graph: Graph, hidden: int = 16, num_layers: int = 2, epochs: int = 1
                      extra={"quant_parameters": model.num_quantization_parameters()})
 
 
+def mixq_label(lambda_value: float) -> str:
+    """Table row label of a MixQ run; a tiny negative λ prints as ``-ε``."""
+    lambda_label = "-ε" if 0 > lambda_value > -1e-4 else f"{lambda_value:g}"
+    return f"MixQ(λ={lambda_label})"
+
+
 def run_mixq(graph: Graph, lambda_value: float, bit_choices: Sequence[int] = (2, 4, 8),
              conv_type: str = "gcn", hidden: int = 16, num_layers: int = 2,
              search_epochs: int = 40, train_epochs: int = 100, lr: float = 0.02,
@@ -155,8 +161,7 @@ def run_mixq(graph: Graph, lambda_value: float, bit_choices: Sequence[int] = (2,
                                   multilabel=multilabel, minibatch=minibatch,
                                   fanout=fanout, batch_size=batch_size)
     if method_name is None:
-        lambda_label = "-ε" if 0 > lambda_value > -1e-4 else f"{lambda_value:g}"
-        method_name = f"MixQ(λ={lambda_label})" + (" + DQ" if with_degree_quant else "")
+        method_name = mixq_label(lambda_value) + (" + DQ" if with_degree_quant else "")
     return MethodRow(method_name, [result.accuracy], bits=result.average_bits,
                      giga_bit_operations=result.giga_bit_operations)
 

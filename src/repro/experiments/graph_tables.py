@@ -7,7 +7,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.mixq import MixQGraphClassifier
-from repro.experiments.common import MethodRow
+from repro.experiments.common import MethodRow, mixq_label
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.graphs.batch import GraphBatch
 from repro.graphs.datasets import load_csl, load_tu_dataset
@@ -100,7 +100,7 @@ def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins")
                                           rng=np.random.default_rng(0))
         fp32_row = MethodRow("FP32", bits=float(FP32_BITS))
         qat_row = MethodRow(f"DQ INT{min(bit_choices)}", bits=float(min(bit_choices)))
-        mixq_rows = {lam: MethodRow(f"MixQ(λ={lam:g})") for lam in lambdas}
+        mixq_rows = {lam: MethodRow(mixq_label(lam)) for lam in lambdas}
         fp32_gbitops: List[float] = []
         for fold_index, (train_idx, test_idx) in enumerate(folds):
             fp32_row.accuracies.append(_fp32_fold_row(

@@ -6,17 +6,20 @@ Three pieces, used together by ``repro loadtest`` and the benchmarks:
   (zipfian seed popularity, Poisson / fixed-rate open-loop arrivals).
 * :mod:`repro.loadgen.harness` — open- and closed-loop replay against an
   :class:`~repro.serving.AsyncServingEngine`, with a warm-up phase,
-  steady-state cache-delta accounting, and per-request failure counting.
+  steady-state cache-delta accounting, per-request failure counting, and
+  the latency / QPS / SLO summary of the measured window.
 * :mod:`repro.loadgen.temporal` — dynamic-graph streams: deterministic
   interleavings of :class:`~repro.streaming.GraphDelta` updates and
   queries, replayed live for ``repro streamtest``.
-* :mod:`repro.loadgen.report` — the versioned ``BENCH_*.json`` perf
-  trajectory format shared with the benchmark suite and gated in CI by
-  ``tools/check_bench.py``.
 """
 
-from repro.loadgen.harness import LoadRunResult, metrics_from_run, run_load
-from repro.loadgen.report import LOADTEST_REQUIRED_METRICS, summarize_latencies
+from repro.loadgen.harness import (
+    LOADTEST_REQUIRED_METRICS,
+    LoadRunResult,
+    metrics_from_run,
+    run_load,
+    summarize_latencies,
+)
 from repro.loadgen.temporal import (
     UPDATE_KINDS,
     StreamRunResult,

@@ -35,12 +35,23 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.loadgen.traffic import LoadTrace
 from repro.serving.async_engine import AsyncServingEngine
+
+#: Every measured window reports at least these metrics.
+#: ``failure_rate`` is the failed fraction of the measured requests (failed
+#: requests are excluded from the latency percentiles but still occupy the
+#: measured window — see the module docstring).
+LOADTEST_REQUIRED_METRICS = frozenset({
+    "requests", "offered_qps", "achieved_qps",
+    "p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms",
+    "deadline_ms", "slo_violation_rate", "cache_hit_rate",
+    "failure_rate",
+})
 
 #: Replay modes :func:`run_load` understands.
 MODES = ("open", "closed")
@@ -58,8 +69,7 @@ Replayed = Tuple[np.ndarray, float, int]
 @dataclass(frozen=True)
 class LoadRunResult:
     """Raw measurements of one replayed window (summarised by
-    :func:`~repro.loadgen.report.summarize_latencies` /
-    :func:`metrics_from_run`)."""
+    :func:`summarize_latencies` / :func:`metrics_from_run`)."""
 
     #: Latency of each *successful* request, in completion-eligible trace
     #: order (failed requests are excluded — they have no service latency).
@@ -98,10 +108,33 @@ class LoadRunResult:
         return self.cache_hits / self.cache_lookups
 
 
-def metrics_from_run(run: LoadRunResult, deadline_ms: float) -> dict:
-    """The full ``kind="loadtest"`` metric set of one measured window."""
-    from repro.loadgen.report import summarize_latencies
+def summarize_latencies(latencies_seconds: np.ndarray,
+                        deadline_ms: float) -> Dict[str, float]:
+    """Percentile and SLO accounting over one measured latency trace.
 
+    Returns the ``p50/p95/p99/max/mean`` milliseconds plus the fraction of
+    requests that missed the ``deadline_ms`` SLO.
+    """
+    latencies = np.asarray(latencies_seconds, dtype=np.float64).reshape(-1)
+    if latencies.size == 0:
+        raise ValueError("cannot summarize an empty latency trace")
+    if deadline_ms <= 0:
+        raise ValueError("deadline_ms must be positive")
+    milliseconds = latencies * 1e3
+    p50, p95, p99 = np.percentile(milliseconds, [50.0, 95.0, 99.0])
+    return {
+        "p50_ms": float(p50),
+        "p95_ms": float(p95),
+        "p99_ms": float(p99),
+        "max_ms": float(milliseconds.max()),
+        "mean_ms": float(milliseconds.mean()),
+        "deadline_ms": float(deadline_ms),
+        "slo_violation_rate": float((milliseconds > deadline_ms).mean()),
+    }
+
+
+def metrics_from_run(run: LoadRunResult, deadline_ms: float) -> dict:
+    """The full :data:`LOADTEST_REQUIRED_METRICS` set of one measured window."""
     metrics = summarize_latencies(run.latencies_seconds, deadline_ms)
     metrics.update({
         "requests": run.requests,

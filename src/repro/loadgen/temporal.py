@@ -198,7 +198,7 @@ class StreamRunResult:
 
 
 def metrics_from_stream(result: StreamRunResult, deadline_ms: float) -> dict:
-    """The ``kind="loadtest"`` metric set of one stream, plus update counts."""
+    """The load-test metric set of one stream, plus update counts."""
     metrics = metrics_from_run(result.load, deadline_ms)
     metrics.update({
         "updates": result.updates,

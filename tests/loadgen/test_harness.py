@@ -12,6 +12,7 @@ from repro.loadgen import (
     generate_trace,
     metrics_from_run,
     run_load,
+    summarize_latencies,
 )
 from repro.loadgen.traffic import LoadTrace
 from repro.serving import AsyncServingEngine
@@ -172,6 +173,34 @@ class TestCacheDelta:
         assert run.cache_hits is None
         assert run.cache_lookups is None
         assert run.cache_hit_rate == 0.0
+
+
+class TestLatencySummary:
+    def test_known_synthetic_trace(self):
+        """1..100 ms ramp: every statistic is checkable by hand."""
+        latencies = np.arange(1, 101) / 1e3     # 1ms ... 100ms
+        metrics = summarize_latencies(latencies, deadline_ms=90.0)
+        assert metrics["max_ms"] == pytest.approx(100.0)
+        assert metrics["mean_ms"] == pytest.approx(50.5)
+        # 10 of 100 samples exceed the 90 ms deadline
+        assert metrics["slo_violation_rate"] == pytest.approx(0.10)
+        assert metrics["deadline_ms"] == 90.0
+        for key, q in (("p50_ms", 50.0), ("p95_ms", 95.0), ("p99_ms", 99.0)):
+            expected = np.percentile(np.arange(1.0, 101.0), q)
+            assert metrics[key] == pytest.approx(expected)
+        assert metrics["p50_ms"] <= metrics["p95_ms"] <= metrics["p99_ms"] \
+            <= metrics["max_ms"]
+
+    def test_all_within_deadline(self):
+        metrics = summarize_latencies(np.full(10, 1e-3), deadline_ms=5.0)
+        assert metrics["slo_violation_rate"] == 0.0
+        assert metrics["p99_ms"] == pytest.approx(1.0)
+
+    def test_rejects_empty_or_bad_deadline(self):
+        with pytest.raises(ValueError):
+            summarize_latencies(np.array([]), deadline_ms=10.0)
+        with pytest.raises(ValueError):
+            summarize_latencies(np.array([1e-3]), deadline_ms=0.0)
 
 
 class TestMetrics:

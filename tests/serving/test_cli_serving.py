@@ -1,6 +1,7 @@
 """End-to-end and argparse-snapshot tests for `repro export` / `repro predict`."""
 
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -142,8 +143,7 @@ class TestParserSnapshot:
             "--requests", "--seeds-per-request", "--mode", "--clients",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
             "--batch-size", "--cache-size", "--workers",
-            "--emit", "--name", "--shards", "--partition",
-            "--shard-deadline"}
+            "--shards", "--partition", "--shard-deadline"}
         assert snapshot["--pattern"][0] == "zipfian"
         assert snapshot["--skew"][0] == pytest.approx(1.1)
         assert snapshot["--arrival"][0] == "poisson"
@@ -156,7 +156,6 @@ class TestParserSnapshot:
         assert snapshot["--seeds-per-request"][0] == 8
         assert snapshot["--cache-size"][0] == 0
         assert snapshot["--workers"][0] == 1
-        assert snapshot["--emit"][0] == ""
         # pattern/arrival/mode expose exactly the harness's vocabulary
         loadtest = _subcommands(build_parser())["loadtest"]
         choices = {action.option_strings[0]: list(action.choices)
@@ -165,41 +164,30 @@ class TestParserSnapshot:
         assert choices["--arrival"] == ["poisson", "fixed"]
         assert choices["--mode"] == ["open", "closed"]
 
-    def test_loadtest_emits_schema_valid_trajectory(self, tmp_path, capsys):
-        from repro.loadgen.report import load_payload
-
-        emit_path = tmp_path / "bench.json"
+    def test_loadtest_reports_the_measured_window(self, capsys):
         assert main(["loadtest", "--dataset", "cora", "--scale", "0.05",
                      "--train-epochs", "2", "--pattern", "zipfian",
                      "--mode", "closed", "--clients", "2", "--requests", "12",
                      "--seeds-per-request", "4", "--warmup", "4",
-                     "--deadline-ms", "200", "--cache-size", "2048",
-                     "--emit", str(emit_path)]) == 0
+                     "--deadline-ms", "200", "--cache-size", "2048"]) == 0
         out = capsys.readouterr().out
         assert "p95" in out and "SLO" in out
-        # load_payload schema-checks on read — a bad emit raises here
-        payload = load_payload(emit_path)
-        result = payload["results"]["loadtest.zipfian.closed"]
-        assert result["kind"] == "loadtest"
-        assert result["metrics"]["requests"] == 8  # 12 requests - 4 warm-up
-        assert result["meta"]["dataset"] == "cora"
+        assert "8 measured requests" in out  # 12 requests - 4 warm-up
+        assert re.search(r"failure rate\s+0\.0%", out)
 
-    def test_loadtest_emit_records_the_artifacts_conv(self, tmp_path, capsys):
-        """``--conv`` is ignored with ``--artifact``: the trajectory meta
-        names the family that was served, not the flag's default."""
-        from repro.loadgen.report import load_payload
-
+    def test_loadtest_reports_the_artifacts_conv(self, tmp_path, capsys):
+        """``--conv`` is ignored with ``--artifact``: the report names the
+        family that was served, not the flag's default."""
         artifact_path = tmp_path / "sage.npz"
-        emit_path = tmp_path / "bench.json"
         common = ["--dataset", "cora", "--scale", "0.05", "--seed", "0"]
         assert main(["export", *common, "--conv", "sage", "--epochs", "2",
                      "--out", str(artifact_path)]) == 0
+        capsys.readouterr()
         assert main(["loadtest", *common, "--artifact", str(artifact_path),
                      "--mode", "closed", "--clients", "1", "--requests", "6",
-                     "--warmup", "2", "--emit", str(emit_path)]) == 0
-        capsys.readouterr()
-        result = load_payload(emit_path)["results"]["loadtest.zipfian.closed"]
-        assert result["meta"]["conv"] == "sage"
+                     "--warmup", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "conv=sage" in out and "conv=gcn" not in out
 
     def test_streamtest_options_snapshot(self):
         snapshot = _option_snapshot(_subcommands(build_parser())["streamtest"])
@@ -210,8 +198,7 @@ class TestParserSnapshot:
             "--requests", "--seeds-per-request", "--update-every",
             "--edges-per-update", "--feature-nodes", "--update-seed",
             "--warmup", "--deadline-ms", "--traffic-seed", "--fanout",
-            "--batch-size", "--cache-size", "--workers",
-            "--emit", "--name"}
+            "--batch-size", "--cache-size", "--workers"}
         assert snapshot["--update-every"][0] == 8
         assert snapshot["--edges-per-update"][0] == 4
         assert snapshot["--feature-nodes"][0] == 2
@@ -221,24 +208,17 @@ class TestParserSnapshot:
         # no sharding knobs: sharded sessions don't support streaming updates
         assert "--shards" not in snapshot and "--mode" not in snapshot
 
-    def test_streamtest_emits_schema_valid_trajectory(self, tmp_path, capsys):
-        from repro.loadgen.report import load_payload
-
-        emit_path = tmp_path / "bench.json"
+    def test_streamtest_reports_updates_and_failures(self, capsys):
         assert main(["streamtest", "--dataset", "cora", "--scale", "0.05",
                      "--train-epochs", "2", "--requests", "24",
                      "--update-every", "6", "--seeds-per-request", "4",
                      "--warmup", "4", "--deadline-ms", "200",
-                     "--cache-size", "2048", "--emit", str(emit_path)]) == 0
+                     "--cache-size", "2048"]) == 0
         out = capsys.readouterr().out
-        assert "updates" in out and "failure rate" in out
-        payload = load_payload(emit_path)
-        result = payload["results"]["streamtest.zipfian.poisson"]
-        assert result["kind"] == "loadtest"
-        assert result["metrics"]["failure_rate"] == 0
-        assert result["metrics"]["updates"] >= 1
-        assert result["metrics"]["final_version"] >= 1
-        assert result["meta"]["update_every"] == 6
+        assert re.search(r"failure rate\s+0\.0%", out)
+        assert int(re.search(r"(\d+) updates", out).group(1)) >= 1
+        assert int(re.search(r"final graph version (\d+)", out).group(1)) >= 1
+        assert "(every 6 queries)" in out
 
     def test_backend_flag_is_gone(self, capsys):
         """The serving kernels are not a command-line choice."""
@@ -246,6 +226,15 @@ class TestParserSnapshot:
             main(["predict", "--artifact", "a.npz", "--backend", "numpy"])
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["loadtest", "--emit", "x.json"],
+                                      ["streamtest", "--name", "x"]])
+    def test_trajectory_flags_are_gone(self, argv, capsys):
+        """The load harness prints its report; it writes no result file."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
     def test_predict_help_documents_defaults(self):
         # collapse argparse's terminal-width wrapping before matching

@@ -1,1 +1,1 @@
-"""Repository tooling: CI gates (check_bench, check_docs) and reprolint."""
+"""Repository tooling: the docs gate (check_docs) and reprolint."""
