@@ -36,8 +36,8 @@ def main() -> None:
           f"protection probability={probabilities[most]:.3f}")
     print(f"Lowest in-degree node: degree={degrees[least]}, "
           f"protection probability={probabilities[least]:.3f}\n")
-    # ties share a degree, so the extreme probabilities sit on nodes of
-    # extreme degree whichever tied node the ranking puts last or first
+    # several nodes can share the extreme degree; the ranking gives the
+    # extreme probability to one of them
     assert degrees[most] == degrees.max() and np.isclose(probabilities[most], P_MAX)
     assert degrees[least] == degrees.min() and np.isclose(probabilities[least], P_MIN)
 
