@@ -202,6 +202,36 @@ class TestLatencySummary:
         with pytest.raises(ValueError):
             summarize_latencies(np.array([1e-3]), deadline_ms=0.0)
 
+    def test_rejects_negative_deadline(self):
+        with pytest.raises(ValueError, match="deadline_ms"):
+            summarize_latencies(np.array([1e-3]), deadline_ms=-5.0)
+
+    def test_deadline_is_inclusive(self):
+        """A request that finishes exactly at the deadline meets the SLO."""
+        metrics = summarize_latencies(np.array([0.25, 0.5, 0.75]),
+                                      deadline_ms=500.0)
+        assert metrics["slo_violation_rate"] == pytest.approx(1 / 3)
+
+    def test_single_sample(self):
+        metrics = summarize_latencies(np.array([0.004]), deadline_ms=10.0)
+        for key in ("p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"):
+            assert metrics[key] == pytest.approx(4.0)
+        assert metrics["slo_violation_rate"] == 0.0
+
+    def test_order_and_shape_do_not_matter(self):
+        """The trace is a bag of latencies: permuting or reshaping it, or
+        passing a list, gives the same summary as plain floats."""
+        latencies = np.random.default_rng(0).exponential(0.01, size=64)
+        reference = summarize_latencies(latencies, deadline_ms=15.0)
+        shuffled = np.random.default_rng(1).permutation(latencies)
+        assert summarize_latencies(shuffled, deadline_ms=15.0) == \
+            pytest.approx(reference)
+        assert summarize_latencies(latencies.reshape(8, 8),
+                                   deadline_ms=15.0) == reference
+        assert summarize_latencies(latencies.tolist(),
+                                   deadline_ms=15.0) == reference
+        assert all(type(value) is float for value in reference.values())
+
 
 class TestMetrics:
     def test_metrics_from_run_covers_loadtest_schema(self):
@@ -213,6 +243,41 @@ class TestMetrics:
         assert metrics["p50_ms"] <= metrics["p95_ms"] <= metrics["p99_ms"] \
             <= metrics["max_ms"]
         assert 0.0 <= metrics["slo_violation_rate"] <= 1.0
+
+    def test_metrics_from_run_is_summary_plus_run_counters(self):
+        with _engine(StubSession(with_cache=True)) as engine:
+            run = run_load(engine, _trace(), mode="closed", clients=2,
+                           warmup_requests=4)
+        metrics = metrics_from_run(run, deadline_ms=50.0)
+        summary = summarize_latencies(run.latencies_seconds, deadline_ms=50.0)
+        assert {key: metrics[key] for key in summary} == summary
+        assert set(metrics) - set(summary) == {
+            "requests", "offered_qps", "achieved_qps", "cache_hit_rate",
+            "failure_rate"}
+        assert metrics["requests"] == 20
+        assert metrics["offered_qps"] == run.offered_qps
+        assert metrics["achieved_qps"] == run.achieved_qps
+        # the stub hits floor(half) of each micro-batch's rows
+        assert metrics["cache_hit_rate"] == run.cache_hit_rate
+        assert 0.0 < metrics["cache_hit_rate"] <= 0.5
+        assert metrics["failure_rate"] == 0.0
+
+    def test_required_metrics_are_exactly_what_a_run_reports(self):
+        with _engine(StubSession()) as engine:
+            run = run_load(engine, _trace(num_requests=8), mode="open")
+        assert set(metrics_from_run(run, deadline_ms=50.0)) == \
+            LOADTEST_REQUIRED_METRICS
+
+    def test_package_exports_the_harness_functions(self):
+        """``repro.loadgen`` re-exports the summary from the harness, the
+        one place it is defined."""
+        import repro.loadgen as loadgen
+        from repro.loadgen import harness
+
+        assert loadgen.summarize_latencies is harness.summarize_latencies
+        assert loadgen.metrics_from_run is harness.metrics_from_run
+        assert loadgen.LOADTEST_REQUIRED_METRICS is \
+            harness.LOADTEST_REQUIRED_METRICS
 
 
 class FailingSession(StubSession):

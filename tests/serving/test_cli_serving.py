@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _train_for_export, build_parser, main
+from repro.kernels import resolve_backend
 from repro.quant.qmodules import gcn_component_names, uniform_assignment
 
 
@@ -220,6 +221,16 @@ class TestParserSnapshot:
         assert int(re.search(r"final graph version (\d+)", out).group(1)) >= 1
         assert "(every 6 queries)" in out
 
+    def test_streamtest_reports_the_served_conv_and_backend(self, capsys):
+        """The report line names the family trained for ``--conv`` and the
+        session's kernel backend."""
+        assert main(["streamtest", "--dataset", "cora", "--scale", "0.05",
+                     "--conv", "sage", "--train-epochs", "2",
+                     "--requests", "12", "--update-every", "6",
+                     "--seeds-per-request", "2", "--warmup", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"conv=sage, backend={resolve_backend(None).name})" in out
+
     def test_backend_flag_is_gone(self, capsys):
         """The serving kernels are not a command-line choice."""
         with pytest.raises(SystemExit) as exit_info:
@@ -228,7 +239,9 @@ class TestParserSnapshot:
         assert "--backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["loadtest", "--emit", "x.json"],
-                                      ["streamtest", "--name", "x"]])
+                                      ["streamtest", "--name", "x"],
+                                      ["loadtest", "--name", "x"],
+                                      ["streamtest", "--emit", "x.json"]])
     def test_trajectory_flags_are_gone(self, argv, capsys):
         """The load harness prints its report; it writes no result file."""
         with pytest.raises(SystemExit) as exit_info:
