@@ -6,8 +6,9 @@ popular and repetitive.  The naive reaction to an update — flush the whole
 block cache, because *something* changed — throws away every warm entry on
 every update and re-pays the cold-sampling cost for traffic the update
 never touched.  Scoped invalidation
-(:meth:`~repro.serving.BlockSession.apply_update`) bumps versions only
-inside the affected receptive fields, so untouched traffic keeps hitting.
+(:meth:`~repro.serving.BlockSession.apply_update`) evicts only the
+adjacency rows the update changed (and the whole-batch entries, which the
+graph version keys), so every other row keeps hitting.
 
 The benchmark drives the identical update/query schedule through two
 cached sessions — one invalidating scoped, one flushing the whole cache

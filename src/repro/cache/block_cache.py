@@ -30,15 +30,15 @@ entries are keyed by node ids and sampler-local quantities only.  The
 consumers (:class:`MinibatchTrainer`, :class:`BlockSession`) each build a
 private cache, which keeps that invariant without bookkeeping.
 
-Streaming graphs extend every key with a *graph-version* component (see
-:mod:`repro.streaming.versions`): row-shaped entries carry the node's row
-version, batch entries carry the region-version vector of their seed list.
-An update bumps versions only inside the affected receptive field, so keys
-from before the update become unreachable exactly where the graph changed
-while untouched traffic keeps hitting its warm entries.
-:meth:`BlockCache.invalidate_nodes` additionally evicts the newly
-unreachable entries — a memory optimisation, never a correctness
-requirement.
+Streaming graphs extend every key with a *graph-version* component:
+row-shaped entries carry the node's
+:attr:`~repro.graphs.graph.Graph.row_version`, batch entries the graph's
+:attr:`~repro.graphs.graph.Graph.version`.  A row entry holds only the raw
+row (degree terms are applied at block build), so it goes stale only when
+its own row changes; an update therefore strands the row entries of the
+rows it changed and every batch, while all other rows stay warm.
+:meth:`BlockCache.invalidate_nodes` additionally evicts the stranded
+entries — a memory optimisation, never a correctness requirement.
 """
 
 from __future__ import annotations
@@ -172,23 +172,22 @@ class BlockCache:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _batch_key(seeds: np.ndarray, fanouts: Sequence[Optional[int]],
-                   epoch: int, region_tag: bytes = b"") -> Tuple:
-        return ("bat", seeds.tobytes(), tuple(fanouts), epoch, region_tag)
+                   epoch: int, version: int = 0) -> Tuple:
+        return ("bat", seeds.tobytes(), tuple(fanouts), epoch, version)
 
     def get_batch(self, seeds: np.ndarray, fanouts: Sequence[Optional[int]],
-                  epoch: int, region_tag: bytes = b"") -> Optional[Any]:
+                  epoch: int, version: int = 0) -> Optional[Any]:
         """A previously built batch for the exact same seed list, or None.
 
-        ``region_tag`` is the seeds' region-version vector (see
-        :meth:`~repro.streaming.RegionVersions.region_tag`); the default
-        empty tag is what static graphs use.  The probe and its counter
-        update happen under both locks (same order as :meth:`get_rows`),
-        so concurrent readers never observe a probe whose hit/miss has
-        not been counted yet.
+        ``version`` is the graph's :attr:`~repro.graphs.graph.Graph.version`
+        the batch was built at; static graphs stay at 0.  The probe and its
+        counter update happen under both locks (same order as
+        :meth:`get_rows`), so concurrent readers never observe a probe
+        whose hit/miss has not been counted yet.
         """
         with self._lock, self._lru.lock:
             batch = self._lru.get_quiet(
-                self._batch_key(seeds, fanouts, epoch, region_tag), None)
+                self._batch_key(seeds, fanouts, epoch, version), None)
             if batch is None:
                 self._misses += 1
             else:
@@ -196,8 +195,8 @@ class BlockCache:
         return batch
 
     def put_batch(self, seeds: np.ndarray, fanouts: Sequence[Optional[int]],
-                  epoch: int, batch: Any, region_tag: bytes = b"") -> None:
-        self._lru.put(self._batch_key(seeds, fanouts, epoch, region_tag),
+                  epoch: int, batch: Any, version: int = 0) -> None:
+        self._lru.put(self._batch_key(seeds, fanouts, epoch, version),
                       batch, _batch_nbytes(batch))
 
     # ------------------------------------------------------------------ #
@@ -222,25 +221,19 @@ class BlockCache:
     def invalidate_nodes(self, nodes: np.ndarray) -> int:
         """Evict entries made unreachable by a streaming update.
 
-        Drops raw and fanout-capped rows of the given nodes (any version —
-        the current version's entries were stored under the pre-bump
-        version, so they are stale too) and every batch whose seed list
-        intersects the node set.  Purely a memory/accounting measure: the
-        versioned keys already guarantee stale entries are never *served*.
-        Leaves the logical hit/miss counters untouched, so a measured
-        window that contains updates still reports a monotone hit-rate.
+        Drops raw and fanout-capped rows of the given nodes — the rows the
+        update changed, whose entries were all stored under an older row
+        version — and every batch, because every update advances the graph
+        version batches are keyed by.  Purely a memory/accounting measure:
+        the versioned keys already guarantee stale entries are never
+        *served*.  Leaves the logical hit/miss counters untouched, so a
+        measured window that contains updates still reports a monotone
+        hit-rate.
         """
         node_set = {int(node) for node in np.asarray(nodes).reshape(-1)}
-        if not node_set:
-            return 0
 
         def stale(key: Tuple) -> bool:
-            if key[0] in ("row", "blk"):
-                return key[1] in node_set
-            if key[0] == "bat":
-                seeds = np.frombuffer(key[1], dtype=np.int64)
-                return any(int(seed) in node_set for seed in seeds)
-            return False
+            return key[0] == "bat" or key[1] in node_set
 
         return self._lru.evict_where(stale)
 

@@ -9,7 +9,9 @@ Graphs are mutable through the streaming update API only: ``add_edges`` /
 ``remove_edges`` / ``update_features`` wrap their arguments into an atomic
 :class:`~repro.streaming.GraphDelta` and route through :meth:`Graph.
 apply_delta`, which validates everything before touching any array, bumps
-the monotone :attr:`Graph.version` counter, and refreshes the cached
+the monotone :attr:`Graph.version` counter and the per-node
+:attr:`Graph.row_version` of every changed adjacency row, and refreshes the
+cached
 adjacency *incrementally* (only the changed rows are respliced — see
 :meth:`~repro.tensor.sparse.SparseTensor.with_rows`).  A mutated graph is
 indistinguishable from a fresh ``Graph`` built on the edited edge list,
@@ -80,6 +82,9 @@ class Graph:
         #: Monotone update counter: number of deltas applied to this
         #: instance (a freshly built graph is version 0).
         self.version = 0
+        #: Per-node count of deltas that changed the node's adjacency row
+        #: (its out-edges); cached row entries are keyed by it.
+        self.row_version = np.zeros(self.num_nodes, dtype=np.int64)
         self._cache: Dict[str, SparseTensor] = {}
 
     # ------------------------------------------------------------------ #
@@ -143,15 +148,16 @@ class Graph:
         """Apply one atomic :class:`~repro.streaming.GraphDelta`.
 
         The whole delta is validated before any array is touched, so a
-        rejected delta leaves the graph (and its version) unchanged.  On
-        success the version counter advances by exactly one and the cached
-        raw adjacency is respliced incrementally: only the rows of edge
-        sources the delta names are rebuilt (see
+        rejected delta leaves the graph (and its versions) unchanged.  On
+        success :attr:`version` advances by exactly one, the
+        :attr:`row_version` of every row in ``delta.changed_rows()`` by one,
+        and the cached raw adjacency is respliced incrementally: only those
+        rows are rebuilt (see
         :meth:`~repro.tensor.sparse.SparseTensor.with_rows`); derived
         caches (self-loop adjacency, GCN normalisation) are dropped.
 
         Returns the normalised delta (arrays coerced to canonical dtypes),
-        which callers feed to the version trackers.
+        whose ``changed_rows()`` callers hand to cache eviction.
         """
         from repro.streaming.delta import GraphDelta
 
@@ -202,9 +208,10 @@ class Graph:
         self.edge_weight = edge_weight
         if delta.feature_nodes is not None:
             self.x[delta.feature_nodes] = delta.features
-        self.version += 1
-
         changed = delta.changed_rows()
+        self.version += 1
+        self.row_version[changed] += 1
+
         cached = self._cache.get("adj_False")
         self._cache.clear()
         if cached is not None and changed.size:

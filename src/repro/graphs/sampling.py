@@ -55,7 +55,6 @@ from repro.tensor.tensor import Tensor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache stores blocks)
     from repro.cache import BlockCache
-    from repro.streaming import RegionVersions
 
 #: A per-layer fanout: ``None`` means unlimited (keep every neighbour).
 Fanout = Optional[int]
@@ -317,14 +316,10 @@ class NeighborSampler:
         Optional :class:`~repro.cache.BlockCache` consulted before touching
         the adjacency.  The cache must be private to one sampler
         configuration (its keys carry no graph/seed identity).  Cached and
-        uncached sampling are bit-identical.
-    versions:
-        Optional :class:`~repro.streaming.RegionVersions` tracker for
-        streamed graphs.  When given, every cache key is stamped with the
-        node's row version (row entries) or the seeds' region-version
-        vector (batch entries), which is what scopes invalidation to the
-        receptive fields an update actually touched.  Static graphs omit
-        it (all versions stay 0).
+        uncached sampling are bit-identical.  Keys carry the graph's
+        versions (:attr:`~repro.graphs.graph.Graph.row_version` for row
+        entries, :attr:`~repro.graphs.graph.Graph.version` for batches), so
+        an update strands exactly the entries it made stale.
     """
 
     def __init__(self, graph: Graph, fanouts: Union[Fanout, Sequence[Fanout]],
@@ -332,8 +327,7 @@ class NeighborSampler:
                  seed_nodes: Optional[np.ndarray] = None,
                  shuffle: bool = True, seed: int = 0,
                  cache: Optional["BlockCache"] = None,
-                 cache_batches: bool = True,
-                 versions: Optional["RegionVersions"] = None):
+                 cache_batches: bool = True):
         self.graph = graph
         self.fanouts = _normalize_fanouts(fanouts, num_layers)
         self.batch_size = int(batch_size)
@@ -350,7 +344,6 @@ class NeighborSampler:
         #: Store whole BlockBatches (worth it for serving, where identical
         #: requests repeat; training batches never repeat within an epoch).
         self.cache_batches = cache_batches
-        self.versions = versions
 
         if seed_nodes is None:
             seed_nodes = graph.train_mask if graph.train_mask is not None \
@@ -424,8 +417,7 @@ class NeighborSampler:
         from repro.cache import ROW_FINAL, ROW_RAW
 
         cache, epoch = self.cache, self.rng_epoch
-        versions = np.zeros(targets.shape[0], dtype=np.int64) \
-            if self.versions is None else self.versions.row_versions(targets)
+        versions = self.graph.row_version[targets]
         entries = cache.get_rows(targets, fanout, hop, epoch,
                                  versions=versions)
 
@@ -524,14 +516,13 @@ class NeighborSampler:
         A pure function of ``(seeds, sampler seed, rng-epoch)``: calling it
         twice — or in any interleaving with other batches — returns
         identical samples.  With a cache attached, a byte-identical repeat
-        call returns the previously built (immutable) batch outright.
+        call at the same graph version returns the previously built
+        (immutable) batch outright.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
-        region_tag = b"" if self.versions is None \
-            else self.versions.region_tag(seeds)
         if self.cache is not None and self.cache_batches:
             cached = self.cache.get_batch(seeds, self.fanouts, self.rng_epoch,
-                                          region_tag=region_tag)
+                                          version=self.graph.version)
             if cached is not None:
                 return cached
         blocks: List[SubgraphBlock] = []
@@ -546,7 +537,7 @@ class NeighborSampler:
         batch = BlockBatch(blocks, x, y, seeds)
         if self.cache is not None and self.cache_batches:
             self.cache.put_batch(seeds, self.fanouts, self.rng_epoch, batch,
-                                 region_tag=region_tag)
+                                 version=self.graph.version)
         return batch
 
     def iter_batches(self, seeds: np.ndarray) -> Iterator[BlockBatch]:

@@ -457,20 +457,14 @@ class BlockSession(InferenceSession):
                  cache_bytes: Optional[int] = None,
                  backend: BackendLike = None):
         super().__init__(artifact, graph, backend=backend)
-        from repro.streaming import RegionVersions
-
         self.batch_size = int(batch_size)
         self.cache = BlockCache(max_entries=cache_size, max_bytes=cache_bytes) \
             if cache_size > 0 else None
-        #: Row/region version counters streamed updates advance; stamped
-        #: into every cache key so invalidation scopes to receptive fields.
-        self.versions = RegionVersions(graph.num_nodes)
         self.sampler = self._make_sampler(
             graph, fanouts=fanouts, batch_size=self.batch_size,
             num_layers=artifact.total_hops,
             seed_nodes=np.arange(graph.num_nodes, dtype=np.int64),
-            shuffle=False, seed=seed, cache=self.cache,
-            versions=self.versions)
+            shuffle=False, seed=seed, cache=self.cache)
 
     def _make_sampler(self, graph: Graph, **kwargs) -> NeighborSampler:
         """The session's sampler; a shard worker returns its own subclass."""
@@ -481,27 +475,19 @@ class BlockSession(InferenceSession):
         return None if self.cache is None else self.cache.stats()
 
     def apply_update(self, delta: "GraphDelta") -> int:
-        """Apply a delta with invalidation scoped to its receptive fields.
+        """Apply a delta, evicting only the cache rows it changed.
 
-        Ordering matters and is pinned here: the graph mutates first, the
-        affected region is computed on the *post-update* adjacency (sound
-        for pre-update entries too — see
-        :func:`~repro.streaming.affected_region`), row versions advance for
-        changed adjacency rows and region versions for every node within
-        ``total_hops`` of the delta, the sampler re-derives its degree
-        state, and only then are the now-unreachable cache entries evicted.
-        Everything outside the affected region keeps its warm entries,
-        which is the whole point of scoped invalidation.
+        Ordering matters and is pinned here: the graph mutates first (which
+        advances its version and the row versions of the changed rows, so
+        their old entries and every batch are unreachable by key), the
+        sampler re-derives its degree state, and only then are the stranded
+        entries evicted.  Every other row entry stays warm: it holds only
+        the raw row, and degree terms are applied at block build.
         """
-        from repro.streaming import affected_region
-
         applied = self.graph.apply_delta(delta)
-        region = affected_region(self.graph, applied.touched_nodes(),
-                                 self.artifact.total_hops)
-        self.versions.bump(applied.changed_rows(), region)
         self.sampler.refresh_graph()
         if self.cache is not None:
-            self.cache.invalidate_nodes(region)
+            self.cache.invalidate_nodes(applied.changed_rows())
         with self._cache_lock:
             self._operator_cache.clear()
             self._quantized_cache.clear()

@@ -1,16 +1,14 @@
 """Streaming / dynamic-graph serving support.
 
-Three pieces, consumed by the graph core, the block cache and the serving
-engines:
+The atomic update unit lives here; everything else rides on the consumers:
 
 * :class:`GraphDelta` — atomic batches of edge insertions/removals and
   feature overwrites, applied via
-  :meth:`~repro.graphs.graph.Graph.apply_delta` under a monotone graph
-  version counter.
-* :class:`RegionVersions` / :func:`affected_region` — per-node row and
-  region version counters scoped to the receptive fields an update
-  touches, stamped into every :class:`~repro.cache.BlockCache` key so
-  stale entries are unreachable by construction.
+  :meth:`~repro.graphs.graph.Graph.apply_delta`, which advances the graph's
+  monotone ``version`` and the ``row_version`` of every adjacency row the
+  delta changed.  Block-cache keys carry those versions (row entries the
+  row version, whole batches the graph version), so an update strands
+  exactly the entries it made stale and every other row stays warm.
 * The serving wiring lives with the consumers:
   ``BlockSession.apply_update`` / ``ServingEngine.apply_update`` /
   ``AsyncServingEngine.submit_update`` apply deltas at flush boundaries
@@ -24,10 +22,7 @@ intermediate version.
 """
 
 from repro.streaming.delta import GraphDelta
-from repro.streaming.versions import RegionVersions, affected_region
 
 __all__ = [
     "GraphDelta",
-    "RegionVersions",
-    "affected_region",
 ]

@@ -3,7 +3,8 @@
 A delta bundles edge insertions, edge removals and feature overwrites into
 one atomic unit: :meth:`~repro.graphs.graph.Graph.apply_delta` validates
 the whole delta against the target graph before mutating anything, applies
-every part, and bumps the graph's monotone version counter exactly once.
+every part, and bumps the graph's monotone version counter exactly once
+(and the row version of each row in :meth:`GraphDelta.changed_rows`).
 Streaming consumers (sessions, engines, the temporal load generator) only
 ever exchange deltas — never raw array edits — so a serving stack can
 define its consistency point as "between two deltas".
@@ -108,11 +109,10 @@ class GraphDelta:
         """Every node the delta mentions: both endpoints of added/removed
         edges plus feature-updated nodes (sorted, unique).
 
-        Both endpoints are included deliberately: a target endpoint's own
-        row is unchanged, but its degree-derived quantities (the GCN
-        ``1/sqrt(degree)`` of the *source* side only — see
-        ``affected_region``) make the conservative set the safe seed for
-        the receptive-field sweep.
+        :meth:`~repro.graphs.graph.Graph.apply_delta` range-checks this set
+        before mutating anything.  It is a superset of
+        :meth:`changed_rows`, the only rows whose cache entries an update
+        makes stale.
         """
         parts = [edges.reshape(-1) for edges
                  in (self.added_edges, self.removed_edges) if edges is not None]

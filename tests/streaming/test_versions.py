@@ -1,4 +1,4 @@
-"""affected_region reachability, version counters, scoped invalidation."""
+"""One version counter: graph/row versions, batch keys, row-only eviction."""
 
 from types import SimpleNamespace
 
@@ -7,89 +7,86 @@ import pytest
 
 from repro.cache.block_cache import BlockCache
 from repro.graphs.graph import Graph
-from repro.streaming import RegionVersions, affected_region
+from repro.graphs.sampling import NeighborSampler
+from repro.serving import BlockSession
+from repro.streaming import GraphDelta
 
 
-def _path_graph(n=8):
+def _path_graph(n=8, features=2):
     """0 -> 1 -> 2 -> ... -> n-1 (directed chain)."""
     src = np.arange(n - 1)
     dst = np.arange(1, n)
-    return Graph(np.zeros((n, 2), dtype=np.float32), np.stack([src, dst]))
+    return Graph(np.zeros((n, features), dtype=np.float32),
+                 np.stack([src, dst]))
 
 
-class TestAffectedRegion:
-    def test_chain_reachability_is_hop_bounded(self):
-        """On 0->1->...->7, the reverse k-hop region of {4} is {4-k .. 4}."""
-        graph = _path_graph(8)
-        for hops in range(4):
-            region = affected_region(graph, np.asarray([4]), hops)
-            np.testing.assert_array_equal(region,
-                                          np.arange(4 - hops, 5))
+def _row_is_cached(cache, graph, node):
+    return cache.get_rows([node], fanout=None, hop=0, epoch=0,
+                          versions=graph.row_version[[node]])[0] is not None
 
-    def test_matches_powers_of_the_reverse_adjacency(self):
-        """Random graph with empty rows, duplicate edges and self loops:
-        the region is the support of (I + A^T)^k applied to the touched
-        set."""
-        rng = np.random.default_rng(3)
-        edges = rng.integers(0, 30, size=(2, 45))
-        edges[:, :3] = [[7, 7, 12], [7, 9, 12]]
-        graph = Graph(np.zeros((40, 2), dtype=np.float32), edges)
-        step = np.eye(40, dtype=np.int64)
-        step[edges[0], edges[1]] = 1
-        touched = np.asarray([9, 12, 35])
-        reached = np.zeros(40, dtype=np.int64)
-        reached[touched] = 1
-        for hops in range(4):
-            np.testing.assert_array_equal(
-                affected_region(graph, touched, hops), np.flatnonzero(reached))
-            reached = step @ reached
 
-    def test_zero_hops_returns_touched_set(self):
-        graph = _path_graph(5)
-        np.testing.assert_array_equal(
-            affected_region(graph, np.asarray([3, 1, 3]), 0), [1, 3])
-
-    def test_empty_touched_set(self):
-        graph = _path_graph(5)
-        assert affected_region(graph, np.asarray([], dtype=np.int64),
-                               2).size == 0
-
-    def test_rejects_out_of_range(self):
-        graph = _path_graph(5)
-        with pytest.raises(ValueError):
-            affected_region(graph, np.asarray([5]), 1)
-
-    def test_region_never_exceeds_graph(self):
+class TestRowVersion:
+    def test_bumps_exactly_the_changed_rows(self):
         graph = _path_graph(6)
-        region = affected_region(graph, np.asarray([5]), 99)
-        np.testing.assert_array_equal(region, np.arange(6))
+        delta = GraphDelta(added_edges=np.asarray([[4, 4, 0], [0, 1, 5]]),
+                           removed_edges=np.asarray([[2], [3]]))
+        applied = graph.apply_delta(delta)
+        expected = np.zeros(6, dtype=np.int64)
+        expected[applied.changed_rows()] = 1
+        np.testing.assert_array_equal(applied.changed_rows(), [0, 2, 4])
+        np.testing.assert_array_equal(graph.row_version, expected)
+        assert graph.version == 1
+        graph.apply_delta(GraphDelta(removed_edges=np.asarray([[4], [0]])))
+        np.testing.assert_array_equal(graph.row_version, [1, 0, 1, 0, 2, 0])
+        assert graph.version == 2
+
+    def test_feature_only_delta_bumps_no_row(self):
+        graph = _path_graph(5)
+        graph.apply_delta(GraphDelta(feature_nodes=np.asarray([1, 3]),
+                                     features=np.ones((2, 2),
+                                                      dtype=np.float32)))
+        assert graph.version == 1
+        assert not graph.row_version.any()
+
+    def test_rejected_delta_leaves_both_counters(self):
+        graph = _path_graph(5)
+        graph.add_edges(np.asarray([[3], [0]]))
+        rows_before = graph.row_version.copy()
+        with pytest.raises(ValueError):
+            graph.apply_delta(GraphDelta(
+                added_edges=np.asarray([[1], [2]]),
+                removed_edges=np.asarray([[4], [0]])))  # absent edge
+        assert graph.version == 1
+        np.testing.assert_array_equal(graph.row_version, rows_before)
+
+    def test_copy_starts_at_version_zero(self):
+        graph = _path_graph(4)
+        graph.add_edges(np.asarray([[0], [2]]))
+        copy = graph.copy()
+        assert copy.version == 0 and not copy.row_version.any()
 
 
-class TestRegionVersions:
-    def test_bump_scopes_to_given_nodes(self):
-        versions = RegionVersions(6)
-        versions.bump(np.asarray([2]), np.asarray([1, 2, 3]))
-        np.testing.assert_array_equal(
-            versions.row_versions(np.arange(6)), [0, 0, 1, 0, 0, 0])
-        tag_all = np.frombuffer(versions.region_tag(np.arange(6)), np.int64)
-        np.testing.assert_array_equal(tag_all, [0, 1, 1, 1, 0, 0])
-
-    def test_region_tag_is_order_sensitive_full_vector(self):
-        """The batch tag must distinguish per-seed versions, not just a max."""
-        versions = RegionVersions(4)
-        versions.bump(np.asarray([], dtype=np.int64), np.asarray([1]))
-        tag_01 = versions.region_tag(np.asarray([0, 1]))
-        versions_other = RegionVersions(4)
-        versions_other.bump(np.asarray([], dtype=np.int64), np.asarray([0]))
-        tag_10 = versions_other.region_tag(np.asarray([0, 1]))
-        assert tag_01 != tag_10  # same max version, different vectors
-
-    def test_repeated_bumps_accumulate(self):
-        versions = RegionVersions(3)
-        versions.bump(np.asarray([0]), np.asarray([0, 1]))
-        versions.bump(np.asarray([0]), np.asarray([0]))
-        np.testing.assert_array_equal(versions.row_versions(np.asarray([0])),
-                                      [2])
+class TestBatchKeys:
+    def test_stored_batch_misses_after_any_update(self):
+        graph = _path_graph(6)
+        cache = BlockCache(max_entries=256)
+        sampler = NeighborSampler(graph, [None, None], cache=cache,
+                                  shuffle=False)
+        seeds = np.asarray([0, 1], dtype=np.int64)
+        batch = sampler.sample(seeds)
+        assert sampler.sample(seeds) is batch
+        for delta in (GraphDelta(),
+                      GraphDelta(feature_nodes=np.asarray([5]),
+                                 features=np.ones((1, 2), dtype=np.float32)),
+                      GraphDelta(added_edges=np.asarray([[5], [4]]))):
+            graph.apply_delta(delta)
+            sampler.refresh_graph()
+            # unreachable by key, before and without any eviction
+            assert cache.get_batch(seeds, sampler.fanouts, 0,
+                                   version=graph.version) is None
+            rebuilt = sampler.sample(seeds)
+            assert rebuilt is not batch
+            batch = rebuilt
 
 
 class TestInvalidateNodes:
@@ -106,7 +103,7 @@ class TestInvalidateNodes:
     def test_evicts_only_named_nodes(self):
         cache, seeds, payload = self._warm_cache()
         evicted = cache.invalidate_nodes(np.asarray([2]))
-        assert evicted == 1
+        assert evicted == 2  # node 2's row and the batch
         # untouched row entries still hit; the evicted one misses
         entries = cache.get_rows([0, 1, 3], fanout=None, hop=0, epoch=0)
         assert all(entry is not None for entry in entries)
@@ -118,22 +115,59 @@ class TestInvalidateNodes:
         cache.invalidate_nodes(np.asarray([1]))
         assert cache.get_batch(seeds, (5,), 0) is None
 
-    def test_keeps_batches_outside_region(self):
+    def test_drops_every_batch(self):
+        """Every update advances the graph version, so no batch survives
+        one — not even for an empty node set (a feature-only delta)."""
         cache, seeds, payload = self._warm_cache()
-        cache.invalidate_nodes(np.asarray([3]))
-        assert cache.get_batch(seeds, (5,), 0) is payload
+        cache.put_batch(np.asarray([3], dtype=np.int64), (5,), 0, payload)
+        assert cache.invalidate_nodes(np.asarray([], dtype=np.int64)) == 2
+        assert cache.get_batch(seeds, (5,), 0) is None
+        assert len(cache) == 4  # the rows all stay
 
     def test_versioned_keys_make_stale_entries_unreachable(self):
-        """Even without eviction, a bumped version misses by key."""
+        """Even without eviction, a bumped row version misses by key."""
+        graph = _path_graph(4)
         cache = BlockCache(max_entries=16)
-        versions = RegionVersions(4)
         rows = [(np.asarray([1]), np.asarray([1.0]))]
-        cache.put_raw_rows([0], rows,
-                           versions=[int(v) for v
-                                     in versions.row_versions([0])])
-        assert cache.get_rows([0], fanout=None, hop=0, epoch=0,
-                              versions=versions.row_versions([0]))[0] \
-            is not None
-        versions.bump(np.asarray([0]), np.asarray([0]))
-        assert cache.get_rows([0], fanout=None, hop=0, epoch=0,
-                              versions=versions.row_versions([0])) == [None]
+        cache.put_raw_rows([0], rows, versions=graph.row_version[[0]])
+        assert _row_is_cached(cache, graph, 0)
+        graph.add_edges(np.asarray([[0], [2]]))
+        assert not _row_is_cached(cache, graph, 0)
+
+    def test_sampler_never_serves_a_stale_row_without_eviction(self):
+        """Correctness rests on the keys alone: with nothing evicted, a
+        cached sampler still matches an uncached one after an update."""
+        graph = _path_graph(6)
+        cached = NeighborSampler(graph, [None, None], cache=BlockCache(),
+                                 cache_batches=False, shuffle=False)
+        seeds = np.arange(6, dtype=np.int64)
+        cached.sample(seeds)
+        graph.apply_delta(GraphDelta(added_edges=np.asarray([[3], [0]]),
+                                     removed_edges=np.asarray([[1], [2]])))
+        cached.refresh_graph()
+        plain = NeighborSampler(graph.copy(), [None, None], shuffle=False)
+        for got, want in zip(cached.sample(seeds).blocks,
+                             plain.sample(seeds).blocks):
+            np.testing.assert_array_equal(got.src_nodes, want.src_nodes)
+            np.testing.assert_array_equal(got.edge_cols, want.edge_cols)
+            np.testing.assert_array_equal(got.edge_weight, want.edge_weight)
+
+
+def test_update_keeps_upstream_rows_warm(parity_artifact, parity_graph):
+    """On 0->1->2->3->4, adding (2, 0) changes only row 2: node 1, whose
+    two-hop receptive field reaches the change, keeps its warm row."""
+    artifact = parity_artifact("gcn", 1)
+    graph = _path_graph(5, features=parity_graph.num_features)
+    session = BlockSession(artifact, graph, fanouts=None, batch_size=8,
+                           cache_size=4096)
+    seeds = np.arange(5, dtype=np.int64)
+    session.predict(seeds)
+    session.apply_update(GraphDelta(added_edges=np.asarray([[2], [0]])))
+    cache = session.cache
+    # rows 0 and 1 never changed, so their version-0 entries still hit
+    for node in (0, 1):
+        assert cache.get_rows([node], fanout=None, hop=0, epoch=0) != [None]
+    assert cache.get_rows([2], fanout=None, hop=0, epoch=0) == [None]
+    fresh = BlockSession(artifact, graph.copy(), fanouts=None, batch_size=8)
+    np.testing.assert_array_equal(session.predict(seeds),
+                                  fresh.predict(seeds))

@@ -349,11 +349,20 @@ class TestCacheKeyVersionRule:
         """)
         assert violations == []
 
-    def test_region_tag_component_passes(self):
+    def test_region_tag_component_flagged(self):
+        """Only a ``*version*`` identifier counts: a tag is not a version."""
         violations = lint("""
             def key(seeds, fanouts, epoch, region_tag):
                 return ("bat", seeds.tobytes(), tuple(fanouts), epoch,
                         region_tag)
+        """)
+        assert rule_ids(violations) == ["RL05"]
+
+    def test_graph_version_component_passes(self):
+        violations = lint("""
+            def key(seeds, fanouts, epoch, graph):
+                return ("bat", seeds.tobytes(), tuple(fanouts), epoch,
+                        graph.version)
         """)
         assert violations == []
 

@@ -1,9 +1,9 @@
 """RL05 — cache-key versioning: streamed caches must key on graph versions.
 
-The streaming tier's correctness story (see :mod:`repro.streaming.versions`)
+The streaming tier's correctness story (see :mod:`repro.cache.block_cache`)
 rests on one construction: every :class:`~repro.cache.BlockCache` key
-carries a graph-version component — the node's row version for row-shaped
-entries, the seeds' region-version tag for batch entries — so an update
+carries a graph-version component — the node's ``Graph.row_version`` for
+row-shaped entries, the ``Graph.version`` for batch entries — so an update
 makes stale entries *unreachable by key* instead of relying on eviction
 races.  A key tuple built without that component reintroduces the exact
 bug class scoped invalidation was designed out of: a warm entry from
@@ -11,10 +11,8 @@ before an update keeps getting served after it.
 
 The rule flags any tuple literal whose first element is one of the cache
 kind tags (``"row"`` / ``"blk"`` / ``"bat"``) unless some other element of
-the tuple mentions a version-ish identifier (``*version*`` or ``*tag*`` —
-the row-version counters and the region-version tag respectively).
-All-constant tuples are ignored: ``("row", "blk")`` is a membership test,
-not a key.
+the tuple mentions a ``*version*`` identifier.  All-constant tuples are
+ignored: ``("row", "blk")`` is a membership test, not a key.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ def _mentions_version(node: ast.AST) -> bool:
             name = sub.attr
         elif isinstance(sub, ast.keyword):
             name = sub.arg
-        if name and ("version" in name.lower() or "tag" in name.lower()):
+        if name and "version" in name.lower():
             return True
     return False
 
@@ -46,10 +44,10 @@ def _mentions_version(node: ast.AST) -> bool:
 class CacheKeyVersionRule(Rule):
     rule_id = "RL05"
     name = "cache-key-versions"
-    hint = ("streamed graphs advance per-node versions on every update; a "
-            "cache key without a version/tag component keeps serving "
-            "entries from before the update — thread the RegionVersions "
-            "counters (row version / region tag) into the key tuple")
+    hint = ("streamed graphs advance their versions on every update; a "
+            "cache key without a version component keeps serving entries "
+            "from before the update — put the graph's row_version (row "
+            "entries) or version (batch entries) into the key tuple")
 
     def check(self, context: FileContext) -> Iterable[Violation]:
         for node in ast.walk(context.tree):
