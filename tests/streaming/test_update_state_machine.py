@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, consumes,
-                                 invariant, precondition, rule,
-                                 run_state_machine_as_test)
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, precondition,
+                                 rule, run_state_machine_as_test)
 
 from repro.serving import BlockSession
 from repro.streaming import GraphDelta
@@ -83,21 +82,13 @@ class CachedStreamMachine(RuleBasedStateMachine):
     def repeat_query(self, seeds):
         self._check(seeds)
 
-    @rule(seeds=consumes(queries))
-    def repeat_query_once_more(self, seeds):
-        self._check(seeds)
-        self._check(seeds)
 
-    @invariant()
-    def versions_in_step(self):
-        assert self.graph.version == self.version
-
-
-@pytest.mark.parametrize("family", ["gcn", "tag"])
+@pytest.mark.parametrize("family", ["gcn", "sage", "tag"])
 def test_cached_stream_equals_fresh_static(parity_graph, parity_artifact,
                                            family):
-    """``tag`` stacks hops inside a layer, so its receptive field is the
-    deepest one a changed row can reach."""
+    """``gcn`` and ``sage`` renormalise by degree differently; ``tag``
+    stacks hops inside a layer, so its receptive field is the deepest one
+    a changed row can reach."""
     artifact = parity_artifact(family, 1)
     run_state_machine_as_test(
         lambda: CachedStreamMachine(artifact, parity_graph),

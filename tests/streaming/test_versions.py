@@ -171,3 +171,20 @@ def test_update_keeps_upstream_rows_warm(parity_artifact, parity_graph):
     fresh = BlockSession(artifact, graph.copy(), fanouts=None, batch_size=8)
     np.testing.assert_array_equal(session.predict(seeds),
                                   fresh.predict(seeds))
+
+
+def test_feature_only_update_keeps_every_row(parity_artifact, parity_graph):
+    """A feature overwrite changes no adjacency row: the update evicts the
+    batches (the graph version moved) and no row entry at all."""
+    session = BlockSession(parity_artifact("gcn", 1), parity_graph.copy(),
+                           fanouts=3, batch_size=32, cache_size=65536)
+    seeds = np.arange(0, parity_graph.num_nodes, 3, dtype=np.int64)
+    session.predict(seeds)
+    batches = -(-seeds.shape[0] // 32)
+    entries = len(session.cache)
+    session.apply_update(GraphDelta(
+        feature_nodes=seeds[:4],
+        features=np.ones((4, parity_graph.num_features), dtype=np.float32)))
+    assert len(session.cache) == entries - batches
+    assert session.graph.version == 1
+    assert not session.graph.row_version.any()
