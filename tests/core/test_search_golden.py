@@ -9,10 +9,16 @@ penalty values, and the exported assignment against literals.
 The literals were captured at the commit that made Equation 8 count every
 component once (the adjacency quantizer used to be traversed twice); the
 gat / transformer entries are also bit-identical to the commit before it,
-which the double count never touched.  A refactor of the module families
+which the double count never touched.  Two more cases pin the sampled
+training pipeline around the search: ``MixQNodeClassifier.fit`` with
+``minibatch=True`` (alphas, search loss, assignment, accuracy and the
+sha256 of the final eval logits) and the sampled uniform-QAT row of
+``run_uniform_qat``.  A refactor of the module families
 must leave every literal untouched.  On a mismatch the assertion message
 carries the freshly computed record.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,9 +28,14 @@ from repro.core.build import (
     build_relaxed_node_classifier,
     layer_dimensions,
 )
+from repro.core.mixq import MixQNodeClassifier
 from repro.core.penalty import relaxed_quantizers
 from repro.core.selection import search_graph_bitwidths, search_node_bitwidths
+from repro.experiments.common import run_uniform_qat
+from repro.experiments.config import QUICK
+from repro.graphs.datasets import load_node_dataset
 from repro.graphs.sampling import NeighborSampler
+from repro.tensor.tensor import no_grad
 
 BIT_CHOICES = (2, 4, 8)
 HIDDEN = 8
@@ -76,6 +87,44 @@ def run_graph_case(graphs) -> dict:
     result = search_graph_bitwidths(model, graphs[:12], 0.5, epochs=2, batch_size=6,
                                     rng=np.random.default_rng(3))
     return _record(model, result)
+
+
+def _quick_cora():
+    return load_node_dataset("cora", scale=QUICK.citation_scale, seed=0)
+
+
+def run_mixq_minibatch_case(monkeypatch) -> dict:
+    """The sampled MixQ pipeline end to end: search, finalize, QAT, eval."""
+    import repro.core.mixq as mixq_module
+
+    searched = []
+
+    def search(model, *args, **kwargs):
+        searched.append(model)
+        return search_node_bitwidths(model, *args, **kwargs)
+
+    monkeypatch.setattr(mixq_module, "search_node_bitwidths", search)
+    graph = _quick_cora()
+    mixq = MixQNodeClassifier("gcn", graph.num_features, QUICK.hidden_features,
+                              graph.num_classes, seed=0)
+    result = mixq.fit(graph, search_epochs=3, train_epochs=3, minibatch=True,
+                      fanout=5, batch_size=32)
+    mixq.quantized_model.eval()
+    with no_grad():
+        logits = mixq.quantized_model(graph).data
+    return {
+        "alphas": [_hex(q.alpha.data) for q in relaxed_quantizers(searched[0])],
+        "loss": _hex(result.search.loss_history),
+        "assignment": dict(result.assignment),
+        "accuracy": result.accuracy,
+        "logits": hashlib.sha256(
+            np.asarray(logits, dtype=np.float32).tobytes()).hexdigest(),
+    }
+
+
+def run_uniform_qat_minibatch_case() -> dict:
+    row = run_uniform_qat(_quick_cora(), 8, minibatch=True)
+    return {"accuracy": row.mean_accuracy, "gbitops": row.giga_bit_operations}
 
 
 GOLDEN = {'gat': {'alphas': ['d5b1233d46bd223dbdaa23bd',
@@ -218,6 +267,28 @@ GOLDEN = {'gat': {'alphas': ['d5b1233d46bd223dbdaa23bd',
                               'head1.weight': 4},
                'loss': 'eee823404205b33f',
                'penalty': '60d8183c912a183c'},
+ 'mixq-minibatch': {'accuracy': 0.546875,
+                    'alphas': ['684422baa4dad439378fb13a',
+                               'b232f83c5c490fbd986adbbc',
+                               '7167583da47250bde4ec50bd',
+                               '4f3213be823c133ed396123e',
+                               '61d1bfbd442fb83d5a02c13d',
+                               '1626b93b37ca31bc46d19bba',
+                               '270ae7bdc540c43dd538d33d',
+                               '65210ebe2808073e21e5113e',
+                               'c083edbd71fff43d09c9943d'],
+                    'assignment': {'conv0.adjacency': 4,
+                                   'conv0.aggregate_out': 8,
+                                   'conv0.input': 8,
+                                   'conv0.linear_out': 2,
+                                   'conv0.weight': 2,
+                                   'conv1.adjacency': 8,
+                                   'conv1.aggregate_out': 4,
+                                   'conv1.linear_out': 8,
+                                   'conv1.weight': 2},
+                    'logits': '9ce61f86fc7149c515b9afd4b81e459e074ffb45dad37e9ba4d14268735e81e2',
+                    'loss': '11a7f83fd4d1f43f4285ee3f'},
+ 'qat8-minibatch': {'accuracy': 0.828125, 'gbitops': 0.015471328},
  'sage': {'alphas': ['d0b1233d24bd223dc1aa23bd',
                      '7e0b1d3d78c41dbd9cdc1bbd',
                      '341a0c3d97a704bd22f710bd',
@@ -337,3 +408,13 @@ def test_node_search_is_bitwise_stable(case, sbm_graph):
 def test_graph_search_is_bitwise_stable(tu_graphs):
     record = run_graph_case(tu_graphs)
     assert record == GOLDEN["gin-graph"], f"fresh record: {record!r}"
+
+
+def test_mixq_minibatch_pipeline_is_bitwise_stable(monkeypatch):
+    record = run_mixq_minibatch_case(monkeypatch)
+    assert record == GOLDEN["mixq-minibatch"], f"fresh record: {record!r}"
+
+
+def test_uniform_qat_minibatch_row_is_stable():
+    record = run_uniform_qat_minibatch_case()
+    assert record == GOLDEN["qat8-minibatch"], f"fresh record: {record!r}"
