@@ -190,18 +190,19 @@ def spmm(adjacency: SparseTensor, dense: Tensor) -> Tensor:
     """Sparse-dense matrix multiplication ``adjacency @ dense`` with autograd.
 
     Gradients flow only into the dense operand; the adjacency matrix is
-    treated as a constant of the graph structure.
+    treated as a constant of the graph structure.  The transpose is built
+    in ``backward``, so a ``no_grad`` forward never pays for it.
     """
     if not isinstance(adjacency, SparseTensor):
         adjacency = SparseTensor(adjacency)
     if not isinstance(dense, Tensor):
         dense = Tensor(dense)
 
-    data = np.asarray(adjacency.csr @ dense.data, dtype=np.float32)
-    adjacency_t = adjacency.csr.T.tocsr()
+    csr = adjacency.csr
+    data = np.asarray(csr @ dense.data, dtype=np.float32)
 
     def backward(grad):
         if dense.requires_grad:
-            dense._accumulate(np.asarray(adjacency_t @ grad, dtype=np.float32))
+            dense._accumulate(np.asarray(csr.T.tocsr() @ grad, dtype=np.float32))
 
     return Tensor._make(data, (dense,), backward)
