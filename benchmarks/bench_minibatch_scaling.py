@@ -1,6 +1,6 @@
 """Full-batch vs. neighbor-sampled minibatch training as the graph grows.
 
-Shape reproduced: the minibatch engine's per-epoch peak memory is bounded by
+Shape reproduced: sampled training's per-epoch peak memory is bounded by
 ``batch_size * fanout^L`` instead of the node count, so it keeps training as
 the SBM stand-in grows past the sizes the full-batch path can reasonably
 touch, while full-batch cost grows with the whole graph.  Wall-time and
@@ -21,8 +21,12 @@ from _bench_utils import run_once
 from repro.experiments.config import current_scale
 from repro.core.build import build_node_model
 from repro.graphs.datasets.synthetic import SBMConfig, generate_sbm_graph
-from repro.training.minibatch import MinibatchTrainer
-from repro.training.trainer import train_node_classifier
+from repro.training.trainer import (
+    epoch_steps,
+    node_loss,
+    train_node_classifier,
+    training_sampler,
+)
 
 
 def _make_graph(num_nodes: int, seed: int = 0):
@@ -61,15 +65,15 @@ def _sweep():
         full_time, full_peak = _timed_peak(
             lambda: train_node_classifier(_model(graph), graph, epochs=1))
 
-        trainer = MinibatchTrainer(_model(graph), fanouts=10, batch_size=256)
-        sampler = trainer.make_sampler(graph, seed_nodes=graph.train_mask)
+        model = _model(graph)
+        sampler = training_sampler(model, graph, 10, batch_size=256)
 
         def one_epoch():
-            # Training steps only — exact layer-wise evaluation is shared by
-            # both engines, so the comparison isolates the gradient path.
-            for batch in sampler:
-                trainer.model.zero_grad()
-                trainer.batch_loss(batch).backward()
+            # Training steps only — exact full-graph evaluation is shared by
+            # both modes, so the comparison isolates the gradient path.
+            for data, targets, mask in epoch_steps(graph, graph.train_mask, sampler):
+                model.zero_grad()
+                node_loss(model, data, targets, mask, multilabel=False).backward()
 
         mini_time, mini_peak = _timed_peak(one_epoch)
         rows.append((num_nodes, full_time, full_peak, mini_time, mini_peak))
@@ -77,8 +81,10 @@ def _sweep():
     # The frontier size runs minibatch-only: this is the regime the
     # full-batch path cannot touch (its epoch cost keeps growing with N).
     graph = _make_graph(frontier_size)
-    trainer = MinibatchTrainer(_model(graph), fanouts=10, batch_size=256)
-    result = trainer.fit(graph, epochs=1)
+    model = _model(graph)
+    result = train_node_classifier(
+        model, graph, epochs=1,
+        sampler=training_sampler(model, graph, 10, batch_size=256))
     return rows, (frontier_size, result)
 
 

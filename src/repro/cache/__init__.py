@@ -1,8 +1,8 @@
 """Shared block-cache subsystem.
 
 One size-bounded, thread-safe LRU (:class:`LRUCache`) underneath a
-:class:`BlockCache` that both the training-side
-:class:`~repro.training.minibatch.MinibatchTrainer` and the serving-side
+:class:`BlockCache` that both the training-side sampler (built by
+:func:`~repro.training.trainer.training_sampler`) and the serving-side
 :class:`~repro.serving.session.BlockSession` consult before resampling a
 node's neighbourhood.  See :mod:`repro.cache.block_cache` for the cache
 key contract (per-seed rows keyed by ``(node, fanout, hop, rng-epoch)``)

@@ -2,9 +2,9 @@
 
 Both halves of the system resample identical neighbourhoods over and over:
 the serving-side :class:`~repro.serving.session.BlockSession` rebuilds the
-receptive field of every ``repro predict`` request, and the training-side
-:class:`~repro.training.minibatch.MinibatchTrainer` resamples the same
-low-degree neighbourhoods every epoch.  :class:`BlockCache` is the one
+receptive field of every ``repro predict`` request, and sampled training
+(the sampler of :func:`~repro.training.trainer.training_sampler`) resamples
+the same low-degree neighbourhoods every epoch.  :class:`BlockCache` is the one
 store both consumers share, holding three kinds of entries in a single
 size-bounded LRU:
 
@@ -27,7 +27,7 @@ bit-identical, which the parity harness in ``tests/cache`` asserts.
 
 A cache binds to one sampler configuration (one graph, one sampler seed):
 entries are keyed by node ids and sampler-local quantities only.  The
-consumers (:class:`MinibatchTrainer`, :class:`BlockSession`) each build a
+consumers (a training sampler, :class:`BlockSession`) each build a
 private cache, which keeps that invariant without bookkeeping.
 
 Streaming graphs extend every key with a *graph-version* component:

@@ -42,13 +42,12 @@ from repro.quant.qmodules import (
     QuantizerFactory,
     default_quantizer_factory,
 )
-from repro.training.minibatch import MinibatchTrainer
 from repro.training.trainer import (
-    NodeTrainingResult,
     evaluate_graph_classifier,
     evaluate_node_classifier,
     train_graph_classifier,
     train_node_classifier,
+    training_sampler,
 )
 
 
@@ -123,11 +122,6 @@ class MixQNodeClassifier:
     def _rng(self, offset: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + offset)
 
-    def _total_hops(self) -> int:
-        """Blocks the sampler must emit per batch (hops, not layers)."""
-        per_layer = self.hops if self.conv_type == "tag" else 1
-        return len(self.layer_dims) * per_layer
-
     def search(self, graph: Graph, epochs: int = 60, lr: float = 0.01,
                multilabel: bool = False, minibatch: bool = False,
                fanout: Optional[int] = 10,
@@ -145,13 +139,8 @@ class MixQNodeClassifier:
             heads=self.heads, head_merge=self.head_merge,
             rng=self._rng(1))
         self._configure_degree_quant(relaxed, graph)
-        sampler = None
-        if minibatch:
-            from repro.graphs.sampling import NeighborSampler
-
-            sampler = NeighborSampler(graph, fanout, batch_size=batch_size,
-                                      num_layers=self._total_hops(),
-                                      seed_nodes=graph.train_mask, seed=self.seed)
+        sampler = training_sampler(relaxed, graph, fanout, batch_size,
+                                   seed=self.seed) if minibatch else None
         self.search_result = search_node_bitwidths(
             relaxed, graph, self.lambda_value, epochs=epochs, lr=lr,
             multilabel=multilabel, sampler=sampler)
@@ -178,9 +167,9 @@ class MixQNodeClassifier:
             batch_size: int = 256) -> MixQResult:
         """Full pipeline: search, finalize, QAT training, evaluation.
 
-        ``minibatch=True`` routes both the bit-width search and the final
-        QAT training through the neighbor-sampling engine; evaluation stays
-        exact (layer-wise full-graph inference).
+        ``minibatch=True`` gives both the bit-width search and the final
+        QAT training a neighbor sampler; evaluation stays exact (full-graph
+        inference).
         """
         if assignment is None:
             self.search(graph, epochs=search_epochs, lr=lr, multilabel=multilabel,
@@ -188,13 +177,10 @@ class MixQNodeClassifier:
             assignment = self.search_result.assignment
         model = self.finalize(assignment)
         self._configure_degree_quant(model, graph)
-        if minibatch:
-            trainer = MinibatchTrainer(model, fanouts=fanout, batch_size=batch_size,
-                                       lr=lr, multilabel=multilabel, seed=self.seed)
-            result: NodeTrainingResult = trainer.fit(graph, epochs=train_epochs)
-        else:
-            result = train_node_classifier(
-                model, graph, epochs=train_epochs, lr=lr, multilabel=multilabel)
+        sampler = training_sampler(model, graph, fanout, batch_size,
+                                   seed=self.seed) if minibatch else None
+        result = train_node_classifier(model, graph, epochs=train_epochs, lr=lr,
+                                       multilabel=multilabel, sampler=sampler)
         counter: BitOpsCounter = model.bit_operations(graph)
         return MixQResult(
             accuracy=result.test_accuracy,

@@ -7,10 +7,10 @@ iterations the arg-max bit-width of every relaxed quantizer forms the final
 assignment sequence ``S``.
 
 Two entry points are provided: :func:`search_node_bitwidths` for
-transductive node classification and :func:`search_graph_bitwidths` for
-mini-batched graph classification.  Both return a
-:class:`BitWidthSearchResult` with the assignment, per-epoch history and the
-expected average bit-width trajectory.
+transductive node classification (full-graph or sampled, over the steps of
+the node-training loop) and :func:`search_graph_bitwidths` for mini-batched
+graph classification.  Both return a :class:`BitWidthSearchResult` with the
+assignment, per-epoch history and the expected average bit-width trajectory.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.quant.qmodules import (
 )
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
+from repro.training.trainer import epoch_steps, node_loss
 
 
 @dataclass
@@ -87,21 +88,13 @@ def search_node_bitwidths(model: QuantNodeClassifier, graph: Graph,
                           sampler=None) -> BitWidthSearchResult:
     """Run the relaxed search on a transductive node-classification graph.
 
-    With a :class:`~repro.graphs.sampling.NeighborSampler` the search epoch
-    iterates neighbor-sampled minibatches instead of the full graph — the
-    relaxed quantizers and the penalty are identical, only the task-loss
-    estimator changes.
+    An epoch's steps are the node-training loop's
+    (:func:`~repro.training.trainer.epoch_steps`): the full graph under
+    ``mask``, or one per batch of ``sampler``.  The relaxed quantizers and
+    the penalty are the same either way; only the task-loss estimator changes.
     """
     if mask is None:
         mask = graph.train_mask
-
-    def epoch_steps():
-        if sampler is None:
-            yield graph, mask
-        else:
-            for batch in sampler:
-                yield batch, None
-
     optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     loss_history: List[float] = []
     penalty_history: List[float] = []
@@ -110,15 +103,9 @@ def search_node_bitwidths(model: QuantNodeClassifier, graph: Graph,
     for _ in range(epochs):
         step_losses: List[float] = []
         step_penalties: List[float] = []
-        for data, step_mask in epoch_steps():
+        for data, targets, step_mask in epoch_steps(graph, mask, sampler):
             model.zero_grad()
-            logits = model(data)
-            targets = data.y if step_mask is None else graph.y
-            if multilabel:
-                task_loss = F.binary_cross_entropy_with_logits(logits, targets,
-                                                               mask=step_mask)
-            else:
-                task_loss = F.cross_entropy(logits, targets, mask=step_mask)
+            task_loss = node_loss(model, data, targets, step_mask, multilabel)
             penalty = _backward_objective(model, task_loss, lambda_value,
                                           penalty_only_alphas)
             optimizer.step()

@@ -23,19 +23,7 @@ from repro.quant.qmodules import (
     uniform_assignment,
 )
 from repro.core.build import build_node_model, layer_dimensions
-from repro.training.minibatch import MinibatchTrainer
-from repro.training.trainer import train_node_classifier
-
-
-def _train(model, graph: Graph, epochs: int, lr: float, multilabel: bool,
-           minibatch: bool, fanout: Optional[int], batch_size: int, seed: int):
-    """Route one training run through the full-batch or minibatch engine."""
-    if minibatch:
-        trainer = MinibatchTrainer(model, fanouts=fanout, batch_size=batch_size,
-                                   lr=lr, multilabel=multilabel, seed=seed)
-        return trainer.fit(graph, epochs=epochs)
-    return train_node_classifier(model, graph, epochs=epochs, lr=lr,
-                                 multilabel=multilabel)
+from repro.training.trainer import train_node_classifier, training_sampler
 
 
 @dataclass
@@ -89,8 +77,10 @@ def run_fp32(graph: Graph, conv_type: str = "gcn", hidden: int = 16,
     rng = np.random.default_rng(seed)
     model = build_node_model(conv_type, graph.num_features, hidden, graph.num_classes,
                              num_layers=num_layers, rng=rng)
-    result = _train(model, graph, epochs, lr, multilabel, minibatch, fanout,
-                    batch_size, seed)
+    sampler = training_sampler(model, graph, fanout, batch_size,
+                               seed=seed) if minibatch else None
+    result = train_node_classifier(model, graph, epochs=epochs, lr=lr,
+                                   multilabel=multilabel, sampler=sampler)
     return MethodRow("FP32", [result.test_accuracy], bits=float(FP32_BITS),
                      giga_bit_operations=model.bit_operations(graph).giga_bit_operations())
 
@@ -111,8 +101,10 @@ def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int
         rng=rng, **kwargs)
     if use_degree_quant:
         attach_degree_probabilities(model, graph)
-    result = _train(model, graph, epochs, lr, multilabel, minibatch, fanout,
-                    batch_size, seed)
+    sampler = training_sampler(model, graph, fanout, batch_size,
+                               seed=seed) if minibatch else None
+    result = train_node_classifier(model, graph, epochs=epochs, lr=lr,
+                                   multilabel=multilabel, sampler=sampler)
     counter: BitOpsCounter = model.bit_operations(graph)
     name = method_name or (f"DQ INT{bits}" if use_degree_quant else f"QAT INT{bits}")
     return MethodRow(name, [result.test_accuracy], bits=float(bits),

@@ -41,9 +41,9 @@ def table3_node_classification(datasets: Sequence[str] = ("cora", "citeseer", "p
                                ) -> Dict[str, List[MethodRow]]:
     """Table 3: GCN node classification — FP32, DQ, A²Q and MixQ(λ) per dataset.
 
-    ``minibatch=True`` trains FP32 / DQ / MixQ through the neighbor-sampling
-    engine with the given per-layer ``fanout``; A²Q keeps its full-batch loop
-    because its per-node quantization state is tied to the full graph.
+    ``minibatch=True`` trains FP32 / DQ / MixQ on neighbor-sampled batches
+    with the given per-layer ``fanout``; A²Q trains full-batch because its
+    per-node quantization state is tied to the full graph.
     """
     sampled = {"minibatch": minibatch, "fanout": fanout, "batch_size": batch_size}
     results: Dict[str, List[MethodRow]] = {}

@@ -5,17 +5,25 @@ early stopping on a validation mask, and an optional extra penalty term
 (used by the A²Q baseline's memory penalty).  Both the FP32 baselines and
 every quantized variant in the benchmarks run through these functions so
 comparisons differ only in the model.
+
+:func:`train_node_classifier` is the one node-training loop: an epoch is one
+full-graph step, or with a sampler from :func:`training_sampler` one step per
+fanout-capped batch (cost bounded by ``batch_size`` and the fanouts, not the
+node count).  Evaluation never samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.cache import BlockCache
+from repro.gnn.models import total_hops
 from repro.graphs.batch import iterate_minibatches
 from repro.graphs.graph import Graph
+from repro.graphs.sampling import BlockBatch, Fanout, NeighborSampler
 from repro.nn.module import Module
 from repro.optim import Adam
 from repro.tensor import functional as F
@@ -47,11 +55,45 @@ class GraphTrainingResult:
     loss_history: List[float] = field(default_factory=list)
 
 
-def _node_loss(model: Module, graph: Graph, mask: np.ndarray, multilabel: bool) -> Tensor:
-    logits = model(graph)
+def training_sampler(model: Module, graph: Graph, fanouts: Union[Fanout, Sequence[Fanout]] = 10,
+                     batch_size: int = 512, shuffle: bool = True, seed: int = 0,
+                     cache_size: int = 0, cache_bytes: Optional[int] = None) -> NeighborSampler:
+    """The neighbor sampler that trains ``model`` on ``graph.train_mask``.
+
+    One block per hop of the conv stack (a TAG layer takes ``hops``).  A
+    positive ``cache_size`` attaches a :class:`~repro.cache.BlockCache`
+    (optionally byte-bounded); sampling is counter-based, so a cache never
+    changes the result.  Whole batches are not cached: they do not repeat.
+    """
+    cache = BlockCache(max_entries=cache_size, max_bytes=cache_bytes) \
+        if cache_size > 0 else None
+    return NeighborSampler(graph, fanouts, batch_size=batch_size,
+                           num_layers=total_hops(model.convs),
+                           seed_nodes=graph.train_mask, shuffle=shuffle, seed=seed,
+                           cache=cache, cache_batches=False)
+
+
+def epoch_steps(graph: Graph, mask: Optional[np.ndarray],
+                sampler: Optional[NeighborSampler] = None) -> Iterator[tuple]:
+    """One epoch's gradient steps as ``(data, targets, mask)``.
+
+    Without a sampler: one step, the full graph under ``mask``.  With one:
+    a step per sampled batch, scored on the batch's own seed labels.
+    """
+    if sampler is None:
+        yield graph, graph.y, mask
+    else:
+        for batch in sampler:
+            yield batch, batch.y, None
+
+
+def node_loss(model: Module, data: Union[Graph, BlockBatch], targets: np.ndarray,
+              mask: Optional[np.ndarray], multilabel: bool) -> Tensor:
+    """Task loss of one step of :func:`epoch_steps`."""
+    logits = model(data)
     if multilabel:
-        return F.binary_cross_entropy_with_logits(logits, graph.y, mask=mask)
-    return F.cross_entropy(logits, graph.y, mask=mask)
+        return F.binary_cross_entropy_with_logits(logits, targets, mask=mask)
+    return F.cross_entropy(logits, targets, mask=mask)
 
 
 def evaluate_node_classifier(model: Module, graph: Graph,
@@ -71,10 +113,18 @@ def train_node_classifier(model: Module, graph: Graph, epochs: int = 100,
                           multilabel: bool = False,
                           extra_penalty: Optional[Callable[[Module, Graph], Tensor]] = None,
                           penalty_weight: float = 0.0,
-                          patience: Optional[int] = None) -> NodeTrainingResult:
-    """Train a node classifier transductively with optional early stopping."""
+                          patience: Optional[int] = None,
+                          sampler: Optional[NeighborSampler] = None
+                          ) -> NodeTrainingResult:
+    """Train a node classifier transductively with optional early stopping.
+
+    An epoch runs the steps of :func:`epoch_steps` and records their mean
+    loss; model selection and accuracies use full-graph evaluation.
+    """
     if graph.train_mask is None:
         raise ValueError("graph has no train_mask")
+    if graph.y is None:
+        raise ValueError("graph has no labels")
     optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     loss_history: List[float] = []
     best_val = -np.inf
@@ -84,13 +134,16 @@ def train_node_classifier(model: Module, graph: Graph, epochs: int = 100,
 
     for epoch in range(epochs):
         model.train()
-        model.zero_grad()
-        loss = _node_loss(model, graph, graph.train_mask, multilabel)
-        if extra_penalty is not None and penalty_weight:
-            loss = loss + extra_penalty(model, graph) * float(penalty_weight)
-        loss.backward()
-        optimizer.step()
-        loss_history.append(loss.item())
+        step_losses: List[float] = []
+        for data, targets, mask in epoch_steps(graph, graph.train_mask, sampler):
+            model.zero_grad()
+            loss = node_loss(model, data, targets, mask, multilabel)
+            if extra_penalty is not None and penalty_weight:
+                loss = loss + extra_penalty(model, graph) * float(penalty_weight)
+            loss.backward()
+            optimizer.step()
+            step_losses.append(loss.item())
+        loss_history.append(float(np.mean(step_losses)))
 
         if graph.val_mask is not None and graph.val_mask.any():
             val_accuracy = evaluate_node_classifier(model, graph, graph.val_mask, multilabel)
@@ -107,13 +160,13 @@ def train_node_classifier(model: Module, graph: Graph, epochs: int = 100,
     if best_state is not None:
         model.load_state_dict(best_state)
 
-    train_accuracy = evaluate_node_classifier(model, graph, graph.train_mask, multilabel)
-    val_accuracy = evaluate_node_classifier(model, graph, graph.val_mask, multilabel) \
-        if graph.val_mask is not None and graph.val_mask.any() else float("nan")
-    test_accuracy = evaluate_node_classifier(model, graph, graph.test_mask, multilabel) \
-        if graph.test_mask is not None and graph.test_mask.any() else float("nan")
-    return NodeTrainingResult(train_accuracy, val_accuracy, test_accuracy,
-                              loss_history, best_epoch)
+    def score(mask: Optional[np.ndarray]) -> float:
+        return evaluate_node_classifier(model, graph, mask, multilabel) \
+            if mask is not None and mask.any() else float("nan")
+
+    return NodeTrainingResult(
+        evaluate_node_classifier(model, graph, graph.train_mask, multilabel),
+        score(graph.val_mask), score(graph.test_mask), loss_history, best_epoch)
 
 
 def evaluate_graph_classifier(model: Module, graphs: Sequence[Graph],

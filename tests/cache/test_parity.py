@@ -17,7 +17,7 @@ from repro.cache import BlockCache
 from repro.core.build import build_node_model
 from repro.graphs.sampling import NeighborSampler
 from repro.serving import BlockSession
-from repro.training.minibatch import MinibatchTrainer
+from repro.training.trainer import train_node_classifier, training_sampler
 
 FANOUTS = [None, 2, 5]
 
@@ -174,44 +174,25 @@ class TestTrainingParity:
             model = build_node_model("gcn", sbm_graph.num_features, 16,
                                      sbm_graph.num_classes,
                                      rng=np.random.default_rng(11), dropout=0.0)
-            trainer = MinibatchTrainer(model, fanouts=fanout, batch_size=32,
+            sampler = training_sampler(model, sbm_graph, fanout, batch_size=32,
                                        shuffle=True, seed=13,
                                        cache_size=cache_size)
-            result = trainer.fit(sbm_graph, epochs=4)
+            result = train_node_classifier(model, sbm_graph, epochs=4,
+                                           sampler=sampler)
             histories.append(result.loss_history)
-            caches.append(trainer.cache)
+            caches.append(sampler.cache)
         assert histories[0] == histories[1]     # bit-identical, not approx
         assert caches[0] is None
         assert caches[1] is not None and caches[1].stats().hits > 0
-
-    def test_trainer_cache_reset_when_graph_changes(self, sbm_graph,
-                                                    small_cora):
-        """Rows cached for one graph must never leak into another graph's
-        sampler (cache keys carry node ids only)."""
-        model = build_node_model("gcn", sbm_graph.num_features, 16,
-                                 sbm_graph.num_classes,
-                                 rng=np.random.default_rng(0), dropout=0.0)
-        trainer = MinibatchTrainer(model, fanouts=3, batch_size=32,
-                                   shuffle=False, seed=1, cache_size=65536)
-        trainer.make_sampler(sbm_graph).sample(np.arange(16, dtype=np.int64))
-        assert len(trainer.cache) > 0
-        trainer.make_sampler(small_cora)      # switching graphs resets
-        assert len(trainer.cache) == 0
-        # Same graph again: the cache is kept warm.
-        sampler = trainer.make_sampler(small_cora)
-        sampler.sample(np.arange(8, dtype=np.int64))
-        entries = len(trainer.cache)
-        trainer.make_sampler(small_cora)
-        assert len(trainer.cache) == entries
 
     def test_trainer_cache_invalidation_across_epochs(self, sbm_graph):
         model = build_node_model("gcn", sbm_graph.num_features, 16,
                                  sbm_graph.num_classes,
                                  rng=np.random.default_rng(0), dropout=0.0)
-        trainer = MinibatchTrainer(model, fanouts=2, batch_size=32,
+        sampler = training_sampler(model, sbm_graph, 2, batch_size=32,
                                    shuffle=False, seed=5, cache_size=65536)
-        trainer.fit(sbm_graph, epochs=3)
-        stats = trainer.cache.stats()
+        train_node_classifier(model, sbm_graph, epochs=3, sampler=sampler)
+        stats = sampler.cache.stats()
         # Sampled rows were evicted on every rng-epoch advance, yet the
         # deterministic raw rows kept producing hits in later epochs.
         assert stats.evictions > 0

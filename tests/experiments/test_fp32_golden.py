@@ -23,8 +23,7 @@ from repro.experiments.graph_tables import table8_graph_classification
 from repro.graphs.datasets import load_node_dataset
 from repro.quant.qmodules import QuantNodeClassifier
 from repro.tensor.tensor import no_grad
-from repro.training.minibatch import MinibatchTrainer
-from repro.training.trainer import train_node_classifier
+from repro.training.trainer import train_node_classifier, training_sampler
 
 HIDDEN = 16
 EPOCHS = 30
@@ -62,8 +61,9 @@ def run_logit_case(case: str, graph) -> dict:
     family, heads, minibatch = LOGIT_CASES[case]
     model = _fp32_model(family, heads, graph)
     if minibatch:
-        result = MinibatchTrainer(model, fanouts=5, batch_size=32,
-                                  seed=0).fit(graph, epochs=3)
+        result = train_node_classifier(
+            model, graph, epochs=3,
+            sampler=training_sampler(model, graph, 5, batch_size=32, seed=0))
     else:
         result = train_node_classifier(model, graph, epochs=EPOCHS, lr=0.01)
     model.eval()

@@ -21,7 +21,7 @@ from repro.graphs.sampling import NeighborSampler
 from repro.quant.bitops import FP32_BITS
 from repro.quant.qmodules import QuantGATConv, QuantTAGConv, QuantTransformerConv
 from repro.tensor.tensor import Tensor, no_grad
-from repro.training.minibatch import MinibatchTrainer
+from repro.training.trainer import train_node_classifier, training_sampler
 
 ATTENTION_FAMILIES = ("gat", "transformer", "tag")
 HEADED_FAMILIES = ("gat", "transformer")
@@ -83,8 +83,8 @@ class TestBlockExecution:
         model = build_node_model(family, sbm_graph.num_features, 16,
                                  sbm_graph.num_classes,
                                  rng=np.random.default_rng(3), dropout=0.0)
-        trainer = MinibatchTrainer(model, fanouts=4, batch_size=32, seed=0)
-        result = trainer.fit(sbm_graph, epochs=5)
+        sampler = training_sampler(model, sbm_graph, 4, batch_size=32, seed=0)
+        result = train_node_classifier(model, sbm_graph, epochs=5, sampler=sampler)
         assert result.loss_history[-1] < result.loss_history[0]
 
 
@@ -133,8 +133,8 @@ class TestMultiHeadConfiguration:
         model = build_node_model(family, sbm_graph.num_features, 16,
                                  sbm_graph.num_classes, heads=2,
                                  rng=np.random.default_rng(3), dropout=0.0)
-        trainer = MinibatchTrainer(model, fanouts=4, batch_size=32, seed=0)
-        result = trainer.fit(sbm_graph, epochs=5)
+        sampler = training_sampler(model, sbm_graph, 4, batch_size=32, seed=0)
+        result = train_node_classifier(model, sbm_graph, epochs=5, sampler=sampler)
         assert result.loss_history[-1] < result.loss_history[0]
 
     def test_operation_count_grows_with_heads_under_mean(self, sbm_graph):
@@ -182,6 +182,5 @@ class TestHopPlans:
         model = build_node_model("tag", sbm_graph.num_features, 8,
                                  sbm_graph.num_classes,
                                  rng=np.random.default_rng(0), dropout=0.0)
-        trainer = MinibatchTrainer(model, fanouts=3, batch_size=16, seed=0)
-        sampler = trainer.make_sampler(sbm_graph)
+        sampler = training_sampler(model, sbm_graph, 3, batch_size=16, seed=0)
         assert len(sampler.fanouts) == 6

@@ -1,4 +1,8 @@
-"""MinibatchTrainer: full-batch equivalence, sampled training, exact eval."""
+"""Sampled node training: ``train_node_classifier`` with a ``training_sampler``.
+
+Full-batch equivalence at unlimited fanout, sampled training of FP32, QAT
+and MixQ models, and the loop's input contract in both modes.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +18,7 @@ from repro.quant.qmodules import (
     uniform_assignment,
 )
 from repro.core.build import layer_dimensions
-from repro.training.minibatch import MinibatchTrainer, layerwise_inference
-from repro.training.trainer import evaluate_node_classifier, train_node_classifier
+from repro.training.trainer import train_node_classifier, training_sampler
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +42,9 @@ def test_unlimited_fanout_matches_full_batch_loss(graph, conv_type):
     mini_model = _fresh_model(graph, conv_type, dropout=0.0)
 
     full = train_node_classifier(full_model, graph, epochs=6)
-    trainer = MinibatchTrainer(mini_model, fanouts=None,
+    sampler = training_sampler(mini_model, graph, None,
                                batch_size=graph.num_nodes, shuffle=False)
-    mini = trainer.fit(graph, epochs=6)
+    mini = train_node_classifier(mini_model, graph, epochs=6, sampler=sampler)
 
     np.testing.assert_allclose(mini.loss_history, full.loss_history, atol=1e-5)
     assert mini.test_accuracy == pytest.approx(full.test_accuracy, abs=1e-6)
@@ -52,8 +55,9 @@ def test_unlimited_fanout_matches_full_batch_loss(graph, conv_type):
 # --------------------------------------------------------------------------- #
 def test_fanout_capped_training_learns(graph):
     model = _fresh_model(graph, "sage", seed=1)
-    result = MinibatchTrainer(model, fanouts=5, batch_size=32,
-                              seed=2).fit(graph, epochs=12)
+    result = train_node_classifier(
+        model, graph, epochs=12,
+        sampler=training_sampler(model, graph, 5, batch_size=32, seed=2))
     assert len(result.loss_history) == 12
     # Above chance on 4 classes.
     assert result.test_accuracy > 0.4
@@ -65,8 +69,9 @@ def test_minibatch_trains_qat_model(graph):
     model = QuantNodeClassifier.from_assignment(
         dims, "gcn", uniform_assignment(gcn_component_names(2), 8),
         rng=np.random.default_rng(0))
-    result = MinibatchTrainer(model, fanouts=5, batch_size=32,
-                              seed=3).fit(graph, epochs=8)
+    result = train_node_classifier(
+        model, graph, epochs=8,
+        sampler=training_sampler(model, graph, 5, batch_size=32, seed=3))
     assert result.test_accuracy > 0.4
 
 
@@ -143,36 +148,35 @@ def test_trainer_seed_reproducibility(graph):
     results = []
     for _ in range(2):
         model = _fresh_model(graph, "gcn", seed=4)
-        results.append(MinibatchTrainer(model, fanouts=4, batch_size=32,
-                                        seed=7).fit(graph, epochs=4))
+        sampler = training_sampler(model, graph, 4, batch_size=32, seed=7)
+        results.append(train_node_classifier(model, graph, epochs=4,
+                                             sampler=sampler))
     np.testing.assert_allclose(results[0].loss_history, results[1].loss_history)
 
 
 # --------------------------------------------------------------------------- #
-# evaluation is exact
+# input contract
 # --------------------------------------------------------------------------- #
-def test_layerwise_inference_matches_full_forward(graph):
-    model = _fresh_model(graph, "gcn", seed=5)
-    logits = layerwise_inference(model, graph)
-    model.eval()
-    from repro.tensor.tensor import no_grad
-
-    with no_grad():
-        expected = model(graph).data
-    np.testing.assert_allclose(logits, expected, atol=1e-6)
-
-
-def test_evaluate_matches_full_batch_evaluation(graph):
-    model = _fresh_model(graph, "sage", seed=6)
-    trainer = MinibatchTrainer(model, fanouts=3, batch_size=32)
-    accuracy = trainer.evaluate(graph, graph.test_mask)
-    expected = evaluate_node_classifier(model, graph, graph.test_mask)
-    assert accuracy == pytest.approx(expected)
-
-
 def test_missing_train_mask_rejected(graph):
     stripped = graph.copy()
     stripped.train_mask = None
     model = _fresh_model(graph, "gcn")
     with pytest.raises(ValueError):
-        MinibatchTrainer(model, fanouts=3).fit(stripped, epochs=1)
+        train_node_classifier(model, stripped, epochs=1,
+                              sampler=training_sampler(model, stripped, 3))
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["full", "sampled"])
+@pytest.mark.parametrize("field,message", [("y", "graph has no labels"),
+                                           ("train_mask", "graph has no train_mask")])
+def test_missing_labels_or_train_mask_rejected_before_any_step(graph, sampled,
+                                                               field, message):
+    stripped = graph.copy()
+    setattr(stripped, field, None)
+    model = _fresh_model(graph, "gcn")
+    before = model.state_dict()
+    sampler = training_sampler(model, stripped, 3, batch_size=32) if sampled else None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_node_classifier(model, stripped, epochs=1, sampler=sampler)
+    for name, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, before[name])
