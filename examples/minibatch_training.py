@@ -73,5 +73,6 @@ def main() -> None:
     print(f"INT8 QAT minibatch: accuracy={qat_result.test_accuracy:.3f}  "
           f"({time.perf_counter() - start:.1f}s for 5 epochs)")
 
+
 if __name__ == "__main__":
     main()

@@ -56,20 +56,20 @@ class GraphTrainingResult:
 
 
 def training_sampler(model: Module, graph: Graph, fanouts: Union[Fanout, Sequence[Fanout]] = 10,
-                     batch_size: int = 512, shuffle: bool = True, seed: int = 0,
-                     cache_size: int = 0, cache_bytes: Optional[int] = None) -> NeighborSampler:
+                     batch_size: int = 512, seed: int = 0,
+                     cache_size: int = 0) -> NeighborSampler:
     """The neighbor sampler that trains ``model`` on ``graph.train_mask``.
 
-    One block per hop of the conv stack (a TAG layer takes ``hops``).  A
-    positive ``cache_size`` attaches a :class:`~repro.cache.BlockCache`
-    (optionally byte-bounded); sampling is counter-based, so a cache never
-    changes the result.  Whole batches are not cached: they do not repeat.
+    One block per hop of the conv stack (a TAG layer takes ``hops``); the
+    seed order is reshuffled every epoch.  A positive ``cache_size``
+    attaches a :class:`~repro.cache.BlockCache`; sampling is counter-based,
+    so a cache never changes the result.  Whole batches are not cached:
+    they do not repeat.
     """
-    cache = BlockCache(max_entries=cache_size, max_bytes=cache_bytes) \
-        if cache_size > 0 else None
+    cache = BlockCache(max_entries=cache_size) if cache_size > 0 else None
     return NeighborSampler(graph, fanouts, batch_size=batch_size,
                            num_layers=total_hops(model.convs),
-                           seed_nodes=graph.train_mask, shuffle=shuffle, seed=seed,
+                           seed_nodes=graph.train_mask, seed=seed,
                            cache=cache, cache_batches=False)
 
 

@@ -175,8 +175,7 @@ class TestTrainingParity:
                                      sbm_graph.num_classes,
                                      rng=np.random.default_rng(11), dropout=0.0)
             sampler = training_sampler(model, sbm_graph, fanout, batch_size=32,
-                                       shuffle=True, seed=13,
-                                       cache_size=cache_size)
+                                       seed=13, cache_size=cache_size)
             result = train_node_classifier(model, sbm_graph, epochs=4,
                                            sampler=sampler)
             histories.append(result.loss_history)
@@ -190,7 +189,7 @@ class TestTrainingParity:
                                  sbm_graph.num_classes,
                                  rng=np.random.default_rng(0), dropout=0.0)
         sampler = training_sampler(model, sbm_graph, 2, batch_size=32,
-                                   shuffle=False, seed=5, cache_size=65536)
+                                   seed=5, cache_size=65536)
         train_node_classifier(model, sbm_graph, epochs=3, sampler=sampler)
         stats = sampler.cache.stats()
         # Sampled rows were evicted on every rng-epoch advance, yet the

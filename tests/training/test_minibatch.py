@@ -42,8 +42,7 @@ def test_unlimited_fanout_matches_full_batch_loss(graph, conv_type):
     mini_model = _fresh_model(graph, conv_type, dropout=0.0)
 
     full = train_node_classifier(full_model, graph, epochs=6)
-    sampler = training_sampler(mini_model, graph, None,
-                               batch_size=graph.num_nodes, shuffle=False)
+    sampler = training_sampler(mini_model, graph, None, batch_size=graph.num_nodes)
     mini = train_node_classifier(mini_model, graph, epochs=6, sampler=sampler)
 
     np.testing.assert_allclose(mini.loss_history, full.loss_history, atol=1e-5)
@@ -157,15 +156,6 @@ def test_trainer_seed_reproducibility(graph):
 # --------------------------------------------------------------------------- #
 # input contract
 # --------------------------------------------------------------------------- #
-def test_missing_train_mask_rejected(graph):
-    stripped = graph.copy()
-    stripped.train_mask = None
-    model = _fresh_model(graph, "gcn")
-    with pytest.raises(ValueError):
-        train_node_classifier(model, stripped, epochs=1,
-                              sampler=training_sampler(model, stripped, 3))
-
-
 @pytest.mark.parametrize("sampled", [False, True], ids=["full", "sampled"])
 @pytest.mark.parametrize("field,message", [("y", "graph has no labels"),
                                            ("train_mask", "graph has no train_mask")])
