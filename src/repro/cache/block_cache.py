@@ -8,9 +8,9 @@ the same low-degree neighbourhoods every epoch.  :class:`BlockCache` is the one
 store both consumers share, holding three kinds of entries in a single
 size-bounded LRU:
 
-* **raw rows** — a node's full adjacency row (the
-  :meth:`~repro.tensor.sparse.SparseTensor.index_select` slice), valid for
-  every fanout, hop and rng-epoch because nothing random touched it;
+* **raw rows** — a node's full adjacency row (gathered from the
+  adjacency's CSR arrays), valid for every fanout, hop and rng-epoch
+  because nothing random touched it;
 * **sampled rows** — a node's fanout-capped row, keyed by
   ``(node, fanout, hop, rng-epoch)``; reusable only while the sampler stays
   in the same rng-epoch and explicitly invalidated when it advances;

@@ -9,11 +9,13 @@ targets plus a fanout-capped sample of their in-neighbourhood.  Stacking
 ``L`` blocks yields exactly the receptive field an ``L``-layer network needs
 for the seeds — nothing else is ever touched.
 
-Sampling is a vectorized CSR operation end to end: target rows are extracted
-with :meth:`~repro.tensor.sparse.SparseTensor.index_select`, the fanout cap
-is applied with one random-key sort over the extracted non-zeros, and node
-renumbering uses a reusable global->local lookup table.  No Python-level
-per-node loops.
+Sampling is a vectorized CSR operation end to end: target rows are
+gathered straight out of the adjacency's ``indptr`` / ``indices`` /
+``data`` with numpy index arithmetic, the fanout cap is applied with one
+random-key sort over the gathered non-zeros, node renumbering uses a
+reusable global->local lookup table, and each block operator is built as
+canonical CSR from the sampled edges with one stable sort — the arrays the
+serving kernels then multiply by.  No Python-level per-node loops.
 
 The random keys are *counter-based*: each edge's key is a SplitMix64 hash of
 ``(sampler seed, rng-epoch, hop, target node, edge position)`` rather than a
@@ -47,7 +49,6 @@ import threading
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.tensor.sparse import SparseTensor
@@ -58,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache stores blocks)
 
 #: A per-layer fanout: ``None`` means unlimited (keep every neighbour).
 Fanout = Optional[int]
+
+#: Largest index scipy keeps in an int32 CSR index array.
+_INT32_MAX = np.iinfo(np.int32).max
 
 # --------------------------------------------------------------------------- #
 # Counter-based random keys (SplitMix64).  Integer overflow wraps, which is
@@ -160,6 +164,14 @@ class SubgraphBlock:
     # ------------------------------------------------------------------ #
     def _build(self, values: np.ndarray, add_self_loops: bool,
                loop_values: Optional[np.ndarray] = None) -> SparseTensor:
+        """The block operator in canonical CSR, built from the edge arrays.
+
+        One stable sort on ``row * num_src + col`` orders every row by
+        column; the only duplicate a row can hold is a graph self-edge and
+        its self loop, summed in float32.  That is byte for byte what
+        scipy's COO -> CSR conversion produces (a sum of two is the same in
+        either order), without its conversion passes and copies.
+        """
         rows, cols = self.edge_rows, self.edge_cols
         if add_self_loops:
             loop = np.arange(self.num_dst, dtype=np.int64)
@@ -167,11 +179,24 @@ class SubgraphBlock:
             cols = np.concatenate([cols, loop])
             if loop_values is None:
                 loop_values = np.ones(self.num_dst, dtype=np.float32)
-            values = np.concatenate([values, loop_values.astype(np.float32)])
-        matrix = sp.csr_matrix(
-            (values.astype(np.float32), (rows, cols)),
-            shape=(self.num_dst, self.num_src))
-        return SparseTensor(matrix)
+            values = np.concatenate([values, loop_values])
+        keys = rows * self.num_src + cols
+        order = np.argsort(keys, kind="stable")
+        keys = np.take(keys, order)
+        cols = np.take(cols, order)
+        values = np.take(values.astype(np.float32, copy=False), order)
+        distinct = np.ones(keys.shape[0], dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        if not distinct.all():
+            values = np.add.reduceat(values, np.flatnonzero(distinct))
+            keys, cols = keys[distinct], cols[distinct]
+        indptr = np.searchsorted(
+            keys, np.arange(self.num_dst + 1, dtype=np.int64) * self.num_src)
+        index_dtype = np.int32 if max(self.num_dst, self.num_src,
+                                      keys.shape[0]) <= _INT32_MAX else np.int64
+        return SparseTensor.from_csr(values, cols.astype(index_dtype),
+                                     indptr.astype(index_dtype),
+                                     (self.num_dst, self.num_src))
 
     def adjacency(self, add_self_loops: bool = False) -> SparseTensor:
         """Sampled bipartite adjacency with the original edge weights."""
@@ -375,9 +400,14 @@ class NeighborSampler:
         Where a row comes from is the one decision the sharded tier
         overrides (an owner caps the rows it ships); here every row is full.
         """
-        sub = self._adjacency.index_select(0, targets).csr
-        counts = np.diff(sub.indptr).astype(np.int64)
-        return (sub.indices.astype(np.int64), sub.data, counts,
+        csr = self._adjacency.csr
+        starts = np.take(csr.indptr, targets).astype(np.int64)
+        counts = np.take(csr.indptr, targets + 1) - starts
+        # Entry k of the output reads entry k - offset + start of its row.
+        gather = np.repeat(starts - (np.cumsum(counts) - counts), counts) \
+            + np.arange(int(counts.sum()), dtype=np.int64)
+        return (np.take(csr.indices, gather).astype(np.int64),
+                np.take(csr.data, gather), counts,
                 np.ones(targets.shape[0], dtype=bool))
 
     def _cap_rows(self, node_ids: np.ndarray, cols: np.ndarray,

@@ -1,8 +1,14 @@
 """The serving kernels (``vectorized``): same bits, fewer passes.
 
-Three hot-path rewrites over the :class:`~repro.kernels.numpy_backend.
+Four hot-path rewrites over the :class:`~repro.kernels.numpy_backend.
 NumpyBackend` reference, each exact by construction:
 
+* **Copy-free Theorem-1 aggregation** — the reference ``spmm`` converts
+  its operator to int64 and takes the row sums ``Σ_j Q_A[i,j]`` through
+  scipy.  The serving operator already holds int64 values, so this
+  backend multiplies by it as it is and reads the row sums off the
+  ``indptr`` segments of one int64 running sum — exact, as every integer
+  stage here.
 * **CSR edge aggregation** — ``np.add.at`` is a scalar scatter-loop in
   numpy; this backend sorts the edge list by target once (memoised per
   ``dst`` identity, shared with the softmax) into a CSR structure and
@@ -42,6 +48,7 @@ import scipy.sparse as sp
 from repro.kernels.numpy_backend import (
     NumpyBackend,
     VectorOrScalar,
+    as_column,
     as_row,
     check_multi_head_shapes,
 )
@@ -127,6 +134,41 @@ class VectorizedBackend(NumpyBackend):
     # ------------------------------------------------------------------ #
     # integer aggregation
     # ------------------------------------------------------------------ #
+    # reprolint: integer-stage
+    def spmm(self, qa, sa: VectorOrScalar, qx: np.ndarray,
+             sx: VectorOrScalar, zx: VectorOrScalar,
+             sy: VectorOrScalar = 1.0, zy: VectorOrScalar = 0.0) -> np.ndarray:
+        csr = qa.csr
+        n_rows = csr.shape[0]
+        n_cols = qx.shape[1]
+        sa_col = as_column(sa, n_rows)
+        sx_row = as_row(sx, n_cols)
+        zx_row = as_row(zx, n_cols)
+        sy_row = as_row(sy, n_cols)
+        zy_row = as_row(zy, n_cols)
+
+        # The serving operator already holds int64 values, so neither the
+        # product nor the row sums copy it; a float-valued operand (the
+        # theorem tests' form) converts once.
+        integer_values = np.asarray(csr.data, dtype=np.int64)
+        if integer_values is not csr.data:
+            csr = sp.csr_matrix((integer_values, csr.indices, csr.indptr),
+                                shape=csr.shape)
+        integer_features = np.asarray(qx, dtype=np.int64)
+        integer_product = np.asarray(csr @ integer_features,
+                                     dtype=np.float64)
+        # Row sums of Q_A from the indptr segments of a running sum: exact
+        # in int64 (a wrapped partial sum cancels in the difference).
+        running = np.zeros(integer_values.shape[0] + 1, dtype=np.int64)
+        np.cumsum(integer_values, out=running[1:])
+        row_sum_qa = (running[csr.indptr[1:]] - running[csr.indptr[:-1]]) \
+            .astype(np.float64).reshape(-1, 1)
+
+        main = sa_col * integer_product * sx_row
+        correction_x = sa_col * row_sum_qa * (zx_row * sx_row)
+        output = (main - correction_x) / sy_row + zy_row
+        return output
+
     # reprolint: integer-stage
     def edge_spmm(self, q_edge: np.ndarray, s_edge: float, qx: np.ndarray,
                   sx: VectorOrScalar, zx: VectorOrScalar, src: np.ndarray,

@@ -1,4 +1,4 @@
-"""Parameter initialisers (Glorot/Xavier, Kaiming/He, uniform, zeros)."""
+"""Parameter initialisers (Glorot/Xavier, uniform, normal, zeros, ones)."""
 
 from __future__ import annotations
 
@@ -18,13 +18,6 @@ def glorot_uniform(shape: tuple, rng: Optional[np.random.Generator] = None) -> n
     """Glorot/Xavier uniform initialisation for a 2-D weight matrix."""
     fan_in, fan_out = shape[0], shape[-1]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return _generator(rng).uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def kaiming_uniform(shape: tuple, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Kaiming/He uniform initialisation (fan-in mode, ReLU gain)."""
-    fan_in = shape[0]
-    limit = math.sqrt(6.0 / fan_in)
     return _generator(rng).uniform(-limit, limit, size=shape).astype(np.float32)
 
 

@@ -42,10 +42,6 @@ class Module:
             self.__dict__.setdefault("_modules", {})[key] = value
         object.__setattr__(self, key, value)
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register non-learnable state (e.g. running statistics, observer ranges)."""
         self._buffers[name] = np.asarray(value)

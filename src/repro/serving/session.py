@@ -17,7 +17,10 @@ The layer executor is :class:`IntegerExecutor`: it runs each family's one
 :meth:`~repro.quant.qmodules.QuantConv.body`, the same arithmetic QAT
 trains, on the artifact's stored integer grids.  Matrix layers (GCN /
 SAGE / GIN / TAG) aggregate as an int64 sparse-dense product plus the
-rank-one corrections of Theorem 1 (the ``spmm`` kernel).  Attention layers
+rank-one corrections of Theorem 1 (the ``spmm`` kernel): the operator's
+values are quantized once into int64 on its own CSR ``indices`` /
+``indptr`` — for a block, the canonical CSR the sampler built — and the
+kernel multiplies by that operator as it is.  Attention layers
 (GAT / Transformer) execute a per-edge *score plan*: scores and softmax
 run in full precision on the canonical edge list
 (:func:`~repro.gnn.attention.attention_edges`), the coefficients are
@@ -162,7 +165,12 @@ class InferenceSession:
     def _quantized_operator(self, adjacency: SparseTensor,
                             params: QuantizationParameters,
                             fake: bool) -> SparseTensor:
-        """Adjacency on the artifact's stored grid (integer or fake-quantized).
+        """Adjacency on the artifact's stored grid.
+
+        ``fake=False`` is the integer operator ``Q_A`` that ``spmm``
+        consumes: int64 values, quantized once, on the source operator's
+        own ``indices`` / ``indptr``.  ``fake=True`` is the float32
+        fake-quantized operator the float fallback multiplies by.
 
         Cached per source-operator identity: the stored reference keeps the
         source alive so an ``id()`` key can never be reused by a different
@@ -174,8 +182,14 @@ class InferenceSession:
             entry = self._quantized_cache.get(key)
         if entry is None or entry[0] is not adjacency or entry[1] is not params:
             integers = quantize_onto(params, adjacency.values.astype(np.float64))
-            values = dequantize_from(params, integers) if fake else integers
-            quantized = adjacency.with_values(values.astype(np.float32))
+            if fake:
+                quantized = adjacency.with_values(
+                    dequantize_from(params, integers).astype(np.float32))
+            else:
+                csr = adjacency.csr
+                quantized = SparseTensor.from_csr(
+                    integers.astype(np.int64), csr.indices, csr.indptr,
+                    csr.shape)
             entry = (adjacency, params, quantized)
             with self._cache_lock:
                 self._quantized_cache[key] = entry

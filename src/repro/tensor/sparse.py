@@ -22,12 +22,14 @@ from repro.tensor.tensor import Tensor
 
 
 class SparseTensor:
-    """An immutable wrapper around a ``scipy.sparse.csr_matrix``.
+    """An immutable wrapper around a canonical ``scipy.sparse.csr_matrix``.
 
     Parameters
     ----------
     matrix:
-        Any scipy sparse matrix (converted to CSR) or a dense numpy array.
+        Any scipy sparse matrix (converted to float32 canonical CSR) or a
+        dense numpy array.  :meth:`from_csr` wraps arrays that are already
+        canonical instead.
     """
 
     def __init__(self, matrix: Union[sp.spmatrix, np.ndarray]):
@@ -52,16 +54,6 @@ class SparseTensor:
         """The non-zero values of the matrix (CSR data array)."""
         return self.csr.data
 
-    @property
-    def row_indices(self) -> np.ndarray:
-        coo = self.csr.tocoo()
-        return coo.row
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        coo = self.csr.tocoo()
-        return coo.col
-
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Return a new sparse tensor with the same sparsity pattern but new values."""
         values = np.asarray(values, dtype=np.float32)
@@ -71,23 +63,6 @@ class SparseTensor:
         new = self.csr.copy()
         new.data = values
         return SparseTensor(new)
-
-    def index_select(self, dim: int, index: np.ndarray) -> "SparseTensor":
-        """Select rows (``dim=0``) or columns (``dim=1``) by integer index.
-
-        The selection is a single vectorized CSR slice, which is what makes
-        bipartite block extraction in :mod:`repro.graphs.sampling` scale-free:
-        cost is proportional to the non-zeros of the selected rows/columns,
-        never to the full matrix.  Indices may repeat and reorder.
-        """
-        index = np.asarray(index, dtype=np.int64)
-        if index.ndim != 1:
-            raise ValueError("index must be a 1-D integer array")
-        if dim == 0:
-            return SparseTensor(self.csr[index])
-        if dim == 1:
-            return SparseTensor(self.csr[:, index])
-        raise ValueError(f"dim must be 0 or 1, got {dim}")
 
     def with_rows(self, rows: np.ndarray,
                   replacement: "SparseTensor") -> "SparseTensor":
@@ -180,6 +155,20 @@ class SparseTensor:
             shape=(num_nodes, num_nodes),
         )
         return SparseTensor(matrix)
+
+    @staticmethod
+    def from_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple) -> "SparseTensor":
+        """Wrap CSR arrays that are already canonical (each row sorted by
+        column, no duplicates) as they are: no copy, no re-sort, and the
+        values keep their dtype (the integer serving operator is int64).
+        Index arrays should be in scipy's index dtype for ``shape``, or
+        scipy converts them."""
+        matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
+        matrix.has_canonical_format = True
+        tensor = SparseTensor.__new__(SparseTensor)
+        tensor.csr = matrix
+        return tensor
 
     @staticmethod
     def identity(n: int) -> "SparseTensor":

@@ -63,6 +63,23 @@ def sbm_graph() -> Graph:
 
 
 @pytest.fixture(scope="session")
+def self_edge_graph() -> Graph:
+    """An SBM graph with self-edges on every seventh node and one isolated
+    node: where a sampled self-edge meets its block self loop, and where a
+    row is empty."""
+    config = SBMConfig(num_nodes=90, num_classes=3, num_features=12,
+                       average_degree=4.0, name="sbm-self-edges")
+    base = generate_sbm_graph(config, seed=5)
+    isolated = base.num_nodes - 1
+    edges = base.edge_index[:, (base.edge_index != isolated).all(axis=0)]
+    looped = np.arange(0, isolated, 7)
+    edges = np.concatenate([edges, np.stack([looped, looped])], axis=1)
+    return Graph(base.x, edges, y=base.y, train_mask=base.train_mask,
+                 val_mask=base.val_mask, test_mask=base.test_mask,
+                 name=config.name)
+
+
+@pytest.fixture(scope="session")
 def tu_graphs():
     """A small TU-style graph-classification dataset (shared, read-only)."""
     return load_tu_dataset("imdb-b", num_graphs=24, seed=0)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.graphs.graph import Graph
 from repro.graphs.sampling import (
     BlockBatch,
     NeighborSampler,
@@ -21,28 +23,91 @@ def _block_edges(block: SubgraphBlock) -> set:
                    block.src_nodes[block.edge_cols].tolist()))
 
 
-# --------------------------------------------------------------------------- #
-# SparseTensor.index_select
-# --------------------------------------------------------------------------- #
-class TestIndexSelect:
-    def test_row_selection_matches_dense(self, sbm_graph):
-        adjacency = sbm_graph.adjacency()
-        index = np.asarray([5, 3, 3, 100])
-        selected = adjacency.index_select(0, index)
-        assert selected.shape == (4, sbm_graph.num_nodes)
-        np.testing.assert_allclose(selected.to_dense(),
-                                   adjacency.to_dense()[index])
+def _assert_same_csr(actual, expected):
+    """Byte-equal CSR arrays, index dtypes included."""
+    for name in ("indptr", "indices", "data"):
+        left, right = getattr(actual, name), getattr(expected, name)
+        assert left.dtype == right.dtype, name
+        assert left.tobytes() == right.tobytes(), name
 
-    def test_column_selection_matches_dense(self, sbm_graph):
-        adjacency = sbm_graph.adjacency()
-        index = np.asarray([0, 7, 2])
-        selected = adjacency.index_select(1, index)
-        np.testing.assert_allclose(selected.to_dense(),
-                                   adjacency.to_dense()[:, index])
 
-    def test_invalid_dim_rejected(self):
-        with pytest.raises(ValueError):
-            SparseTensor(np.eye(3)).index_select(2, np.asarray([0]))
+# --------------------------------------------------------------------------- #
+# Row gather and block operators: byte-equal to the scipy builds they replace
+# --------------------------------------------------------------------------- #
+class TestRowGather:
+    @staticmethod
+    def _targets(graph):
+        rng = np.random.default_rng(4)
+        isolated = graph.num_nodes - 1
+        targets = rng.integers(0, graph.num_nodes, size=60)
+        return np.concatenate([targets, targets[:7], [isolated, isolated]])
+
+    @staticmethod
+    def _assert_rows_match_scipy(sampler, targets):
+        cols, weights, counts, full = sampler._fetch_rows(targets, None, 0)
+        expected = sampler.graph.adjacency().csr[targets]
+        assert cols.dtype == np.int64 and counts.dtype == np.int64
+        assert weights.dtype == np.float32
+        np.testing.assert_array_equal(cols, expected.indices)
+        assert weights.tobytes() == expected.data.tobytes()
+        np.testing.assert_array_equal(counts, np.diff(expected.indptr))
+        assert full.all()
+
+    def test_matches_scipy_row_slice(self, self_edge_graph):
+        targets = self._targets(self_edge_graph)
+        sampler = NeighborSampler(self_edge_graph, [None], seed=0)
+        self._assert_rows_match_scipy(sampler, targets)
+        empty = np.zeros(0, dtype=np.int64)
+        cols, weights, counts, full = sampler._fetch_rows(empty, None, 0)
+        assert cols.size == weights.size == counts.size == full.size == 0
+
+    def test_matches_scipy_row_slice_after_delta(self, self_edge_graph):
+        graph = self_edge_graph.copy()
+        sampler = NeighborSampler(graph, [None], seed=0)
+        graph.remove_edges(graph.edge_index[:, :5])
+        graph.add_edges(np.asarray([[3, 3, 40], [3, 50, 3]]))
+        sampler.refresh_graph()
+        # The splice equals a fresh build of the edited edge list.
+        fresh = Graph(graph.x, graph.edge_index, edge_weight=graph.edge_weight)
+        _assert_same_csr(graph.adjacency().csr, fresh.adjacency().csr)
+        self._assert_rows_match_scipy(sampler, self._targets(graph))
+
+
+def _scipy_operator(block, values, add_self_loops, loop_values=None):
+    """The COO -> CSR build the block's canonical builder replaces."""
+    rows, cols = block.edge_rows, block.edge_cols
+    if add_self_loops:
+        loop = np.arange(block.num_dst, dtype=np.int64)
+        rows = np.concatenate([rows, loop])
+        cols = np.concatenate([cols, loop])
+        if loop_values is None:
+            loop_values = np.ones(block.num_dst, dtype=np.float32)
+        values = np.concatenate([values, loop_values.astype(np.float32)])
+    return SparseTensor(sp.csr_matrix(
+        (values.astype(np.float32), (rows, cols)),
+        shape=(block.num_dst, block.num_src))).csr
+
+
+@pytest.mark.parametrize("fanout", [None, 2])
+def test_block_operators_match_scipy_build(self_edge_graph, fanout):
+    graph = self_edge_graph
+    sampler = NeighborSampler(graph, [fanout, fanout], batch_size=32, seed=6)
+    seeds = np.concatenate([np.arange(0, 89, 7), [89, 1, 2, 5]])
+    merged = 0
+    for block in sampler.sample(seeds).blocks:
+        merged += int(np.sum(block.dst_nodes[block.edge_rows]
+                             == block.src_nodes[block.edge_cols]))
+        for loops in (False, True):
+            _assert_same_csr(block.adjacency(add_self_loops=loops).csr,
+                             _scipy_operator(block, block.edge_weight, loops))
+        values = (block.dst_inv_sqrt[block.edge_rows] * block.edge_weight
+                  * block.src_inv_sqrt[block.edge_cols]
+                  * block.row_scale[block.edge_rows])
+        _assert_same_csr(
+            block.normalized_adjacency().csr,
+            _scipy_operator(block, values, True,
+                            block.dst_inv_sqrt * block.dst_inv_sqrt))
+    assert merged > 0  # the self-edge + self-loop merge ran
 
 
 # --------------------------------------------------------------------------- #

@@ -33,18 +33,39 @@ def _edges(rng, num_edges=NUM_EDGES):
 
 @pytest.mark.parametrize("name", OTHER_BACKENDS)
 class TestKernelCertification:
-    def test_spmm(self, name):
+    @staticmethod
+    def _spmm_operands():
+        """A float32-valued operator (``quantized_spmm``'s form) with empty
+        first, middle and last rows, and features on a grid."""
         rng = _rng()
-        backend = get_backend(name)
         dense = rng.integers(-8, 8, size=(NUM_DST, NUM_NODES)).astype(np.float64)
         dense[rng.random(dense.shape) < 0.7] = 0.0
-        qa = SparseTensor(dense)
+        dense[[0, 5, NUM_DST - 1]] = 0.0
         qx = rng.integers(0, 255, size=(NUM_NODES, 16)).astype(np.float64)
+        return SparseTensor(dense), qx
+
+    def _assert_spmm_matches(self, backend, qa, qx):
         arguments = (qa, 0.03, qx, 0.11, 7.0)
         keywords = {"sy": 0.9, "zy": 3.0}
         expected = REFERENCE.spmm(*arguments, **keywords)
-        np.testing.assert_array_equal(backend.spmm(*arguments, **keywords),
-                                      expected)
+        assert expected.tobytes() \
+            == backend.spmm(*arguments, **keywords).tobytes()
+
+    def test_spmm(self, name):
+        qa, qx = self._spmm_operands()
+        assert qa.values.dtype == np.float32
+        self._assert_spmm_matches(get_backend(name), qa, qx)
+
+    def test_spmm_int64_operand(self, name):
+        """The serving operand: int64 values on the source CSR pattern."""
+        qa, qx = self._spmm_operands()
+        csr = qa.csr
+        integer = SparseTensor.from_csr(csr.data.astype(np.int64),
+                                        csr.indices, csr.indptr, csr.shape)
+        self._assert_spmm_matches(get_backend(name), integer, qx)
+        np.testing.assert_array_equal(
+            get_backend(name).spmm(integer, 0.03, qx, 0.11, 7.0),
+            REFERENCE.spmm(qa, 0.03, qx, 0.11, 7.0))
 
     def test_edge_spmm_single_head(self, name):
         rng = _rng()

@@ -49,6 +49,16 @@ def served_models(small_cora):
 
 
 @pytest.fixture(scope="session")
+def self_edge_artifacts(self_edge_graph):
+    """int8 gcn / sage artifacts trained on the graph with self-edges."""
+    from repro.serving import QuantizedArtifact
+
+    return {conv: QuantizedArtifact.from_model(
+        train_quantized(conv, self_edge_graph, epochs=6))
+        for conv in ("gcn", "sage")}
+
+
+@pytest.fixture(scope="session")
 def attention_models(small_cora):
     """One trained int8 model per attention conv family (shared, read-only)."""
     return {conv: train_quantized(conv, small_cora, epochs=8)

@@ -120,6 +120,41 @@ class TestBlockParity:
         assert run.num_edges == 0
 
 
+class TestSelfEdgeGraph:
+    """Where the block operator builder merges a graph self-edge with its
+    self loop, and a row is empty: the served logits match the reference
+    kernels on an uncached session, and the full graph at fanout=∞."""
+
+    @pytest.mark.parametrize("fanout", [None, 2])
+    @pytest.mark.parametrize("conv", ("gcn", "sage"))
+    def test_served_logits_match_reference(self, self_edge_artifacts,
+                                           self_edge_graph, conv, fanout):
+        artifact = self_edge_artifacts[conv]
+        seeds = np.arange(self_edge_graph.num_nodes, dtype=np.int64)[::-1]
+        served = BlockSession(artifact, self_edge_graph, fanouts=fanout,
+                              batch_size=16, cache_size=512)
+        reference = BlockSession(artifact, self_edge_graph, fanouts=fanout,
+                                 batch_size=16, backend="numpy")
+        logits = served.predict(seeds)
+        np.testing.assert_array_equal(served.predict(seeds), logits)  # warm
+        np.testing.assert_array_equal(logits, reference.predict(seeds))
+        if fanout is None:
+            full = FullGraphSession(artifact, self_edge_graph).predict()
+            np.testing.assert_array_equal(logits, full[seeds])
+
+    def test_integer_operator_shares_the_block_pattern(
+            self, self_edge_artifacts, self_edge_graph):
+        session = BlockSession(self_edge_artifacts["gcn"], self_edge_graph)
+        block = session.sampler.sample(np.asarray([0, 7, 89])).blocks[-1]
+        source = block.normalized_adjacency()
+        params = self_edge_artifacts["gcn"].layers[0].params("adjacency")
+        quantized = session._quantized_operator(source, params, fake=False)
+        assert quantized.values.dtype == np.int64
+        for name in ("indices", "indptr"):  # wrapped, not copied
+            assert np.shares_memory(getattr(quantized.csr, name),
+                                    getattr(source.csr, name))
+
+
 class TestMemoryBoundedness:
     def test_never_materialises_full_adjacency(self, artifacts, small_cora):
         """Block serving builds no full-graph normalised/self-loop adjacency."""

@@ -19,6 +19,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
@@ -174,35 +175,57 @@ class TestIntegerPurityRule:
 
 
 class TestServingIntegerStages:
-    """RL02 walks the serving executor's integer aggregation ops.
+    """RL02 walks the serving executor's integer aggregation ops and every
+    Theorem-1 kernel the backends define.
 
     A clean tree proves nothing if a stage lost its marker, so each op is
-    seeded with an integer true division in a copy of the real
-    ``serving/session.py``, and RL02 must flag every seed.
+    seeded with an integer true division in a copy of the real source
+    file, and RL02 must flag every seed.
     """
 
-    SESSION = REPO_ROOT / "src" / "repro" / "serving" / "session.py"
-    STAGES = ("aggregate", "attend")
+    SOURCE = REPO_ROOT / "src" / "repro"
+    KERNELS = ("spmm", "edge_spmm")
 
-    def test_executor_aggregate_ops_are_stages(self):
-        source = self.SESSION.read_text()
-        executor = next(node for node in ast.parse(source).body
-                        if isinstance(node, ast.ClassDef)
-                        and node.name == "IntegerExecutor")
-        firsts = {node.name: node.body[0] for node in executor.body
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name in self.STAGES}
-        assert sorted(firsts) == sorted(self.STAGES)
+    @staticmethod
+    def _flagged_seeds(path, functions):
+        """Seed every listed function's body and lint the copy: the
+        ``(seeded, flagged)`` seed names."""
+        source = path.read_text()
         lines = source.splitlines()
-        for name, first in sorted(firsts.items(),
-                                  key=lambda item: -item[1].lineno):
+        seeds = {}
+        for node in sorted(functions, key=lambda node: -node.lineno):
+            first = node.body[0]
+            seed = f"_seed_{node.name}_{node.lineno}"
+            seeds[seed] = node.name
             lines.insert(first.lineno - 1, " " * first.col_offset
-                         + f"_seed_{name} = np.zeros(1, dtype=np.int64) / 2")
+                         + f"{seed} = np.zeros(1, dtype=np.int64) / 2")
         violations = lint("\n".join(lines), rules=[RULES_BY_ID["RL02"]],
-                          path=self.SESSION)
+                          path=path)
         flagged = {lines[violation.line - 1].split("=")[0].strip()
                    for violation in violations}
-        assert flagged == {f"_seed_{name}" for name in self.STAGES}
+        return seeds, flagged
+
+    def test_executor_aggregate_ops_are_stages(self):
+        path = self.SOURCE / "serving" / "session.py"
+        executor = next(node for node in ast.parse(path.read_text()).body
+                        if isinstance(node, ast.ClassDef)
+                        and node.name == "IntegerExecutor")
+        stages = [node for node in executor.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("aggregate", "attend")]
+        seeds, flagged = self._flagged_seeds(path, stages)
+        assert sorted(seeds.values()) == ["aggregate", "attend"]
+        assert flagged == set(seeds)
+
+    @pytest.mark.parametrize("module", ["numpy_backend", "vectorized"])
+    def test_kernel_aggregations_are_stages(self, module):
+        path = self.SOURCE / "kernels" / f"{module}.py"
+        kernels = [node for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in self.KERNELS]
+        seeds, flagged = self._flagged_seeds(path, kernels)
+        assert sorted(seeds.values()) == sorted(self.KERNELS)
+        assert flagged == set(seeds)
 
 
 # --------------------------------------------------------------------- #
