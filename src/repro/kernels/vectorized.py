@@ -138,8 +138,7 @@ class VectorizedBackend(NumpyBackend):
     def spmm(self, qa, sa: VectorOrScalar, qx: np.ndarray,
              sx: VectorOrScalar, zx: VectorOrScalar,
              sy: VectorOrScalar = 1.0, zy: VectorOrScalar = 0.0) -> np.ndarray:
-        csr = qa.csr
-        n_rows = csr.shape[0]
+        n_rows = qa.shape[0]
         n_cols = qx.shape[1]
         sa_col = as_column(sa, n_rows)
         sx_row = as_row(sx, n_cols)
@@ -147,21 +146,19 @@ class VectorizedBackend(NumpyBackend):
         sy_row = as_row(sy, n_cols)
         zy_row = as_row(zy, n_cols)
 
-        # The serving operator already holds int64 values, so neither the
-        # product nor the row sums copy it; a float-valued operand (the
-        # theorem tests' form) converts once.
-        integer_values = np.asarray(csr.data, dtype=np.int64)
-        if integer_values is not csr.data:
-            csr = sp.csr_matrix((integer_values, csr.indices, csr.indptr),
-                                shape=csr.shape)
+        # The serving operator already holds int64 values, so this is the
+        # operator itself; a float-valued one (``quantized_spmm``'s form)
+        # converts once.
+        integer_adjacency = qa.csr.astype(np.int64, copy=False)
         integer_features = np.asarray(qx, dtype=np.int64)
-        integer_product = np.asarray(csr @ integer_features,
+        integer_product = np.asarray(integer_adjacency @ integer_features,
                                      dtype=np.float64)
         # Row sums of Q_A from the indptr segments of a running sum: exact
         # in int64 (a wrapped partial sum cancels in the difference).
-        running = np.zeros(integer_values.shape[0] + 1, dtype=np.int64)
-        np.cumsum(integer_values, out=running[1:])
-        row_sum_qa = (running[csr.indptr[1:]] - running[csr.indptr[:-1]]) \
+        indptr = integer_adjacency.indptr
+        running = np.zeros(integer_adjacency.data.shape[0] + 1, dtype=np.int64)
+        np.cumsum(integer_adjacency.data, out=running[1:])
+        row_sum_qa = (running[indptr[1:]] - running[indptr[:-1]]) \
             .astype(np.float64).reshape(-1, 1)
 
         main = sa_col * integer_product * sx_row

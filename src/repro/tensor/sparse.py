@@ -55,14 +55,14 @@ class SparseTensor:
         return self.csr.data
 
     def with_values(self, values: np.ndarray) -> "SparseTensor":
-        """Return a new sparse tensor with the same sparsity pattern but new values."""
+        """A sparse tensor on this one's sparsity pattern (shared, not
+        copied) with new float32 values."""
         values = np.asarray(values, dtype=np.float32)
         if values.shape != self.csr.data.shape:
             raise ValueError(
                 f"expected {self.csr.data.shape[0]} values, got {values.shape}")
-        new = self.csr.copy()
-        new.data = values
-        return SparseTensor(new)
+        return SparseTensor.from_csr(values, self.csr.indices,
+                                     self.csr.indptr, self.shape)
 
     def with_rows(self, rows: np.ndarray,
                   replacement: "SparseTensor") -> "SparseTensor":
