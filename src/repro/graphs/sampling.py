@@ -60,9 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache stores blocks)
 #: A per-layer fanout: ``None`` means unlimited (keep every neighbour).
 Fanout = Optional[int]
 
-#: Largest index scipy keeps in an int32 CSR index array.
-_INT32_MAX = np.iinfo(np.int32).max
-
 # --------------------------------------------------------------------------- #
 # Counter-based random keys (SplitMix64).  Integer overflow wraps, which is
 # exactly the arithmetic the mixer wants; numpy only warns for *scalar*
@@ -192,8 +189,9 @@ class SubgraphBlock:
             keys, cols = keys[distinct], cols[distinct]
         indptr = np.searchsorted(
             keys, np.arange(self.num_dst + 1, dtype=np.int64) * self.num_src)
-        index_dtype = np.int32 if max(self.num_dst, self.num_src,
-                                      keys.shape[0]) <= _INT32_MAX else np.int64
+        # scipy's index dtype for this shape, so wrapping converts nothing.
+        index_dtype = np.int32 if max(self.num_dst, self.num_src, keys.shape[0]) \
+            <= np.iinfo(np.int32).max else np.int64
         return SparseTensor.from_csr(values, cols.astype(index_dtype),
                                      indptr.astype(index_dtype),
                                      (self.num_dst, self.num_src))
