@@ -9,30 +9,19 @@ import numpy as np
 from repro.core.build import build_relaxed_node_classifier, layer_dimensions
 from repro.core.search_space import random_assignment
 from repro.core.selection import search_node_bitwidths
-from repro.experiments.common import MethodRow, merge_seed_rows, run_mixq
+from repro.experiments.common import MethodRow, merge_seed_rows, run_mixq, run_uniform_qat
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.graphs.datasets import load_node_dataset
-from repro.quant.bitops import average_bits
-from repro.quant.qmodules import (
-    QuantNodeClassifier,
-    default_quantizer_factory,
-    gcn_component_names,
-)
+from repro.quant.qmodules import gcn_component_names
 from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer
-from repro.training.trainer import train_node_classifier
 
 
-def _train_assignment(graph, assignment, hidden: int, epochs: int, seed: int,
-                      quantizer_factory=default_quantizer_factory) -> MethodRow:
-    layer_dims = layer_dimensions(graph.num_features, hidden, graph.num_classes, 2)
-    model = QuantNodeClassifier.from_assignment(
-        layer_dims, "gcn", assignment, quantizer_factory=quantizer_factory,
-        rng=np.random.default_rng(seed))
-    result = train_node_classifier(model, graph, epochs=epochs)
-    counter = model.bit_operations(graph)
-    return MethodRow("assignment", [result.test_accuracy],
-                     bits=average_bits(assignment.values()),
-                     giga_bit_operations=counter.giga_bit_operations())
+def _qat_row(graph, assignment, name: str, scale: ExperimentScale, seed: int,
+             **kwargs) -> MethodRow:
+    """The ablations' QAT row: a 2-layer GCN trained at the default lr."""
+    return run_uniform_qat(graph, assignment, hidden=scale.hidden_features,
+                           epochs=scale.train_epochs, lr=0.01, seed=seed,
+                           method_name=name, **kwargs)
 
 
 def table10_random_vs_mixq(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
@@ -52,17 +41,13 @@ def table10_random_vs_mixq(datasets: Sequence[str] = ("cora", "citeseer", "pubme
             rng = np.random.default_rng(seed)
             for sample in range(num_random):
                 plain = random_assignment(component_names, bit_choices, rng)
-                row = _train_assignment(graph, plain, scale.hidden_features,
-                                        scale.train_epochs, seed * 100 + sample)
-                row.method = "Random"
-                random_rows.append(row)
+                random_rows.append(_qat_row(graph, plain, "Random", scale,
+                                            seed * 100 + sample))
                 pinned = random_assignment(component_names, bit_choices, rng,
                                            output_component=output_component,
                                            output_bits=8)
-                row = _train_assignment(graph, pinned, scale.hidden_features,
-                                        scale.train_epochs, seed * 100 + sample + 50)
-                row.method = "Random+INT8"
-                random_int8_rows.append(row)
+                random_int8_rows.append(_qat_row(graph, pinned, "Random+INT8", scale,
+                                                 seed * 100 + sample + 50))
             mixq_rows.append(run_mixq(graph, 1.0, bit_choices, "gcn",
                                       scale.hidden_features,
                                       search_epochs=scale.search_epochs,
@@ -96,14 +81,9 @@ def ablation_quantizer_ranges(dataset: str = "cora", scale: ExperimentScale = QU
         return AffineQuantizer(bits=bits_, symmetric=(kind != "activation"),
                                observer="percentile")
 
-    rows = []
-    for name, factory in (("EMA ranges", ema_factory),
-                          ("Percentile ranges", percentile_factory)):
-        row = _train_assignment(graph, assignment, scale.hidden_features,
-                                scale.train_epochs, seed=0, quantizer_factory=factory)
-        row.method = name
-        rows.append(row)
-    return rows
+    return [_qat_row(graph, assignment, name, scale, 0, quantizer_factory=factory)
+            for name, factory in (("EMA ranges", ema_factory),
+                                  ("Percentile ranges", percentile_factory))]
 
 
 def ablation_output_quantizer(dataset: str = "cora", scale: ExperimentScale = QUICK,
@@ -118,14 +98,9 @@ def ablation_output_quantizer(dataset: str = "cora", scale: ExperimentScale = QU
     with_output = {name: bits for name in component_names}
     without_output = dict(with_output)
     without_output["conv0.aggregate_out"] = 32
-    rows = []
-    for name, assignment in (("Quantized layer output", with_output),
-                             ("FP32 layer output (S_y=1)", without_output)):
-        row = _train_assignment(graph, assignment, scale.hidden_features,
-                                scale.train_epochs, seed=0)
-        row.method = name
-        rows.append(row)
-    return rows
+    return [_qat_row(graph, assignment, name, scale, 0)
+            for name, assignment in (("Quantized layer output", with_output),
+                                     ("FP32 layer output (S_y=1)", without_output))]
 
 
 def ablation_penalty_routing(dataset: str = "cora", scale: ExperimentScale = QUICK,
@@ -142,8 +117,5 @@ def ablation_penalty_routing(dataset: str = "cora", scale: ExperimentScale = QUI
         search = search_node_bitwidths(relaxed, graph, lambda_value,
                                        epochs=scale.search_epochs,
                                        penalty_only_alphas=decoupled)
-        row = _train_assignment(graph, search.assignment, scale.hidden_features,
-                                scale.train_epochs, seed=0)
-        row.method = name
-        rows.append(row)
+        rows.append(_qat_row(graph, search.assignment, name, scale, 0))
     return rows

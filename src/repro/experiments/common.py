@@ -8,18 +8,21 @@ utilities used to print paper-style tables, and seed aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.mixq import MixQNodeClassifier, MixQResult
 from repro.graphs.graph import Graph
 from repro.quant.a2q import A2QNodeClassifier
-from repro.quant.bitops import FP32_BITS, BitOpsCounter
+from repro.quant.bitops import FP32_BITS, BitOpsCounter, average_bits
 from repro.quant.degree_quant import attach_degree_probabilities, degree_quant_factory
 from repro.quant.qmodules import (
+    BitWidthAssignment,
     QuantNodeClassifier,
+    QuantizerFactory,
     conv_component_names,
+    default_quantizer_factory,
     uniform_assignment,
 )
 from repro.core.build import build_node_model, layer_dimensions
@@ -85,20 +88,28 @@ def run_fp32(graph: Graph, conv_type: str = "gcn", hidden: int = 16,
                      giga_bit_operations=model.bit_operations(graph).giga_bit_operations())
 
 
-def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int = 16,
+def run_uniform_qat(graph: Graph, bits: Union[int, BitWidthAssignment],
+                    conv_type: str = "gcn", hidden: int = 16,
                     num_layers: int = 2, epochs: int = 100, lr: float = 0.02,
                     seed: int = 0, multilabel: bool = False,
                     use_degree_quant: bool = False,
                     method_name: Optional[str] = None, minibatch: bool = False,
-                    fanout: Optional[int] = 10, batch_size: int = 256) -> MethodRow:
-    """Uniform fixed-bit QAT — also used as the DQ baseline when requested."""
+                    fanout: Optional[int] = 10, batch_size: int = 256,
+                    quantizer_factory: QuantizerFactory = default_quantizer_factory
+                    ) -> MethodRow:
+    """Fixed-bit QAT — also used as the DQ baseline when requested.
+
+    ``bits`` is one width for every component, or a component → bits
+    assignment (the ablations' random and partial assignments).
+    """
     rng = np.random.default_rng(seed)
-    assignment = uniform_assignment(conv_component_names(conv_type, num_layers), bits)
-    factory = degree_quant_factory(rng=rng) if use_degree_quant else None
-    kwargs = {"quantizer_factory": factory} if factory is not None else {}
+    assignment = bits if isinstance(bits, Mapping) else uniform_assignment(
+        conv_component_names(conv_type, num_layers), bits)
+    if use_degree_quant:
+        quantizer_factory = degree_quant_factory(rng=rng)
     model = QuantNodeClassifier.from_assignment(
         _architecture_dims(graph, hidden, num_layers), conv_type, assignment,
-        rng=rng, **kwargs)
+        quantizer_factory=quantizer_factory, rng=rng)
     if use_degree_quant:
         attach_degree_probabilities(model, graph)
     sampler = training_sampler(model, graph, fanout, batch_size,
@@ -107,7 +118,7 @@ def run_uniform_qat(graph: Graph, bits: int, conv_type: str = "gcn", hidden: int
                                    multilabel=multilabel, sampler=sampler)
     counter: BitOpsCounter = model.bit_operations(graph)
     name = method_name or (f"DQ INT{bits}" if use_degree_quant else f"QAT INT{bits}")
-    return MethodRow(name, [result.test_accuracy], bits=float(bits),
+    return MethodRow(name, [result.test_accuracy], bits=average_bits(assignment.values()),
                      giga_bit_operations=counter.giga_bit_operations())
 
 

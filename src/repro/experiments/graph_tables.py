@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mixq import MixQGraphClassifier
+from repro.core.mixq import MixQGraphClassifier, MixQResult
 from repro.experiments.common import MethodRow, mixq_label
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.graphs.batch import GraphBatch
@@ -16,6 +16,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.splits import stratified_k_fold_indices
 from repro.quant.bitops import FP32_BITS
 from repro.quant.qmodules import (
+    BitWidthAssignment,
     QuantGraphClassifier,
     gin_component_names,
     uniform_assignment,
@@ -32,53 +33,41 @@ TABLE8_BIT_CHOICES: Dict[str, Sequence[int]] = {
 }
 
 
-def _fp32_fold_row(graphs: List[Graph], train_idx: np.ndarray, test_idx: np.ndarray,
-                   hidden: int, num_layers: int, scale: ExperimentScale,
-                   seed: int, lr: float = 0.01, batch_size: int = 32,
-                   dropout: float = 0.5) -> float:
+def _folds(graphs: List[Graph], num_folds: int) -> Iterator[Tuple[List[Graph], List[Graph]]]:
+    """The stratified k-fold ``(train, test)`` graph lists every row runs on."""
+    labels = dataset_labels(graphs)
+    for train_idx, test_idx in stratified_k_fold_indices(labels, num_folds,
+                                                         rng=np.random.default_rng(0)):
+        yield [graphs[i] for i in train_idx], [graphs[i] for i in test_idx]
+
+
+def _qat_fold(train_graphs: List[Graph], test_graphs: List[Graph],
+              assignment: BitWidthAssignment, hidden: int, num_layers: int,
+              scale: ExperimentScale, seed: int, lr: float = 0.01,
+              batch_size: int = 32, dropout: float = 0.5) -> float:
+    """Test accuracy of the GIN trained under ``assignment`` (FP32: ``{}``)."""
     rng = np.random.default_rng(seed)
-    num_classes = int(dataset_labels(graphs).max()) + 1
-    model = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes, {},
-                                 num_layers=num_layers, dropout=dropout, rng=rng)
-    train_graphs = [graphs[i] for i in train_idx]
-    test_graphs = [graphs[i] for i in test_idx]
-    result = train_graph_classifier(model, train_graphs, test_graphs,
-                                    epochs=scale.graph_train_epochs, lr=lr,
-                                    batch_size=batch_size, rng=rng)
-    return result.test_accuracy
+    num_classes = int(dataset_labels(train_graphs + test_graphs).max()) + 1
+    model = QuantGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
+                                 assignment, num_layers=num_layers, dropout=dropout,
+                                 rng=rng)
+    return train_graph_classifier(model, train_graphs, test_graphs,
+                                  epochs=scale.graph_train_epochs, lr=lr,
+                                  batch_size=batch_size, rng=rng).test_accuracy
 
 
-def _mixq_fold_result(graphs: List[Graph], train_idx: np.ndarray, test_idx: np.ndarray,
-                      hidden: int, num_layers: int, bit_choices: Sequence[int],
-                      lambda_value: float, scale: ExperimentScale, seed: int,
-                      lr: float = 0.01, batch_size: int = 32, dropout: float = 0.5):
-    num_classes = int(dataset_labels(graphs).max()) + 1
-    mixq = MixQGraphClassifier(graphs[0].num_features, hidden, num_classes,
+def _mixq_fold(train_graphs: List[Graph], test_graphs: List[Graph],
+               bit_choices: Sequence[int], lambda_value: float, hidden: int,
+               num_layers: int, scale: ExperimentScale, seed: int, lr: float = 0.01,
+               batch_size: int = 32, dropout: float = 0.5) -> MixQResult:
+    num_classes = int(dataset_labels(train_graphs + test_graphs).max()) + 1
+    mixq = MixQGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
                                num_layers=num_layers, bit_choices=bit_choices,
                                lambda_value=lambda_value, dropout=dropout, seed=seed)
-    train_graphs = [graphs[i] for i in train_idx]
-    test_graphs = [graphs[i] for i in test_idx]
     return mixq.fit(train_graphs, test_graphs,
                     search_epochs=scale.graph_search_epochs,
                     train_epochs=scale.graph_train_epochs, lr=lr,
                     batch_size=batch_size)
-
-
-def _uniform_qat_fold(graphs: List[Graph], train_idx: np.ndarray, test_idx: np.ndarray,
-                      hidden: int, num_layers: int, bits: int,
-                      scale: ExperimentScale, seed: int, lr: float = 0.01,
-                      batch_size: int = 32, dropout: float = 0.5) -> float:
-    rng = np.random.default_rng(seed)
-    num_classes = int(dataset_labels(graphs).max()) + 1
-    assignment = uniform_assignment(gin_component_names(num_layers), bits)
-    model = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes, assignment,
-                                 num_layers=num_layers, dropout=dropout, rng=rng)
-    train_graphs = [graphs[i] for i in train_idx]
-    test_graphs = [graphs[i] for i in test_idx]
-    result = train_graph_classifier(model, train_graphs, test_graphs,
-                                    epochs=scale.graph_train_epochs, lr=lr,
-                                    batch_size=batch_size, rng=rng)
-    return result.test_accuracy
 
 
 def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins"),
@@ -95,29 +84,25 @@ def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins")
     for dataset in datasets:
         bit_choices = TABLE8_BIT_CHOICES.get(dataset, (4, 8))
         graphs = load_tu_dataset(dataset, num_graphs=scale.num_graphs, seed=0)
-        labels = dataset_labels(graphs)
-        folds = stratified_k_fold_indices(labels, scale.num_folds,
-                                          rng=np.random.default_rng(0))
         fp32_row = MethodRow("FP32", bits=float(FP32_BITS))
         qat_row = MethodRow(f"DQ INT{min(bit_choices)}", bits=float(min(bit_choices)))
+        qat_assignment = uniform_assignment(gin_component_names(num_layers),
+                                            min(bit_choices))
         mixq_rows = {lam: MethodRow(mixq_label(lam)) for lam in lambdas}
-        fp32_gbitops: List[float] = []
-        for fold_index, (train_idx, test_idx) in enumerate(folds):
-            fp32_row.accuracies.append(_fp32_fold_row(
-                graphs, train_idx, test_idx, scale.hidden_features, num_layers,
-                scale, seed=fold_index))
-            qat_row.accuracies.append(_uniform_qat_fold(
-                graphs, train_idx, test_idx, scale.hidden_features, num_layers,
-                min(bit_choices), scale, seed=fold_index))
+        fold_args = (scale.hidden_features, num_layers, scale)
+        for fold_index, (train, test) in enumerate(_folds(graphs, scale.num_folds)):
+            fp32_row.accuracies.append(_qat_fold(train, test, {}, *fold_args,
+                                                 seed=fold_index))
+            qat_row.accuracies.append(_qat_fold(train, test, qat_assignment, *fold_args,
+                                                seed=fold_index))
             for lam in lambdas:
-                fold_result = _mixq_fold_result(
-                    graphs, train_idx, test_idx, scale.hidden_features, num_layers,
-                    bit_choices, lam, scale, seed=fold_index)
+                fold_result = _mixq_fold(train, test, bit_choices, lam, *fold_args,
+                                         seed=fold_index)
                 mixq_rows[lam].accuracies.append(fold_result.accuracy)
                 mixq_rows[lam].bits = fold_result.average_bits
                 mixq_rows[lam].giga_bit_operations = fold_result.giga_bit_operations
         # FP32 BitOPs reference: the FP32 model on one reference batch.
-        num_classes = int(labels.max()) + 1
+        num_classes = int(dataset_labels(graphs).max()) + 1
         reference_model = QuantGraphClassifier(graphs[0].num_features,
                                                scale.hidden_features, num_classes, {},
                                                num_layers=num_layers)
@@ -143,33 +128,27 @@ def table9_csl(scale: ExperimentScale = QUICK, num_layers: int = 4,
     """
     graphs = load_csl(copies_per_class=copies_per_class,
                       positional_encoding_dim=positional_encoding_dim, seed=0)
-    labels = dataset_labels(graphs)
-    num_classes = int(labels.max()) + 1
-    folds = stratified_k_fold_indices(labels, max(scale.num_folds, 2),
-                                      rng=np.random.default_rng(0))
-
     # CSL's class signal lives in small differences of the positional
     # encodings, so the folds train without dropout, with small batches and a
     # slightly larger learning rate (the paper trains the real dataset for
     # many more epochs than the CPU budget here allows).
+    fold_args = (scale.hidden_features, num_layers, scale)
     fold_kwargs = {"lr": 0.02, "batch_size": 16, "dropout": 0.0}
+    components = gin_component_names(num_layers)
+    assignments = {"FP32": {}, "QAT - INT2": uniform_assignment(components, 2),
+                   "QAT - INT4": uniform_assignment(components, 4)}
     rows = {
         "FP32": MethodRow("FP32", bits=float(FP32_BITS)),
         "QAT - INT2": MethodRow("QAT - INT2", bits=2.0),
         "QAT - INT4": MethodRow("QAT - INT4", bits=4.0),
         "MixQ(λ=-ε)": MethodRow("MixQ(λ=-ε)"),
     }
-    for fold_index, (train_idx, test_idx) in enumerate(folds):
-        rows["FP32"].accuracies.append(_fp32_fold_row(
-            graphs, train_idx, test_idx, scale.hidden_features, num_layers, scale,
-            seed=fold_index, **fold_kwargs))
-        for bits, name in ((2, "QAT - INT2"), (4, "QAT - INT4")):
-            rows[name].accuracies.append(_uniform_qat_fold(
-                graphs, train_idx, test_idx, scale.hidden_features, num_layers, bits,
-                scale, seed=fold_index, **fold_kwargs))
-        mixq_result = _mixq_fold_result(
-            graphs, train_idx, test_idx, scale.hidden_features, num_layers,
-            (2, 4), -1e-8, scale, seed=fold_index, **fold_kwargs)
+    for fold_index, (train, test) in enumerate(_folds(graphs, max(scale.num_folds, 2))):
+        for name, assignment in assignments.items():
+            rows[name].accuracies.append(_qat_fold(train, test, assignment, *fold_args,
+                                                   seed=fold_index, **fold_kwargs))
+        mixq_result = _mixq_fold(train, test, (2, 4), -1e-8, *fold_args,
+                                 seed=fold_index, **fold_kwargs)
         rows["MixQ(λ=-ε)"].accuracies.append(mixq_result.accuracy)
         rows["MixQ(λ=-ε)"].bits = mixq_result.average_bits
         rows["MixQ(λ=-ε)"].giga_bit_operations = mixq_result.giga_bit_operations

@@ -1,7 +1,10 @@
-"""Training loops, metrics and cross-validation used by the experiments.
+"""The one optimisation loop, its node and graph callers, and metrics.
 
-Node classifiers train through one loop, :func:`train_node_classifier`,
-full-graph or with the sampler of :func:`training_sampler`.
+:func:`~repro.training.trainer.optimise` is the only epoch loop; node
+classifiers train through :func:`train_node_classifier` (full-graph or with
+the sampler of :func:`training_sampler`), graph classifiers through
+:func:`train_graph_classifier`, and the bit-width search of
+:mod:`repro.core.selection` runs the same loop with the penalty added.
 """
 
 from repro.training.evaluation import accuracy, masked_accuracy, roc_auc_score
@@ -14,7 +17,6 @@ from repro.training.trainer import (
     evaluate_node_classifier,
     evaluate_graph_classifier,
 )
-from repro.training.cross_validation import cross_validate_graph_classifier
 
 __all__ = [
     "accuracy",
@@ -27,5 +29,4 @@ __all__ = [
     "training_sampler",
     "evaluate_node_classifier",
     "evaluate_graph_classifier",
-    "cross_validate_graph_classifier",
 ]

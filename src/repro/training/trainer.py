@@ -1,21 +1,25 @@
-"""Training loops for node-level and graph-level tasks.
+"""Training: the one optimisation loop and its node- and graph-task callers.
 
-The loops are deliberately plain QAT training: Adam, optional weight decay,
-early stopping on a validation mask, and an optional extra penalty term
-(used by the A²Q baseline's memory penalty).  Both the FP32 baselines and
-every quantized variant in the benchmarks run through these functions so
-comparisons differ only in the model.
+:func:`optimise` is the one epoch loop: plain QAT training with Adam,
+optional weight decay and an optional penalty term.  The FP32 baselines,
+every quantized variant, the A²Q baseline's memory penalty and the
+bit-width search (:mod:`repro.core.selection`, Algorithm 1's "Find
+Bit-widths") all run through it, so comparisons differ only in the model
+and the objective.  A caller does its per-epoch work between the loop's
+yields: :func:`train_node_classifier` keeps the best validation epoch.
 
-:func:`train_node_classifier` is the one node-training loop: an epoch is one
-full-graph step, or with a sampler from :func:`training_sampler` one step per
-fanout-capped batch (cost bounded by ``batch_size`` and the fanouts, not the
-node count).  Evaluation never samples.
+A step source is a zero-argument callable that returns one epoch of
+``(data, targets, mask)`` steps: :func:`epoch_steps` for node
+classification (one full-graph step, or with a sampler from
+:func:`training_sampler` one step per fanout-capped batch, whose cost is
+bounded by ``batch_size`` and the fanouts, not the node count) and
+:func:`graph_steps` for graph classification.  Evaluation never samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +91,17 @@ def epoch_steps(graph: Graph, mask: Optional[np.ndarray],
             yield batch, batch.y, None
 
 
+def graph_steps(graphs: Sequence[Graph], batch_size: int,
+                rng: Optional[np.random.Generator] = None) -> Callable[[], Iterator[tuple]]:
+    """The step source of a graph-classification task: every call is one
+    epoch of mini-batches reshuffled by ``rng`` (seed 0 if omitted), each
+    scored on its one logit row per graph."""
+    graphs = list(graphs)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return lambda: ((batch, batch.y, None)
+                    for batch in iterate_minibatches(graphs, batch_size, rng=rng))
+
+
 def node_loss(model: Module, data: Union[Graph, BlockBatch], targets: np.ndarray,
               mask: Optional[np.ndarray], multilabel: bool) -> Tensor:
     """Task loss of one step of :func:`epoch_steps`."""
@@ -108,55 +123,81 @@ def evaluate_node_classifier(model: Module, graph: Graph,
     return masked_accuracy(logits, graph.y, mask=mask)
 
 
+def optimise(model: Module, steps: Callable[[], Iterable[tuple]], epochs: int,
+             lr: float = 0.01, weight_decay: float = 0.0, multilabel: bool = False,
+             penalty: Optional[Callable[[], Tensor]] = None, penalty_weight: float = 0.0,
+             penalty_only_alphas: bool = False) -> Iterator[Tuple[float, float]]:
+    """The one optimisation loop: yields each epoch's mean task loss and penalty.
+
+    An epoch runs Adam over the ``(data, targets, mask)`` steps of
+    ``steps()``, each scored by :func:`node_loss`.  The objective is the task
+    loss plus ``penalty_weight`` times ``penalty()`` (computed after the
+    forward pass, since a relaxed quantizer's penalty depends on the tensor
+    it last saw).  ``penalty_only_alphas`` is Algorithm 1's decoupled routing
+    (lines 19/22): the weights receive only the task gradient and the
+    relaxation parameters only the penalty gradient.  Callers do their
+    per-epoch work between yields; the model is back in training mode when
+    the next epoch starts.
+    """
+    from repro.core.penalty import alpha_parameters
+
+    optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
+    for _ in range(epochs):
+        model.train()
+        losses: List[float] = []
+        penalties: List[float] = []
+        for data, targets, mask in steps():
+            model.zero_grad()
+            loss = objective = node_loss(model, data, targets, mask, multilabel)
+            if penalty is not None:
+                term = penalty()
+                penalties.append(term.item())
+                if penalty_only_alphas:
+                    # The penalty depends on the alphas alone, so its backward
+                    # pass touches nothing else.
+                    loss.backward()
+                    for alpha in alpha_parameters(model):
+                        alpha.grad = None
+                    objective = term * float(penalty_weight)
+                elif penalty_weight:
+                    objective = loss + term * float(penalty_weight)
+            objective.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        yield float(np.mean(losses)), float(np.mean(penalties)) if penalties else 0.0
+
+
 def train_node_classifier(model: Module, graph: Graph, epochs: int = 100,
                           lr: float = 0.01, weight_decay: float = 5e-4,
                           multilabel: bool = False,
                           extra_penalty: Optional[Callable[[Module, Graph], Tensor]] = None,
                           penalty_weight: float = 0.0,
-                          patience: Optional[int] = None,
                           sampler: Optional[NeighborSampler] = None
                           ) -> NodeTrainingResult:
-    """Train a node classifier transductively with optional early stopping.
+    """Train a node classifier transductively, keeping the best validation epoch.
 
-    An epoch runs the steps of :func:`epoch_steps` and records their mean
-    loss; model selection and accuracies use full-graph evaluation.
+    An epoch is one pass of :func:`optimise` over :func:`epoch_steps`;
+    ``loss_history`` holds its mean task loss.  Model selection and the
+    accuracies use full-graph evaluation.
     """
     if graph.train_mask is None:
         raise ValueError("graph has no train_mask")
     if graph.y is None:
         raise ValueError("graph has no labels")
-    optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
+    penalty = None if extra_penalty is None else (lambda: extra_penalty(model, graph))
+    select = graph.val_mask is not None and graph.val_mask.any()
     loss_history: List[float] = []
     best_val = -np.inf
     best_epoch = 0
     best_state = None
-    epochs_without_improvement = 0
-
-    for epoch in range(epochs):
-        model.train()
-        step_losses: List[float] = []
-        for data, targets, mask in epoch_steps(graph, graph.train_mask, sampler):
-            model.zero_grad()
-            loss = node_loss(model, data, targets, mask, multilabel)
-            if extra_penalty is not None and penalty_weight:
-                loss = loss + extra_penalty(model, graph) * float(penalty_weight)
-            loss.backward()
-            optimizer.step()
-            step_losses.append(loss.item())
-        loss_history.append(float(np.mean(step_losses)))
-
-        if graph.val_mask is not None and graph.val_mask.any():
+    for epoch, (loss, _) in enumerate(optimise(
+            model, lambda: epoch_steps(graph, graph.train_mask, sampler), epochs, lr,
+            weight_decay, multilabel, penalty, penalty_weight)):
+        loss_history.append(loss)
+        if select:
             val_accuracy = evaluate_node_classifier(model, graph, graph.val_mask, multilabel)
             if val_accuracy > best_val:
-                best_val = val_accuracy
-                best_epoch = epoch
-                best_state = model.state_dict()
-                epochs_without_improvement = 0
-            else:
-                epochs_without_improvement += 1
-            if patience is not None and epochs_without_improvement > patience:
-                break
-
+                best_val, best_epoch, best_state = val_accuracy, epoch, model.state_dict()
     if best_state is not None:
         model.load_state_dict(best_state)
 
@@ -188,21 +229,9 @@ def train_graph_classifier(model: Module, train_graphs: Sequence[Graph],
                            lr: float = 0.01, batch_size: int = 32,
                            rng: Optional[np.random.Generator] = None
                            ) -> GraphTrainingResult:
-    """Train a graph classifier with mini-batched Adam."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    optimizer = Adam(model.parameters(), lr=lr)
-    loss_history: List[float] = []
-    for _ in range(epochs):
-        model.train()
-        epoch_losses = []
-        for batch in iterate_minibatches(list(train_graphs), batch_size, rng=rng):
-            model.zero_grad()
-            loss = F.cross_entropy(model(batch), batch.y)
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(float(loss.data))
-        loss_history.append(float(np.mean(epoch_losses)))
-    train_accuracy = evaluate_graph_classifier(model, train_graphs, batch_size)
-    test_accuracy = evaluate_graph_classifier(model, test_graphs, batch_size)
-    return GraphTrainingResult(train_accuracy, test_accuracy, loss_history)
+    """Train a graph classifier with :func:`optimise` over :func:`graph_steps`."""
+    steps = graph_steps(train_graphs, batch_size, rng)
+    loss_history = [loss for loss, _ in optimise(model, steps, epochs, lr)]
+    return GraphTrainingResult(evaluate_graph_classifier(model, train_graphs, batch_size),
+                               evaluate_graph_classifier(model, test_graphs, batch_size),
+                               loss_history)

@@ -1,14 +1,12 @@
-"""Tests for metrics, training loops and cross-validation."""
+"""Tests for metrics and the training loop's node and graph callers."""
 
 import numpy as np
 import pytest
 
 from repro.core.build import build_node_model
-from repro.graphs.datasets.tu import dataset_labels
 from repro.quant.qmodules import QuantGraphClassifier
 from repro.training import (
     accuracy,
-    cross_validate_graph_classifier,
     evaluate_graph_classifier,
     evaluate_node_classifier,
     masked_accuracy,
@@ -97,12 +95,20 @@ class TestNodeTraining:
         result = train_node_classifier(model, small_cora, epochs=5)
         assert len(result.loss_history) == 5
 
-    def test_early_stopping_restores_best(self, small_cora):
-        model = build_node_model("gcn", small_cora.num_features, 8,
-                                 small_cora.num_classes, rng=np.random.default_rng(0))
-        result = train_node_classifier(model, small_cora, epochs=60, patience=5)
-        assert len(result.loss_history) <= 60
-        assert result.best_epoch <= len(result.loss_history)
+    def test_selection_restores_best_epoch(self, small_cora):
+        def trained(epochs):
+            model = build_node_model("gcn", small_cora.num_features, 8,
+                                     small_cora.num_classes, rng=np.random.default_rng(0))
+            return model, train_node_classifier(model, small_cora, epochs=epochs)
+
+        model, result = trained(60)
+        assert result.best_epoch < len(result.loss_history) == 60
+        # Restoring the best epoch's state is the same as stopping after it.
+        stopped, stopped_result = trained(result.best_epoch + 1)
+        assert stopped_result.best_epoch == result.best_epoch
+        assert stopped_result.val_accuracy == result.val_accuracy
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, stopped.state_dict()[name])
 
     def test_extra_penalty_invoked(self, small_cora):
         calls = []
@@ -133,20 +139,3 @@ class TestGraphTraining:
                                      rng=np.random.default_rng(0))
         score = evaluate_graph_classifier(model, tu_graphs, batch_size=7)
         assert 0.0 <= score <= 1.0
-
-    def test_cross_validation_runs_fresh_models(self, tu_graphs):
-        created = []
-
-        def factory(train_graphs):
-            model = QuantGraphClassifier(tu_graphs[0].num_features, 8, 2, {},
-                                         num_layers=2,
-                                         rng=np.random.default_rng(len(created)))
-            created.append(model)
-            return model
-
-        result = cross_validate_graph_classifier(factory, tu_graphs, num_folds=3,
-                                                 epochs=2, rng=np.random.default_rng(0))
-        assert len(result.fold_accuracies) == 3
-        assert len(created) == 3
-        assert 0.0 <= result.mean <= 1.0
-        assert result.min <= result.mean <= result.max
