@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.mixq import MixQGraphClassifier, MixQResult
-from repro.experiments.common import MethodRow, mixq_label
+from repro.core.mixq import MixQGraphClassifier
+from repro.experiments.common import MethodRow, merge_seed_rows, mixq_label
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.graphs.batch import GraphBatch
 from repro.graphs.datasets import load_csl, load_tu_dataset
 from repro.graphs.datasets.tu import dataset_labels
 from repro.graphs.graph import Graph
 from repro.graphs.splits import stratified_k_fold_indices
-from repro.quant.bitops import FP32_BITS
+from repro.quant.bitops import FP32_BITS, average_bits
 from repro.quant.qmodules import (
     BitWidthAssignment,
     QuantGraphClassifier,
@@ -33,21 +33,12 @@ TABLE8_BIT_CHOICES: Dict[str, Sequence[int]] = {
 }
 
 
-def _folds(graphs: List[Graph], num_folds: int) -> Iterator[Tuple[List[Graph], List[Graph]]]:
-    """The stratified k-fold ``(train, test)`` graph lists every row runs on."""
-    labels = dataset_labels(graphs)
-    for train_idx, test_idx in stratified_k_fold_indices(labels, num_folds,
-                                                         rng=np.random.default_rng(0)):
-        yield [graphs[i] for i in train_idx], [graphs[i] for i in test_idx]
-
-
 def _qat_fold(train_graphs: List[Graph], test_graphs: List[Graph],
-              assignment: BitWidthAssignment, hidden: int, num_layers: int,
-              scale: ExperimentScale, seed: int, lr: float = 0.01,
+              assignment: BitWidthAssignment, num_classes: int, hidden: int,
+              num_layers: int, scale: ExperimentScale, seed: int, lr: float = 0.01,
               batch_size: int = 32, dropout: float = 0.5) -> float:
     """Test accuracy of the GIN trained under ``assignment`` (FP32: ``{}``)."""
     rng = np.random.default_rng(seed)
-    num_classes = int(dataset_labels(train_graphs + test_graphs).max()) + 1
     model = QuantGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
                                  assignment, num_layers=num_layers, dropout=dropout,
                                  rng=rng)
@@ -56,18 +47,56 @@ def _qat_fold(train_graphs: List[Graph], test_graphs: List[Graph],
                                   batch_size=batch_size, rng=rng).test_accuracy
 
 
-def _mixq_fold(train_graphs: List[Graph], test_graphs: List[Graph],
-               bit_choices: Sequence[int], lambda_value: float, hidden: int,
-               num_layers: int, scale: ExperimentScale, seed: int, lr: float = 0.01,
-               batch_size: int = 32, dropout: float = 0.5) -> MixQResult:
-    num_classes = int(dataset_labels(train_graphs + test_graphs).max()) + 1
+def _mixq_fold(train_graphs: List[Graph], test_graphs: List[Graph], reference: GraphBatch,
+               bit_choices: Sequence[int], lambda_value: float, num_classes: int,
+               hidden: int, num_layers: int, scale: ExperimentScale, seed: int,
+               lr: float = 0.01, batch_size: int = 32, dropout: float = 0.5) -> MethodRow:
+    """One fold's MixQ row, its BitOPs counted on the table's ``reference``."""
     mixq = MixQGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
                                num_layers=num_layers, bit_choices=bit_choices,
                                lambda_value=lambda_value, dropout=dropout, seed=seed)
-    return mixq.fit(train_graphs, test_graphs,
-                    search_epochs=scale.graph_search_epochs,
-                    train_epochs=scale.graph_train_epochs, lr=lr,
-                    batch_size=batch_size)
+    result = mixq.fit(train_graphs, test_graphs, search_epochs=scale.graph_search_epochs,
+                      train_epochs=scale.graph_train_epochs, lr=lr, batch_size=batch_size)
+    counter = mixq.quantized_model.bit_operations(reference)
+    return MethodRow(mixq_label(lambda_value), [result.accuracy], bits=result.average_bits,
+                     giga_bit_operations=counter.giga_bit_operations())
+
+
+def _cross_validated_rows(graphs: List[Graph], num_folds: int,
+                          assignments: Dict[str, BitWidthAssignment],
+                          bit_choices: Sequence[int], lambdas: Sequence[float],
+                          hidden: int, num_layers: int, scale: ExperimentScale,
+                          **fold_kwargs) -> List[MethodRow]:
+    """A graph table: one row per fixed assignment, then one per MixQ λ.
+
+    Every row runs on the same stratified folds, and every row's BitOPs are
+    counted on one reference batch, the first 32 graphs: a fixed row's are
+    ``bits / 32`` of the FP32 GIN's, a MixQ row's are the fold mean of the
+    searched models' (its bits too, as :func:`merge_seed_rows` does).
+    """
+    rows = {name: MethodRow(name, bits=average_bits(assignment.values()))
+            for name, assignment in assignments.items()}
+    mixq_folds: Dict[float, List[MethodRow]] = {lam: [] for lam in lambdas}
+    reference = GraphBatch(graphs[:32])
+    labels = dataset_labels(graphs)
+    num_classes = int(labels.max()) + 1
+    fold_args = (num_classes, hidden, num_layers, scale)
+    folds = stratified_k_fold_indices(labels, num_folds, rng=np.random.default_rng(0))
+    for fold_index, (train_idx, test_idx) in enumerate(folds):
+        train = [graphs[i] for i in train_idx]
+        test = [graphs[i] for i in test_idx]
+        for name, assignment in assignments.items():
+            rows[name].accuracies.append(_qat_fold(train, test, assignment, *fold_args,
+                                                   seed=fold_index, **fold_kwargs))
+        for lam in lambdas:
+            mixq_folds[lam].append(_mixq_fold(train, test, reference, bit_choices, lam,
+                                              *fold_args, seed=fold_index, **fold_kwargs))
+    fp32 = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes, {},
+                                num_layers=num_layers)
+    fp32_gbitops = fp32.bit_operations(reference).giga_bit_operations()
+    for row in rows.values():
+        row.giga_bit_operations = fp32_gbitops * row.bits / FP32_BITS
+    return [*rows.values(), *(merge_seed_rows(mixq_folds[lam]) for lam in lambdas)]
 
 
 def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins"),
@@ -83,36 +112,13 @@ def table8_graph_classification(datasets: Sequence[str] = ("imdb-b", "proteins")
     results: Dict[str, List[MethodRow]] = {}
     for dataset in datasets:
         bit_choices = TABLE8_BIT_CHOICES.get(dataset, (4, 8))
+        qat_bits = min(bit_choices)
+        assignments = {"FP32": {}, f"DQ INT{qat_bits}": uniform_assignment(
+            gin_component_names(num_layers), qat_bits)}
         graphs = load_tu_dataset(dataset, num_graphs=scale.num_graphs, seed=0)
-        fp32_row = MethodRow("FP32", bits=float(FP32_BITS))
-        qat_row = MethodRow(f"DQ INT{min(bit_choices)}", bits=float(min(bit_choices)))
-        qat_assignment = uniform_assignment(gin_component_names(num_layers),
-                                            min(bit_choices))
-        mixq_rows = {lam: MethodRow(mixq_label(lam)) for lam in lambdas}
-        fold_args = (scale.hidden_features, num_layers, scale)
-        for fold_index, (train, test) in enumerate(_folds(graphs, scale.num_folds)):
-            fp32_row.accuracies.append(_qat_fold(train, test, {}, *fold_args,
-                                                 seed=fold_index))
-            qat_row.accuracies.append(_qat_fold(train, test, qat_assignment, *fold_args,
-                                                seed=fold_index))
-            for lam in lambdas:
-                fold_result = _mixq_fold(train, test, bit_choices, lam, *fold_args,
-                                         seed=fold_index)
-                mixq_rows[lam].accuracies.append(fold_result.accuracy)
-                mixq_rows[lam].bits = fold_result.average_bits
-                mixq_rows[lam].giga_bit_operations = fold_result.giga_bit_operations
-        # FP32 BitOPs reference: the FP32 model on one reference batch.
-        num_classes = int(dataset_labels(graphs).max()) + 1
-        reference_model = QuantGraphClassifier(graphs[0].num_features,
-                                               scale.hidden_features, num_classes, {},
-                                               num_layers=num_layers)
-        reference_batch = GraphBatch(graphs[:min(len(graphs), 32)])
-        fp32_row.giga_bit_operations = \
-            reference_model.bit_operations(reference_batch).giga_bit_operations()
-        qat_row.giga_bit_operations = fp32_row.giga_bit_operations \
-            * min(bit_choices) / FP32_BITS
-        results[dataset] = [fp32_row, qat_row,
-                            *(mixq_rows[lam] for lam in lambdas)]
+        results[dataset] = _cross_validated_rows(
+            graphs, scale.num_folds, assignments, bit_choices, lambdas,
+            scale.hidden_features, num_layers, scale)
     return results
 
 
@@ -132,24 +138,9 @@ def table9_csl(scale: ExperimentScale = QUICK, num_layers: int = 4,
     # encodings, so the folds train without dropout, with small batches and a
     # slightly larger learning rate (the paper trains the real dataset for
     # many more epochs than the CPU budget here allows).
-    fold_args = (scale.hidden_features, num_layers, scale)
-    fold_kwargs = {"lr": 0.02, "batch_size": 16, "dropout": 0.0}
     components = gin_component_names(num_layers)
     assignments = {"FP32": {}, "QAT - INT2": uniform_assignment(components, 2),
                    "QAT - INT4": uniform_assignment(components, 4)}
-    rows = {
-        "FP32": MethodRow("FP32", bits=float(FP32_BITS)),
-        "QAT - INT2": MethodRow("QAT - INT2", bits=2.0),
-        "QAT - INT4": MethodRow("QAT - INT4", bits=4.0),
-        "MixQ(λ=-ε)": MethodRow("MixQ(λ=-ε)"),
-    }
-    for fold_index, (train, test) in enumerate(_folds(graphs, max(scale.num_folds, 2))):
-        for name, assignment in assignments.items():
-            rows[name].accuracies.append(_qat_fold(train, test, assignment, *fold_args,
-                                                   seed=fold_index, **fold_kwargs))
-        mixq_result = _mixq_fold(train, test, (2, 4), -1e-8, *fold_args,
-                                 seed=fold_index, **fold_kwargs)
-        rows["MixQ(λ=-ε)"].accuracies.append(mixq_result.accuracy)
-        rows["MixQ(λ=-ε)"].bits = mixq_result.average_bits
-        rows["MixQ(λ=-ε)"].giga_bit_operations = mixq_result.giga_bit_operations
-    return list(rows.values())
+    return _cross_validated_rows(graphs, max(scale.num_folds, 2), assignments, (2, 4),
+                                 (-1e-8,), scale.hidden_features, num_layers, scale,
+                                 lr=0.02, batch_size=16, dropout=0.0)
