@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Design-choice ablations of the reproduction (``repro.experiments.ablation``).
 
 Three ablations, each asserting only that both variants train to a sane
 state (they are diagnostics, not paper tables):

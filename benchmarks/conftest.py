@@ -5,7 +5,7 @@ Every benchmark runs its experiment exactly once through
 full training runs, not micro-kernels), prints the paper-style table or
 series, and asserts the qualitative *shape* of the result — orderings and
 compression factors, never absolute accuracies, because the datasets are
-synthetic stand-ins (see DESIGN.md).
+synthetic stand-ins (see ``repro.graphs.datasets``).
 
 Set ``REPRO_SCALE=standard`` for larger graphs / more seeds.
 """

@@ -1,4 +1,9 @@
-"""Ablation experiments: Table 10 and the design-choice ablations from DESIGN.md."""
+"""Ablation experiments: Table 10 and three design-choice ablations.
+
+The design choices are the quantizer range observer, quantizing the
+aggregation output between stacked layers, and Algorithm 1's penalty
+gradient routing; ``benchmarks/bench_ablation_design_choices.py`` runs them.
+"""
 
 from __future__ import annotations
 
@@ -60,7 +65,7 @@ def table10_random_vs_mixq(datasets: Sequence[str] = ("cora", "citeseer", "pubme
 
 
 # --------------------------------------------------------------------------- #
-# design-choice ablations (DESIGN.md)
+# design-choice ablations
 # --------------------------------------------------------------------------- #
 def ablation_quantizer_ranges(dataset: str = "cora", scale: ExperimentScale = QUICK,
                               bits: int = 4) -> List[MethodRow]:

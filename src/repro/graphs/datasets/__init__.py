@@ -2,8 +2,9 @@
 
 All datasets are deterministic functions of a ``seed`` (and a ``scale`` for
 the node-classification graphs), so every experiment in ``benchmarks/`` is
-reproducible bit-for-bit.  See DESIGN.md for the mapping from the paper's
-public benchmark datasets to these synthetic stand-ins.
+reproducible bit-for-bit.  ``NODE_DATASETS`` and ``GRAPH_DATASETS`` map
+the paper's public benchmark datasets to these synthetic stand-ins, and
+:func:`dataset_characteristics` holds the paper's Table 2 figures for them.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def load_csl(num_nodes: int = DEFAULT_NUM_NODES,
     length, which leaves only a weak ordering signal for a small CPU-scale
     model, whereas random-walk return probabilities encode the skip length
     directly and reproduce the paper's phenomenon (FP32/INT4 learn the task,
-    INT2 collapses) at this scale.  See DESIGN.md.
+    INT2 collapses) at this scale.
     """
     if positional_encoding not in {"laplacian", "random_walk"}:
         raise ValueError("positional_encoding must be 'laplacian' or 'random_walk'")

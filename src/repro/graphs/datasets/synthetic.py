@@ -15,7 +15,8 @@ quantization experiments are sensitive to:
   overlay, because both Degree-Quant and A²Q key their behaviour off
   high-in-degree nodes.
 
-See DESIGN.md ("Environment substitutions") for the per-dataset mapping.
+The per-dataset mapping is the loader registry of :mod:`repro.graphs.datasets`
+(``NODE_DATASETS`` / ``GRAPH_DATASETS``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ Two passes, no third-party dependencies (runs in CI and locally via
    fences must be balanced and carry an info string (so the snippet runner
    knows what is executable), exactly one H1 per file, heading levels never
    skip, and every relative link target must exist in the repository.
-2. **Execute** the ``python`` code fences of the files listed in
+2. **Cite** — every ``*.md`` file named in the python files of ``src/``,
+   ``benchmarks/`` and ``examples/`` must exist, resolved against the
+   repository root or the citing file's directory, so a docstring cannot
+   send its reader to a document that is not there.
+3. **Execute** the ``python`` code fences of the files listed in
    ``EXECUTABLE_DOCS``, in order, in one shared namespace per file — the
    same pattern as the examples CI step, so the documented serving
    walkthrough is guaranteed to run against the current code.
@@ -30,6 +34,10 @@ EXECUTABLE_DOCS = [DOCS_DIR / "serving.md", DOCS_DIR / "sharding.md",
                    DOCS_DIR / "streaming.md",
                    DOCS_DIR / "static-analysis.md"]
 
+#: Program trees whose markdown citations must resolve.
+CITING_DIRS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"]
+
+_CITATION = re.compile(r"[\w./-]+\.md\b")
 _FENCE = re.compile(r"^(```+)\s*(\S*)\s*$")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^(#{1,6})\s+\S")
@@ -95,6 +103,14 @@ def lint(path: Path) -> List[str]:
     return errors
 
 
+def dangling_citations(path: Path) -> List[str]:
+    """The ``*.md`` files a program file cites that do not exist."""
+    return [f"line {number}: cites {cited}, which does not exist"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            for cited in _CITATION.findall(line)
+            if not any((base / cited).exists() for base in (REPO_ROOT, path.parent))]
+
+
 def run_snippets(path: Path) -> int:
     """Execute the ``python`` fences of one doc in a shared namespace."""
     namespace: dict = {"__name__": f"docs_snippet:{path.name}"}
@@ -123,6 +139,12 @@ def main() -> int:
             print(f"LINT {path.relative_to(REPO_ROOT)}: {error}",
                   file=sys.stderr)
         failures += len(errors)
+    cited = sorted(path for directory in CITING_DIRS for path in directory.rglob("*.py"))
+    for path in cited:
+        errors = dangling_citations(path)
+        for error in errors:
+            print(f"CITE {path.relative_to(REPO_ROOT)}: {error}", file=sys.stderr)
+        failures += len(errors)
     if failures:
         return 1
     for path in EXECUTABLE_DOCS:
@@ -132,6 +154,8 @@ def main() -> int:
     others = [p for p in LINTED_FILES if p not in EXECUTABLE_DOCS]
     print(f"OK {len(others)} further files lint clean: "
           + ", ".join(str(p.relative_to(REPO_ROOT)) for p in others))
+    print(f"OK {len(cited)} python files under src/, benchmarks/, examples/ "
+          f"cite only markdown files that exist")
     return 0
 
 
