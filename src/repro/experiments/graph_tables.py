@@ -33,41 +33,14 @@ TABLE8_BIT_CHOICES: Dict[str, Sequence[int]] = {
 }
 
 
-def _qat_fold(train_graphs: List[Graph], test_graphs: List[Graph],
-              assignment: BitWidthAssignment, num_classes: int, hidden: int,
-              num_layers: int, scale: ExperimentScale, seed: int, lr: float = 0.01,
-              batch_size: int = 32, dropout: float = 0.5) -> float:
-    """Test accuracy of the GIN trained under ``assignment`` (FP32: ``{}``)."""
-    rng = np.random.default_rng(seed)
-    model = QuantGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
-                                 assignment, num_layers=num_layers, dropout=dropout,
-                                 rng=rng)
-    return train_graph_classifier(model, train_graphs, test_graphs,
-                                  epochs=scale.graph_train_epochs, lr=lr,
-                                  batch_size=batch_size, rng=rng).test_accuracy
-
-
-def _mixq_fold(train_graphs: List[Graph], test_graphs: List[Graph], reference: GraphBatch,
-               bit_choices: Sequence[int], lambda_value: float, num_classes: int,
-               hidden: int, num_layers: int, scale: ExperimentScale, seed: int,
-               lr: float = 0.01, batch_size: int = 32, dropout: float = 0.5) -> MethodRow:
-    """One fold's MixQ row, its BitOPs counted on the table's ``reference``."""
-    mixq = MixQGraphClassifier(train_graphs[0].num_features, hidden, num_classes,
-                               num_layers=num_layers, bit_choices=bit_choices,
-                               lambda_value=lambda_value, dropout=dropout, seed=seed)
-    result = mixq.fit(train_graphs, test_graphs, search_epochs=scale.graph_search_epochs,
-                      train_epochs=scale.graph_train_epochs, lr=lr, batch_size=batch_size)
-    counter = mixq.quantized_model.bit_operations(reference)
-    return MethodRow(mixq_label(lambda_value), [result.accuracy], bits=result.average_bits,
-                     giga_bit_operations=counter.giga_bit_operations())
-
-
 def _cross_validated_rows(graphs: List[Graph], num_folds: int,
                           assignments: Dict[str, BitWidthAssignment],
                           bit_choices: Sequence[int], lambdas: Sequence[float],
                           hidden: int, num_layers: int, scale: ExperimentScale,
-                          **fold_kwargs) -> List[MethodRow]:
-    """A graph table: one row per fixed assignment, then one per MixQ λ.
+                          lr: float = 0.01, batch_size: int = 32,
+                          dropout: float = 0.5) -> List[MethodRow]:
+    """A graph table: one row per fixed assignment (FP32: ``{}``), then one
+    per MixQ λ, each trained and searched afresh in every fold.
 
     Every row runs on the same stratified folds, and every row's BitOPs are
     counted on one reference batch, the first 32 graphs: a fixed row's are
@@ -80,17 +53,29 @@ def _cross_validated_rows(graphs: List[Graph], num_folds: int,
     reference = GraphBatch(graphs[:32])
     labels = dataset_labels(graphs)
     num_classes = int(labels.max()) + 1
-    fold_args = (num_classes, hidden, num_layers, scale)
     folds = stratified_k_fold_indices(labels, num_folds, rng=np.random.default_rng(0))
     for fold_index, (train_idx, test_idx) in enumerate(folds):
         train = [graphs[i] for i in train_idx]
         test = [graphs[i] for i in test_idx]
         for name, assignment in assignments.items():
-            rows[name].accuracies.append(_qat_fold(train, test, assignment, *fold_args,
-                                                   seed=fold_index, **fold_kwargs))
+            rng = np.random.default_rng(fold_index)
+            model = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes,
+                                         assignment, num_layers=num_layers,
+                                         dropout=dropout, rng=rng)
+            rows[name].accuracies.append(train_graph_classifier(
+                model, train, test, epochs=scale.graph_train_epochs, lr=lr,
+                batch_size=batch_size, rng=rng).test_accuracy)
         for lam in lambdas:
-            mixq_folds[lam].append(_mixq_fold(train, test, reference, bit_choices, lam,
-                                              *fold_args, seed=fold_index, **fold_kwargs))
+            mixq = MixQGraphClassifier(graphs[0].num_features, hidden, num_classes,
+                                       num_layers=num_layers, bit_choices=bit_choices,
+                                       lambda_value=lam, dropout=dropout, seed=fold_index)
+            result = mixq.fit(train, test, search_epochs=scale.graph_search_epochs,
+                              train_epochs=scale.graph_train_epochs, lr=lr,
+                              batch_size=batch_size)
+            counter = mixq.quantized_model.bit_operations(reference)
+            mixq_folds[lam].append(MethodRow(
+                mixq_label(lam), [result.accuracy], bits=result.average_bits,
+                giga_bit_operations=counter.giga_bit_operations()))
     fp32 = QuantGraphClassifier(graphs[0].num_features, hidden, num_classes, {},
                                 num_layers=num_layers)
     fp32_gbitops = fp32.bit_operations(reference).giga_bit_operations()
