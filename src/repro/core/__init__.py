@@ -11,9 +11,11 @@ This package is the paper's primary contribution:
   :mod:`repro.quant.qmodules`; the relaxed architecture is that one module
   family built with it, not a second family.
 * :mod:`repro.core.build` — "Build Relaxed Architecture" from Algorithm 1.
-* :mod:`repro.core.selection` — the bit-width search loop ("Find Bit-widths").
+* :mod:`repro.core.selection` — the bit-width search ("Find Bit-widths"):
+  the one training loop with the penalty added.
 * :mod:`repro.core.mixq` — the high-level :class:`MixQNodeClassifier` /
-  :class:`MixQGraphClassifier` APIs (search, finalize, train, evaluate).
+  :class:`MixQGraphClassifier` APIs (search, finalize, train, evaluate),
+  one shared pipeline over a node or a graph model family.
 * :mod:`repro.core.search_space` — exhaustive/random assignment enumeration
   and Pareto-front extraction (Figures 2, 3 and Table 10).
 """

@@ -104,7 +104,8 @@ def graph_steps(graphs: Sequence[Graph], batch_size: int,
 
 def node_loss(model: Module, data: Union[Graph, BlockBatch], targets: np.ndarray,
               mask: Optional[np.ndarray], multilabel: bool) -> Tensor:
-    """Task loss of one step of :func:`epoch_steps`."""
+    """Task loss of one step: a node batch under ``mask``, or one logit row per
+    graph of a :func:`graph_steps` batch."""
     logits = model(data)
     if multilabel:
         return F.binary_cross_entropy_with_logits(logits, targets, mask=mask)
@@ -139,6 +140,7 @@ def optimise(model: Module, steps: Callable[[], Iterable[tuple]], epochs: int,
     per-epoch work between yields; the model is back in training mode when
     the next epoch starts.
     """
+    # Imported here: repro.core imports this module.
     from repro.core.penalty import alpha_parameters
 
     optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
