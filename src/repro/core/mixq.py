@@ -179,7 +179,7 @@ class MixQNodeClassifier(_MixQPipeline):
                multilabel: bool = False, minibatch: bool = False,
                fanout: Optional[int] = 10,
                batch_size: int = 256) -> BitWidthSearchResult:
-        """Stages 3-4 of Figure 7: relaxation and bit-width selection.
+        """Stage 3-4 of Figure 7: relaxation and bit-width selection.
 
         ``minibatch=True`` runs the search over neighbor-sampled blocks
         (``fanout`` neighbours per layer, ``batch_size`` seeds per step);
