@@ -14,9 +14,11 @@ size-bounded LRU:
 * **sampled rows** — a node's fanout-capped row, keyed by
   ``(node, fanout, hop, rng-epoch)``; reusable only while the sampler stays
   in the same rng-epoch and explicitly invalidated when it advances;
-* **batches** — whole :class:`~repro.graphs.sampling.BlockBatch` objects
-  keyed by the exact seed list, so a byte-identical repeat request is
-  served without rebuilding (or re-quantizing) anything.
+* **batches** — the sampled :class:`~repro.graphs.sampling.SubgraphBlock`
+  stack of a whole batch, keyed by the exact seed list, so a byte-identical
+  repeat request is served without resampling.  An entry holds no feature
+  rows or labels: the sampler gathers those from the graph on a hit, so
+  the cache never duplicates data the graph already holds.
 
 The contract that makes caching safe is established in
 :mod:`repro.graphs.sampling`: a node's sampled neighbourhood is a pure
@@ -36,7 +38,10 @@ row-shaped entries carry the node's
 :attr:`~repro.graphs.graph.Graph.version`.  A row entry holds only the raw
 row (degree terms are applied at block build), so it goes stale only when
 its own row changes; an update therefore strands the row entries of the
-rows it changed and every batch, while all other rows stay warm.
+rows it changed and every batch, while all other rows stay warm.  A batch
+hit is exact even after a feature-only delta, which writes ``graph.x`` in
+place: that delta too advances the version, so the stack is only reused
+at the version whose features the sampler then gathers.
 :meth:`BlockCache.invalidate_nodes` additionally evicts the stranded
 entries — a memory optimisation, never a correctness requirement.
 """
@@ -62,21 +67,13 @@ def _rows_nbytes(cols: np.ndarray, weights: np.ndarray) -> int:
     return int(cols.nbytes) + int(weights.nbytes) + _ENTRY_OVERHEAD
 
 
-def _batch_nbytes(batch: Any) -> int:
-    """Approximate footprint of a BlockBatch (duck-typed, no import cycle)."""
-    total = _ENTRY_OVERHEAD + int(batch.x.nbytes)
-    if batch.y is not None:
-        total += int(batch.y.nbytes)
-    for block in batch.blocks:
-        for name in ("dst_nodes", "src_nodes", "edge_rows", "edge_cols",
-                     "edge_weight", "dst_inv_sqrt", "src_inv_sqrt",
-                     "row_scale"):
-            total += int(getattr(block, name).nbytes)
-    return total
+def _batch_nbytes(blocks: Sequence[Any]) -> int:
+    """Footprint of a stored block stack: each block's ``nbytes``."""
+    return _ENTRY_OVERHEAD + sum(int(block.nbytes) for block in blocks)
 
 
 class BlockCache:
-    """Seeded, size-bounded LRU over per-seed sampled rows and block batches.
+    """Seeded, size-bounded LRU over per-seed sampled rows and block stacks.
 
     Parameters
     ----------
@@ -176,8 +173,9 @@ class BlockCache:
         return ("bat", seeds.tobytes(), tuple(fanouts), epoch, version)
 
     def get_batch(self, seeds: np.ndarray, fanouts: Sequence[Optional[int]],
-                  epoch: int, version: int = 0) -> Optional[Any]:
-        """A previously built batch for the exact same seed list, or None.
+                  epoch: int, version: int = 0) -> Optional[List[Any]]:
+        """The block stack previously sampled for the exact same seed list,
+        or None.
 
         ``version`` is the graph's :attr:`~repro.graphs.graph.Graph.version`
         the batch was built at; static graphs stay at 0.  The probe and its
@@ -195,7 +193,9 @@ class BlockCache:
         return batch
 
     def put_batch(self, seeds: np.ndarray, fanouts: Sequence[Optional[int]],
-                  epoch: int, batch: Any, version: int = 0) -> None:
+                  epoch: int, batch: List[Any], version: int = 0) -> None:
+        """Store ``batch``, the seed list's sampled block stack (innermost
+        hop first), charged at the blocks' own ``nbytes``."""
         self._lru.put(self._batch_key(seeds, fanouts, epoch, version),
                       batch, _batch_nbytes(batch))
 

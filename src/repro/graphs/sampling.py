@@ -158,6 +158,13 @@ class SubgraphBlock:
     def num_edges(self) -> int:
         return int(self.edge_rows.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the block's own arrays (not of operators built from
+        them): what a cached block stack costs the cache's byte budget."""
+        return sum(int(value.nbytes) for value in vars(self).values()
+                   if isinstance(value, np.ndarray))
+
     # ------------------------------------------------------------------ #
     def _build(self, values: np.ndarray, add_self_loops: bool,
                loop_values: Optional[np.ndarray] = None) -> SparseTensor:
@@ -341,7 +348,8 @@ class NeighborSampler:
         configuration (its keys carry no graph/seed identity).  Cached and
         uncached sampling are bit-identical.  Keys carry the graph's
         versions (:attr:`~repro.graphs.graph.Graph.row_version` for row
-        entries, :attr:`~repro.graphs.graph.Graph.version` for batches), so
+        entries, :attr:`~repro.graphs.graph.Graph.version` for block
+        stacks), so
         an update strands exactly the entries it made stale.
     """
 
@@ -364,7 +372,7 @@ class NeighborSampler:
         #: explicit :meth:`sample` / :meth:`iter_batches` serving path.
         self.rng_epoch = 0
         self.cache = cache
-        #: Store whole BlockBatches (worth it for serving, where identical
+        #: Store whole block stacks (worth it for serving, where identical
         #: requests repeat; training batches never repeat within an epoch).
         self.cache_batches = cache_batches
 
@@ -544,29 +552,32 @@ class NeighborSampler:
         A pure function of ``(seeds, sampler seed, rng-epoch)``: calling it
         twice — or in any interleaving with other batches — returns
         identical samples.  With a cache attached, a byte-identical repeat
-        call at the same graph version returns the previously built
-        (immutable) batch outright.
+        call at the same graph version reuses the previously sampled
+        (immutable) block stack; features and labels are always gathered
+        from the graph, which holds exactly the bytes of that version
+        because every delta — a feature write included — advances the
+        version the stack is keyed by.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
-        if self.cache is not None and self.cache_batches:
-            cached = self.cache.get_batch(seeds, self.fanouts, self.rng_epoch,
+        batching = self.cache is not None and self.cache_batches
+        blocks: Optional[List[SubgraphBlock]] = None
+        if batching:
+            blocks = self.cache.get_batch(seeds, self.fanouts, self.rng_epoch,
                                           version=self.graph.version)
-            if cached is not None:
-                return cached
-        blocks: List[SubgraphBlock] = []
-        targets = seeds
-        for hop, fanout in enumerate(reversed(self.fanouts)):
-            block = self._sample_hop(targets, fanout, hop)
-            blocks.append(block)
-            targets = block.src_nodes
-        blocks.reverse()
+        if blocks is None:
+            blocks = []
+            targets = seeds
+            for hop, fanout in enumerate(reversed(self.fanouts)):
+                block = self._sample_hop(targets, fanout, hop)
+                blocks.append(block)
+                targets = block.src_nodes
+            blocks.reverse()
+            if batching:
+                self.cache.put_batch(seeds, self.fanouts, self.rng_epoch,
+                                     blocks, version=self.graph.version)
         x = self.graph.x[blocks[0].src_nodes]
         y = None if self.graph.y is None else self.graph.y[seeds]
-        batch = BlockBatch(blocks, x, y, seeds)
-        if self.cache is not None and self.cache_batches:
-            self.cache.put_batch(seeds, self.fanouts, self.rng_epoch, batch,
-                                 version=self.graph.version)
-        return batch
+        return BlockBatch(blocks, x, y, seeds)
 
     def iter_batches(self, seeds: np.ndarray) -> Iterator[BlockBatch]:
         """Yield :class:`BlockBatch` es for an explicit seed list, in order.

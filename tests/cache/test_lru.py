@@ -214,12 +214,10 @@ class TestBlockCacheStore:
         counters are exact however the lookups interleave across threads."""
         import threading
 
-        from types import SimpleNamespace
-
         cache = BlockCache(max_entries=256)
         seeds_hit = np.asarray([1, 2], dtype=np.int64)
         seeds_miss = np.asarray([8, 9], dtype=np.int64)
-        payload = SimpleNamespace(x=np.zeros(4), y=None, blocks=[])
+        payload = []  # a stored block stack
         cache.put_batch(seeds_hit, (4,), epoch=0, batch=payload)
         cache.put_raw_rows(np.asarray([1]), self._rows([2]))
         rounds = 200

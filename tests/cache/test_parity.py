@@ -75,7 +75,7 @@ class TestSamplerParity:
         for batch_a, batch_b in zip(cold, warm):
             _assert_batches_identical(batch_a, batch_b)
         # The repeat pass was served from the batch cache outright.
-        assert all(a is b for a, b in zip(cold, warm))
+        assert all(a.blocks is b.blocks for a, b in zip(cold, warm))
 
     def test_epoch_advance_resamples_and_invalidates(self, sbm_graph):
         cache = BlockCache(max_entries=4096)

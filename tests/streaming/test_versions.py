@@ -1,7 +1,5 @@
 """One version counter: graph/row versions, batch keys, row-only eviction."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -74,7 +72,7 @@ class TestBatchKeys:
                                   shuffle=False)
         seeds = np.asarray([0, 1], dtype=np.int64)
         batch = sampler.sample(seeds)
-        assert sampler.sample(seeds) is batch
+        assert sampler.sample(seeds).blocks is batch.blocks
         for delta in (GraphDelta(),
                       GraphDelta(feature_nodes=np.asarray([5]),
                                  features=np.ones((1, 2), dtype=np.float32)),
@@ -96,7 +94,7 @@ class TestInvalidateNodes:
             cache.put_raw_rows([node],
                                [(np.asarray([node + 1]), np.asarray([1.0]))])
         seeds = np.asarray([0, 1], dtype=np.int64)
-        payload = SimpleNamespace(x=np.zeros(4), y=None, blocks=[])
+        payload = []  # a stored block stack
         cache.put_batch(seeds, (5,), 0, payload)
         return cache, seeds, payload
 
