@@ -87,7 +87,7 @@ class BlockCache:
                  max_bytes: Optional[int] = None) -> None:
         self._lru = LRUCache(max_entries, max_bytes=max_bytes)
         # One logical hit/miss per *row or batch lookup* (a probe that falls
-        # through from the sampled-row key to the raw-row key still counts
+        # through from the raw-row key to the sampled-row key still counts
         # once), so hit_rate() reads as "fraction of work served from cache".
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: self._lock
@@ -109,34 +109,35 @@ class BlockCache:
         was found but still needs the fanout cap applied (its length
         exceeds ``fanout``).
         """
+        node_ids = np.asarray(nodes).tolist()
+        row_versions = [0] * len(node_ids) if versions is None \
+            else np.asarray(versions).tolist()
         results: List[Optional[Tuple[str, np.ndarray, np.ndarray]]] = []
-        hits = misses = 0
+        misses = 0
+        probe = self._lru.get_quiet
         # One hop probes every target: hold both locks across the loop so
         # the per-node get_quiet calls re-enter instead of re-contending.
         with self._lock, self._lru.lock:
-            for index, node in enumerate(nodes):
-                node = int(node)
-                version = 0 if versions is None else int(versions[index])
-                entry = None
-                if fanout is not None:
-                    entry = self._lru.get_quiet(
-                        ("blk", node, fanout, hop, epoch, version), None)
-                if entry is not None:
-                    hits += 1
-                    results.append((ROW_FINAL, entry[0], entry[1]))
+            for node, version in zip(node_ids, row_versions):
+                # The raw row first: a row no longer than the fanout is its
+                # own capped row, so that is the one lookup of a warm row.
+                raw = probe(("row", node, version), None)
+                if raw is not None and (fanout is None
+                                        or raw[0].shape[0] <= fanout):
+                    results.append((ROW_FINAL, raw[0], raw[1]))
                     continue
-                entry = self._lru.get_quiet(("row", node, version), None)
-                if entry is None:
+                # A long raw row, or none: a row that arrived capped from a
+                # shard owner is stored under the capped key only.
+                capped = None if fanout is None else probe(
+                    ("blk", node, fanout, hop, epoch, version), None)
+                if capped is not None:
+                    results.append((ROW_FINAL, capped[0], capped[1]))
+                elif raw is not None:
+                    results.append((ROW_RAW, raw[0], raw[1]))
+                else:
                     misses += 1
                     results.append(None)
-                    continue
-                hits += 1
-                cols, weights = entry
-                if fanout is not None and cols.shape[0] > fanout:
-                    results.append((ROW_RAW, cols, weights))
-                else:
-                    results.append((ROW_FINAL, cols, weights))
-            self._hits += hits
+            self._hits += len(results) - misses
             self._misses += misses
         return results
 

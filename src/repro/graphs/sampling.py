@@ -310,10 +310,9 @@ def _split_rows(cols: np.ndarray, weights: np.ndarray, counts: np.ndarray
     """Per-row ``(cols, weights)`` of flat row-major data.  Copies: a cached
     row must own its memory, or one surviving view would pin the whole
     extraction buffer."""
-    boundaries = np.cumsum(counts)[:-1]
-    return [(row_cols.copy(), row_weights.copy())
-            for row_cols, row_weights in zip(np.split(cols, boundaries),
-                                             np.split(weights, boundaries))]
+    ends = np.cumsum(counts).tolist()
+    return [(cols[start:end].copy(), weights[start:end].copy())
+            for start, end in zip([0] + ends[:-1], ends)]
 
 
 class NeighborSampler:
