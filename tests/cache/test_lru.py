@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import BlockCache, LRUCache
+from repro.cache import ROW_FINAL, ROW_RAW, BlockCache, LRUCache
 
 
 class TestLRUCache:
@@ -247,3 +247,67 @@ class TestBlockCacheStore:
         assert stats.hits == expected
         assert stats.misses == expected
         assert stats.lookups == 2 * expected
+
+
+class TestRowProbe:
+    """``get_rows`` probes the raw key first and the capped key only for a
+    long raw row or a missing one; each row still counts once."""
+
+    FANOUT = 3
+
+    def _row(self, size, start=0):
+        return (np.arange(start, start + size, dtype=np.int64),
+                np.ones(size, dtype=np.float32))
+
+    def _warm_cache(self):
+        cache = BlockCache(max_entries=64)
+        long_raw, short_raw = self._row(8), self._row(2, start=40)
+        capped, shard_capped = self._row(3, start=10), self._row(3, start=20)
+        # node 1: long row stored raw and capped; node 2: capped only (the
+        # shape a row shipped capped by a shard owner is stored in);
+        # node 3: long row stored raw only; node 4: short raw row.
+        cache.put_raw_rows([1, 3, 4], [long_raw, long_raw, short_raw])
+        cache.put_capped_rows([1, 2], self.FANOUT, hop=0, epoch=0,
+                              rows=[capped, shard_capped])
+        return cache, {"capped": capped, "shard_capped": shard_capped,
+                       "long_raw": long_raw, "short_raw": short_raw}
+
+    def test_each_stored_shape_resolves(self):
+        cache, rows = self._warm_cache()
+        both, capped_only, raw_only, short, miss = cache.get_rows(
+            [1, 2, 3, 4, 5], self.FANOUT, hop=0, epoch=0)
+        assert both[0] == ROW_FINAL and both[1] is rows["capped"][0]
+        assert capped_only[0] == ROW_FINAL
+        assert capped_only[1] is rows["shard_capped"][0]
+        assert raw_only[0] == ROW_RAW and raw_only[1] is rows["long_raw"][0]
+        assert short[0] == ROW_FINAL and short[1] is rows["short_raw"][0]
+        assert miss is None
+
+    def test_capped_key_needs_its_hop_epoch_and_version(self):
+        cache, _ = self._warm_cache()
+        for kwargs in ({"hop": 1, "epoch": 0}, {"hop": 0, "epoch": 1}):
+            entries = cache.get_rows([1, 2], self.FANOUT, **kwargs)
+            assert entries[0][0] == ROW_RAW and entries[1] is None
+        entries = cache.get_rows([1, 2], self.FANOUT, hop=0, epoch=0,
+                                 versions=np.asarray([1, 1]))
+        assert entries == [None, None]
+
+    def test_list_and_int64_array_agree(self):
+        cache, _ = self._warm_cache()
+        ids = [1, 2, 3, 4, 5]
+        versions = [0, 0, 0, 0, 0]
+        from_list = cache.get_rows(ids, self.FANOUT, 0, 0, versions=versions)
+        from_array = cache.get_rows(
+            np.asarray(ids, dtype=np.int64), self.FANOUT, 0, 0,
+            versions=np.asarray(versions, dtype=np.int64))
+        for a, b in zip(from_list, from_array):
+            assert (a is None and b is None) or (a[0] == b[0] and a[1] is b[1])
+
+    def test_scripted_hit_miss_counts(self):
+        cache, _ = self._warm_cache()
+        cache.get_rows([1, 2, 3, 4, 5], self.FANOUT, 0, 0)  # 4 hits, 1 miss
+        cache.get_rows([2, 3], None, 0, 0)        # 2 is capped only: 1, 1
+        cache.get_rows([1, 2], self.FANOUT, 1, 0)  # other hop: 1 hit, 1 miss
+        cache.get_rows([], self.FANOUT, 0, 0)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (6, 3)

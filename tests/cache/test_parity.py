@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.cache import BlockCache
+from repro.cache.block_cache import _ENTRY_OVERHEAD
 from repro.core.build import build_node_model
-from repro.graphs.sampling import NeighborSampler
+from repro.graphs.sampling import NeighborSampler, SubgraphBlock
 from repro.serving import BlockSession
 from repro.training.trainer import train_node_classifier, training_sampler
 
@@ -76,6 +77,40 @@ class TestSamplerParity:
             _assert_batches_identical(batch_a, batch_b)
         # The repeat pass was served from the batch cache outright.
         assert all(a.blocks is b.blocks for a, b in zip(cold, warm))
+
+    def test_batch_entry_holds_blocks_not_features(self, sbm_graph):
+        """A stored batch is its block stack, charged at the blocks' own
+        bytes: no feature rows, no labels."""
+        seeds = np.arange(8, dtype=np.int64)
+        caches, batch = [], None
+        for cache_batches in (False, True):
+            caches.append(BlockCache(max_entries=4096))
+            batch = NeighborSampler(sbm_graph, [3, 3], shuffle=False, seed=2,
+                                    cache=caches[-1],
+                                    cache_batches=cache_batches).sample(seeds)
+        stored = caches[1].get_batch(seeds, [3, 3], 0)
+        assert stored is batch.blocks
+        assert all(isinstance(block, SubgraphBlock) for block in stored)
+        extra = caches[1].stats().bytes - caches[0].stats().bytes
+        assert extra == _ENTRY_OVERHEAD + sum(block.nbytes
+                                              for block in batch.blocks)
+
+    @pytest.mark.parametrize("fanout", FANOUTS)
+    def test_batch_hit_gathers_features_and_labels(self, sbm_graph, fanout):
+        seeds = np.asarray([3, 9, 27, 81], dtype=np.int64)
+        cached = NeighborSampler(sbm_graph, [fanout, fanout], shuffle=False,
+                                 seed=5, cache=BlockCache(max_entries=4096))
+        cold = cached.sample(seeds)
+        hit = cached.sample(seeds)
+        assert hit.blocks is cold.blocks
+        plain = NeighborSampler(sbm_graph, [fanout, fanout], shuffle=False,
+                                seed=5).sample(seeds)
+        for batch in (cold, hit):
+            _assert_batches_identical(batch, plain)
+            assert batch.x.dtype == plain.x.dtype
+            assert batch.x.tobytes() == plain.x.tobytes()
+            assert batch.y.dtype == plain.y.dtype
+            assert batch.y.tobytes() == plain.y.tobytes()
 
     def test_epoch_advance_resamples_and_invalidates(self, sbm_graph):
         cache = BlockCache(max_entries=4096)

@@ -234,6 +234,16 @@ class TestNeighborSampler:
             assert _block_edges(block_a) == _block_edges(block_b)
             np.testing.assert_array_equal(block_a.row_scale, block_b.row_scale)
 
+    def test_block_nbytes_sums_its_own_arrays(self, sbm_graph):
+        block = NeighborSampler(sbm_graph, [3], seed=1).sample(
+            np.asarray([0, 7, 30], dtype=np.int64)).blocks[0]
+        arrays = ("dst_nodes", "src_nodes", "edge_rows", "edge_cols",
+                  "edge_weight", "dst_inv_sqrt", "src_inv_sqrt", "row_scale")
+        expected = sum(getattr(block, name).nbytes for name in arrays)
+        assert block.nbytes == expected
+        block.normalized_adjacency()        # built operators are not counted
+        assert block.nbytes == expected
+
     def test_epoch_iteration_still_resamples(self, sbm_graph):
         sampler = NeighborSampler(sbm_graph, [2, 2], batch_size=32,
                                   shuffle=False, seed=23)

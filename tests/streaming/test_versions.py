@@ -86,6 +86,35 @@ class TestBatchKeys:
             assert rebuilt is not batch
             batch = rebuilt
 
+    def test_feature_delta_hit_gathers_the_new_features(self):
+        """A stored stack holds no features: after an in-place feature
+        write the first repeat misses at the new version, the next one
+        hits, and both gather exactly what a fresh sampler gathers."""
+        graph = _path_graph(6)
+        graph.x[:] = np.arange(12, dtype=np.float32).reshape(6, 2)
+        graph.y = np.arange(6, dtype=np.int64)
+        sampler = NeighborSampler(graph, [None, None],
+                                  cache=BlockCache(max_entries=256),
+                                  shuffle=False)
+        seeds = np.asarray([2, 4], dtype=np.int64)
+        before = sampler.sample(seeds)
+        graph.apply_delta(GraphDelta(
+            feature_nodes=np.asarray([1, 3]),
+            features=np.full((2, 2), 7.0, dtype=np.float32)))
+        sampler.refresh_graph()
+        first = sampler.sample(seeds)
+        second = sampler.sample(seeds)
+        assert first.blocks is not before.blocks     # missed: new version
+        assert second.blocks is first.blocks         # hit
+        assert not np.array_equal(first.x, before.x)  # the write is visible
+        fresh = NeighborSampler(graph, [None, None], shuffle=False)
+        expected = fresh.sample(seeds)
+        for batch in (first, second):
+            assert batch.x.tobytes() == expected.x.tobytes()
+            assert batch.y.tobytes() == expected.y.tobytes()
+            for block, want in zip(batch.blocks, expected.blocks):
+                np.testing.assert_array_equal(block.src_nodes,
+                                              want.src_nodes)
 
 class TestInvalidateNodes:
     def _warm_cache(self):
