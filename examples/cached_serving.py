@@ -10,7 +10,7 @@ like) three ways:
    resamples its receptive field from scratch;
 2. a *cached* session (``cache_size=...``) — the shared
    :class:`~repro.cache.BlockCache` reuses per-seed sampled rows across
-   overlapping requests and whole sampled batches across repeats, with
+   overlapping requests and whole sampled block stacks across repeats, with
    **bit-identical** logits (asserted);
 3. the :class:`~repro.serving.AsyncServingEngine` — many client threads
    submit concurrently, an idle dispatcher flushes at once (requests that

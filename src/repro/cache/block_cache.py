@@ -179,7 +179,7 @@ class BlockCache:
         or None.
 
         ``version`` is the graph's :attr:`~repro.graphs.graph.Graph.version`
-        the batch was built at; static graphs stay at 0.  The probe and its
+        the stack was sampled at; static graphs stay at 0.  The probe and its
         counter update happen under both locks (same order as
         :meth:`get_rows`), so concurrent readers never observe a probe
         whose hit/miss has not been counted yet.

@@ -636,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="byte budget in MB for the --cache-size cache "
                               "(default: 256; <= 0 means entry-bounded only; "
                               "no effect unless --cache-size > 0) — "
-                              "whole-batch entries embed feature rows, so "
-                              "diverse traffic needs a byte bound too")
+                              "whole-batch entries hold the sampled blocks "
+                              "of a whole receptive field, so diverse "
+                              "traffic needs a byte bound too")
     _add_sharding_arguments(predict)
     predict.add_argument("--repeat", type=int, default=1,
                          help="serve the request set this many times (warms the "

@@ -348,8 +348,7 @@ class NeighborSampler:
         uncached sampling are bit-identical.  Keys carry the graph's
         versions (:attr:`~repro.graphs.graph.Graph.row_version` for row
         entries, :attr:`~repro.graphs.graph.Graph.version` for block
-        stacks), so
-        an update strands exactly the entries it made stale.
+        stacks), so an update strands exactly the entries it made stale.
     """
 
     def __init__(self, graph: Graph, fanouts: Union[Fanout, Sequence[Fanout]],

@@ -453,10 +453,12 @@ class BlockSession(InferenceSession):
     cache_size / cache_bytes:
         When ``cache_size`` is positive, attach a
         :class:`~repro.cache.BlockCache` of that many entries (optionally
-        byte-bounded): repeat requests reuse whole sampled batches — and
-        their already-quantized block operators — while overlapping
-        requests reuse per-seed rows.  Cached serving is bit-identical to
-        uncached serving.
+        byte-bounded): repeat requests reuse whole sampled block stacks
+        (features are gathered from the graph every time), overlapping
+        requests reuse per-seed rows.  A reused stack also reuses the
+        operators built on its blocks; the quantized operators live in the
+        session's own 16-entry cache, keyed by operator identity.  Cached
+        serving is bit-identical to uncached serving.
     backend:
         ``None`` serves with the serving kernels; ``"numpy"`` asks for the
         reference they are certified against, an instance is used as
