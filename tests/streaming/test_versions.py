@@ -116,6 +116,7 @@ class TestBatchKeys:
                 np.testing.assert_array_equal(block.src_nodes,
                                               want.src_nodes)
 
+
 class TestInvalidateNodes:
     def _warm_cache(self):
         cache = BlockCache(max_entries=64)
