@@ -5,16 +5,22 @@ fanout 3 through random valid deltas (edge insertions, removals of edges
 the graph has, feature overwrites) interleaved with new, repeated and
 overlapping queries.  After every query the served logits must equal,
 bitwise, those of an uncached session built fresh on ``graph.copy()`` —
-whatever the cache kept warm across the updates before it.
+whatever the cache kept warm across the updates before it.  Two
+invariants hold after every step: the sampler's degree vectors are
+exactly a fresh derivation's, and every cached key carries the version
+it would be built with now — no stale entry outlives the update that
+made it unreachable.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, precondition,
-                                 rule, run_state_machine_as_test)
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
+                                 precondition, rule,
+                                 run_state_machine_as_test)
 
+from repro.graphs.sampling import degree_state
 from repro.serving import BlockSession
 from repro.streaming import GraphDelta
 
@@ -81,6 +87,22 @@ class CachedStreamMachine(RuleBasedStateMachine):
     @rule(seeds=queries)
     def repeat_query(self, seeds):
         self._check(seeds)
+
+    @invariant()
+    def degree_vectors_match_a_fresh_derivation(self):
+        _, row_weight, inv_sqrt = degree_state(self.graph.copy())
+        sampler = self.session.sampler
+        assert sampler._row_weight.tobytes() == row_weight.tobytes()
+        assert sampler._inv_sqrt.tobytes() == inv_sqrt.tobytes()
+
+    @invariant()
+    def every_cached_key_carries_the_current_version(self):
+        row_version = self.graph.row_version
+        for key in self.session.cache._lru.keys():
+            if key[0] == "bat":
+                assert key[4] == self.graph.version, key
+            else:  # ("row", node, version) / ("blk", node, ..., version)
+                assert key[-1] == row_version[key[1]], key
 
 
 @pytest.mark.parametrize("family", ["gcn", "sage", "tag"])
