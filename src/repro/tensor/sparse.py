@@ -112,8 +112,7 @@ class SparseTensor:
 
         indices = splice(old.indices, new_rows.indices)
         data = splice(old.data, new_rows.data)
-        return SparseTensor(sp.csr_matrix((data, indices, indptr),
-                                          shape=old.shape))
+        return SparseTensor.from_csr(data, indices, indptr, old.shape)
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.csr.todense(), dtype=np.float32)

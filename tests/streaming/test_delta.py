@@ -194,6 +194,23 @@ class TestWithRows:
             SparseTensor(sp.csr_matrix((0, 6), dtype=np.float32))).csr
         np.testing.assert_array_equal(unchanged.toarray(), dense)
 
+    def test_splice_keeps_dtypes_and_canonical_form(self):
+        """The splice is wrapped as it is: float32 values, the source's
+        index dtypes, and flagged canonical without a second pass."""
+        import scipy.sparse as sp
+        dense = np.arange(20, dtype=np.float32).reshape(4, 5) % 3
+        tensor = SparseTensor(sp.csr_matrix(dense))
+        replacement = SparseTensor(sp.csr_matrix(
+            np.asarray([[0, 2, 0, 0, 1]], dtype=np.float32)))
+        spliced = tensor.with_rows(np.asarray([2]), replacement).csr
+        assert spliced.data.dtype == np.float32
+        assert spliced.indices.dtype == tensor.csr.indices.dtype
+        assert spliced.indptr.dtype == tensor.csr.indptr.dtype
+        assert spliced.has_canonical_format
+        expected = dense.copy()
+        expected[2] = replacement.csr.toarray()
+        np.testing.assert_array_equal(spliced.toarray(), expected)
+
     def test_rejects_bad_rows(self):
         import scipy.sparse as sp
         tensor = SparseTensor(sp.csr_matrix(np.eye(4)))
