@@ -43,13 +43,16 @@ hit is exact even after a feature-only delta, which writes ``graph.x`` in
 place: that delta too advances the version, so the stack is only reused
 at the version whose features the sampler then gathers.
 :meth:`BlockCache.invalidate_nodes` additionally evicts the stranded
-entries — a memory optimisation, never a correctness requirement.
+entries — a memory optimisation, never a correctness requirement — by
+name: the cache remembers the ``(fanout, hop, epoch)`` triples it stored
+capped rows under and the batch keys stored since the last update, so an
+update pops O(changed rows) keys instead of scanning the store.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,6 +64,12 @@ ROW_RAW = "raw"
 
 #: Fixed per-entry bookkeeping overhead added to array payloads.
 _ENTRY_OVERHEAD = 96
+
+#: Floor of the batch-key index's prune threshold (see
+#: :meth:`BlockCache.put_batch`).
+_MIN_BATCH_PRUNE = 64
+
+_ABSENT = object()
 
 
 def _rows_nbytes(cols: np.ndarray, weights: np.ndarray) -> int:
@@ -92,6 +101,15 @@ class BlockCache:
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: self._lock
         self._misses = 0  # guarded-by: self._lock
+        # Names of what an update may have to pop: the (fanout, hop, epoch)
+        # triples capped rows were stored under, and the batch keys stored
+        # since the last invalidation (pruned of evicted names whenever it
+        # doubles, so it stays bounded on a graph that never updates).
+        self._capped_kinds: Set[Tuple[int, int, int]]
+        self._capped_kinds = set()  # guarded-by: self._lock
+        self._batch_keys: Set[Hashable]
+        self._batch_keys = set()  # guarded-by: self._lock
+        self._batch_prune_at = _MIN_BATCH_PRUNE  # guarded-by: self._lock
 
     # ------------------------------------------------------------------ #
     # per-seed rows
@@ -160,6 +178,8 @@ class BlockCache:
         version)`` key; dropped wholesale when the rng-epoch advances."""
         if versions is None:
             versions = [0] * len(nodes)
+        with self._lock:
+            self._capped_kinds.add((fanout, hop, epoch))
         self._lru.put_many([
             (("blk", int(node), fanout, hop, epoch, int(version)),
              (cols, weights), _rows_nbytes(cols, weights))
@@ -196,9 +216,23 @@ class BlockCache:
     def put_batch(self, seeds: np.ndarray, fanouts: Sequence[Optional[int]],
                   epoch: int, batch: List[Any], version: int = 0) -> None:
         """Store ``batch``, the seed list's sampled block stack (innermost
-        hop first), charged at the blocks' own ``nbytes``."""
-        self._lru.put(self._batch_key(seeds, fanouts, epoch, version),
-                      batch, _batch_nbytes(batch))
+        hop first), charged at the blocks' own ``nbytes``.
+
+        The key also goes into the index :meth:`invalidate_nodes` pops by
+        name.  Whenever the index reaches twice its size after the last
+        prune, names the LRU has since evicted are dropped from it, so its
+        length stays within twice the live batch entries (plus a small
+        floor) at amortised O(1) per store.
+        """
+        key = self._batch_key(seeds, fanouts, epoch, version)
+        with self._lock, self._lru.lock:
+            self._lru.put(key, batch, _batch_nbytes(batch))
+            self._batch_keys.add(key)
+            if len(self._batch_keys) >= self._batch_prune_at:
+                self._batch_keys = {name for name in self._batch_keys
+                                    if name in self._lru}
+                self._batch_prune_at = max(2 * len(self._batch_keys),
+                                           _MIN_BATCH_PRUNE)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -217,29 +251,51 @@ class BlockCache:
                 return bool(key[3] != current_epoch)
             return False
 
+        with self._lock:
+            self._capped_kinds = {kind for kind in self._capped_kinds
+                                  if kind[2] == current_epoch}
         return self._lru.evict_where(stale)
 
-    def invalidate_nodes(self, nodes: np.ndarray) -> int:
-        """Evict entries made unreachable by a streaming update.
+    def invalidate_nodes(self, nodes: np.ndarray,
+                         versions: Optional[np.ndarray] = None) -> int:
+        """Evict, by name, the entries a streaming update made unreachable.
 
-        Drops raw and fanout-capped rows of the given nodes — the rows the
-        update changed, whose entries were all stored under an older row
-        version — and every batch, because every update advances the graph
-        version batches are keyed by.  Purely a memory/accounting measure:
-        the versioned keys already guarantee stale entries are never
-        *served*.  Leaves the logical hit/miss counters untouched, so a
-        measured window that contains updates still reports a monotone
-        hit-rate.
+        ``nodes`` are the rows the update changed and ``versions`` their
+        row versions *before* it (aligned with ``nodes``; omitted means 0,
+        as in every other method).  Pops each row's raw key
+        ``("row", node, version)``, its capped key for every ``(fanout,
+        hop, epoch)`` capped rows were stored under, and every batch key
+        stored since the last invalidation — the graph version batches
+        are keyed by advances on every update.  Nothing is scanned: an
+        entry stored under an even older version was popped at that row's
+        previous update, so only the pre-update version can hold entries.
+
+        Purely a memory/accounting measure: the versioned keys already
+        guarantee stale entries are never *served*.  Returns the number of
+        entries removed (names the LRU had already evicted do not count)
+        and leaves the logical hit/miss counters untouched, so a measured
+        window that contains updates still reports a monotone hit-rate.
         """
-        node_set = {int(node) for node in np.asarray(nodes).reshape(-1)}
-
-        def stale(key: Tuple) -> bool:
-            return key[0] == "bat" or key[1] in node_set
-
-        return self._lru.evict_where(stale)
+        node_ids = np.asarray(nodes).reshape(-1).tolist()
+        row_versions = [0] * len(node_ids) if versions is None \
+            else np.asarray(versions).reshape(-1).tolist()
+        with self._lock, self._lru.lock:
+            names: List[Hashable] = list(self._batch_keys)
+            for node, version in zip(node_ids, row_versions):
+                names.append(("row", node, version))
+                names.extend(("blk", node, fanout, hop, epoch, version)
+                             for fanout, hop, epoch in self._capped_kinds)
+            self._batch_keys = set()
+            self._batch_prune_at = _MIN_BATCH_PRUNE
+            pop = self._lru.pop
+            return sum(pop(name, _ABSENT) is not _ABSENT for name in names)
 
     def clear(self) -> None:
-        self._lru.clear()
+        with self._lock, self._lru.lock:
+            self._lru.clear()
+            self._capped_kinds = set()
+            self._batch_keys = set()
+            self._batch_prune_at = _MIN_BATCH_PRUNE
 
     def __len__(self) -> int:
         return len(self._lru)

@@ -289,17 +289,21 @@ def _normalize_fanouts(fanouts: Union[Fanout, Sequence[Fanout]],
     return [None if f is None or int(f) <= 0 else int(f) for f in fanouts]
 
 
-def degree_state(graph: Graph
+def degree_state(graph: Graph, rows: Optional[np.ndarray] = None
                  ) -> Tuple[SparseTensor, np.ndarray, np.ndarray]:
     """``(adjacency, row_weight, inv_sqrt)``: the loop-free adjacency, each
     row's float32 edge weight and the GCN ``1/sqrt(degree)``.
 
-    The only derivation — a fresh sampler, a streamed one after an update
-    and a shard worker (handed the full graph's vectors by the router) all
-    read it, so their float32 roundings cannot differ.
+    ``rows`` restricts the two vectors to those rows (in that order); each
+    entry is a function of its own row alone, summed over the same entries
+    in the same order, so it is bitwise the full result at ``rows``.  The
+    only derivation — a fresh sampler, a streamed one after an update
+    (``rows`` = the changed rows) and a shard worker (handed the full
+    graph's vectors by the router) all read it, so their float32 roundings
+    cannot differ.
     """
     adjacency = graph.adjacency(add_self_loops=False)
-    row_weight = adjacency.row_sum()
+    row_weight = adjacency.row_sum(rows)
     gcn_degree = row_weight + 1.0  # self loop weight of D^{-1/2}(A+I)D^{-1/2}
     return (adjacency, row_weight.astype(np.float32),
             (1.0 / np.sqrt(gcn_degree)).astype(np.float32))
@@ -596,17 +600,31 @@ class NeighborSampler:
 
     # ------------------------------------------------------------------ #
     def refresh_graph(self) -> None:
-        """Derive adjacency state from the bound graph: at construction,
-        and again after the graph was mutated.
+        """Derive the whole adjacency state from the bound graph.
 
-        One derivation (:func:`degree_state`) for both, so a sampler over a
-        streamed graph is bit-identical to a fresh sampler built on the
-        equivalent static graph.  Called by
-        :meth:`~repro.serving.session.BlockSession.apply_update` right
-        after :meth:`~repro.graphs.graph.Graph.apply_delta`.
+        Run at construction; after a mutation that changed only known
+        rows, :meth:`refresh_rows` re-derives just those.  Both read
+        :func:`degree_state`, so a sampler over a streamed graph is
+        bit-identical to a fresh sampler built on the equivalent static
+        graph.
         """
         self._adjacency, self._row_weight, self._inv_sqrt = \
             degree_state(self.graph)
+
+    def refresh_rows(self, rows: np.ndarray) -> None:
+        """Re-derive the degree state of ``rows`` after the graph changed
+        those adjacency rows and no others.
+
+        Rebinds the (already respliced) adjacency and writes the rows'
+        ``row_weight`` / ``inv_sqrt`` in place: O(changed rows), bitwise
+        what :meth:`refresh_graph` would derive.  Called by
+        :meth:`~repro.serving.session.BlockSession.apply_update` right
+        after :meth:`~repro.graphs.graph.Graph.apply_delta` with the
+        delta's ``changed_rows()``.
+        """
+        self._adjacency, row_weight, inv_sqrt = degree_state(self.graph, rows)
+        self._row_weight[rows] = row_weight
+        self._inv_sqrt[rows] = inv_sqrt
 
     def advance_epoch(self) -> int:
         """Move to the next rng-epoch and invalidate stale cached samples.

@@ -491,19 +491,22 @@ class BlockSession(InferenceSession):
         return None if self.cache is None else self.cache.stats()
 
     def apply_update(self, delta: "GraphDelta") -> int:
-        """Apply a delta, evicting only the cache rows it changed.
+        """Apply a delta at a cost of O(changed rows).
 
         Ordering matters and is pinned here: the graph mutates first (which
         advances its version and the row versions of the changed rows, so
         their old entries and every batch are unreachable by key), the
-        sampler re-derives its degree state, and only then are the stranded
-        entries evicted.  Every other row entry stays warm: it holds only
-        the raw row, and degree terms are applied at block build.
+        sampler re-derives the degree state of the changed rows only, and
+        only then are the stranded entries popped by name — each changed
+        row's entries under its pre-update version, and every batch.  Every
+        other row entry stays warm: it holds only the raw row, and degree
+        terms are applied at block build.
         """
-        applied = self.graph.apply_delta(delta)
-        self.sampler.refresh_graph()
+        changed = self.graph.apply_delta(delta).changed_rows()
+        self.sampler.refresh_rows(changed)
         if self.cache is not None:
-            self.cache.invalidate_nodes(applied.changed_rows())
+            self.cache.invalidate_nodes(
+                changed, versions=self.graph.row_version[changed] - 1)
         with self._cache_lock:
             self._operator_cache.clear()
             self._quantized_cache.clear()

@@ -124,9 +124,15 @@ class SparseTensor:
     def T(self) -> "SparseTensor":
         return self.transpose()
 
-    def row_sum(self) -> np.ndarray:
-        """Per-row sum of values (used for degrees and GCN normalisation)."""
-        return np.asarray(self.csr.sum(axis=1)).reshape(-1)
+    def row_sum(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-row sum of values (used for degrees and GCN normalisation).
+
+        ``rows`` selects the rows to sum, in that order; each sum reads its
+        row's entries in the same order either way, so the result is
+        bitwise the full sum at ``rows``.
+        """
+        csr = self.csr if rows is None else self.csr[np.asarray(rows)]
+        return np.asarray(csr.sum(axis=1)).reshape(-1)
 
     def __matmul__(self, other):
         if isinstance(other, Tensor):
