@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cache import block_cache
 from repro.cache.block_cache import BlockCache
+from repro.cache.lru import LRUCache
 from repro.graphs.graph import Graph
-from repro.graphs.sampling import NeighborSampler
+from repro.graphs.sampling import NeighborSampler, degree_state
 from repro.serving import BlockSession
 from repro.streaming import GraphDelta
 
@@ -152,6 +154,32 @@ class TestInvalidateNodes:
         assert cache.get_batch(seeds, (5,), 0) is None
         assert len(cache) == 4  # the rows all stay
 
+    def test_pops_only_the_named_version(self):
+        """An entry stored under a newer version of the same row (and any
+        other row) survives: only the named version's keys are popped."""
+        cache = BlockCache(max_entries=64)
+        row = (np.asarray([1, 2]), np.asarray([1.0, 1.0]))
+        for version in (0, 1):
+            cache.put_raw_rows([0], [row], versions=[version])
+            cache.put_capped_rows([0], 1, 0, 0, [(row[0][:1], row[1][:1])],
+                                  versions=[version])
+        cache.put_raw_rows([1], [row], versions=[0])
+        assert cache.invalidate_nodes(np.asarray([0]),
+                                      versions=np.asarray([0])) == 2
+        assert sorted(cache._lru.keys()) == sorted([
+            ("row", 0, 1), ("blk", 0, 1, 0, 0, 1), ("row", 1, 0)])
+
+    def test_count_excludes_names_already_evicted(self):
+        """The named batch and row 0 were pushed out by capacity: popping
+        their names removes nothing and counts nothing."""
+        cache = BlockCache(max_entries=2)
+        rows = [(np.asarray([node]), np.asarray([1.0])) for node in range(3)]
+        cache.put_batch(np.asarray([7], dtype=np.int64), (5,), 0, [])
+        cache.put_raw_rows([0, 1, 2], rows)
+        assert cache._lru.keys() == [("row", 1, 0), ("row", 2, 0)]
+        assert cache.invalidate_nodes(np.asarray([0, 1])) == 1
+        assert cache._lru.keys() == [("row", 2, 0)]
+
     def test_versioned_keys_make_stale_entries_unreachable(self):
         """Even without eviction, a bumped row version misses by key."""
         graph = _path_graph(4)
@@ -216,3 +244,107 @@ def test_feature_only_update_keeps_every_row(parity_artifact, parity_graph):
     assert len(session.cache) == entries - batches
     assert session.graph.version == 1
     assert not session.graph.row_version.any()
+
+
+class TestNamedEviction:
+    def test_apply_update_never_scans_the_store(self, parity_artifact,
+                                                parity_graph, monkeypatch):
+        def scan(self, predicate):
+            raise AssertionError("apply_update scanned the store")
+
+        monkeypatch.setattr(LRUCache, "evict_where", scan)
+        session = BlockSession(parity_artifact("gcn", 1), parity_graph.copy(),
+                               fanouts=3, batch_size=16, cache_size=65536)
+        seeds = np.arange(0, 40, dtype=np.int64)
+        edge = session.graph.edge_index[:, :1]
+        for delta in (GraphDelta(added_edges=np.asarray([[3], [9]])),
+                      GraphDelta(removed_edges=edge),
+                      GraphDelta(feature_nodes=np.asarray([4]),
+                                 features=np.ones(
+                                     (1, parity_graph.num_features),
+                                     dtype=np.float32))):
+            session.predict(seeds)
+            entries = len(session.cache)
+            session.apply_update(delta)
+            assert len(session.cache) < entries
+        fresh = BlockSession(parity_artifact("gcn", 1),
+                             session.graph.copy(), fanouts=3, batch_size=16)
+        np.testing.assert_array_equal(session.predict(seeds),
+                                      fresh.predict(seeds))
+
+    def test_evicts_what_a_scan_of_the_pre_update_keys_finds(
+            self, parity_artifact, parity_graph):
+        """The named pop removes exactly the changed rows' entries and the
+        batches of a key snapshot taken before the update."""
+        session = BlockSession(parity_artifact("gcn", 1), parity_graph.copy(),
+                               fanouts=3, batch_size=16, cache_size=65536)
+        session.predict(np.arange(0, 60, dtype=np.int64))
+        delta = GraphDelta(added_edges=np.asarray([[5, 17], [2, 30]]))
+        changed = set(delta.changed_rows().tolist())
+        doomed = [key for key in session.cache._lru.keys()
+                  if key[0] == "bat" or key[1] in changed]
+        assert any(key[0] == "blk" for key in doomed)
+        before = session.cache.stats().evictions
+        session.apply_update(delta)
+        assert session.cache.stats().evictions - before == len(doomed)
+        assert not set(doomed) & set(session.cache._lru.keys())
+
+    def test_batch_index_stays_bounded_on_a_static_graph(self):
+        """With no update to clear it, the index of stored batch names is
+        pruned of evicted ones and tracks the live batch entries."""
+        graph = _path_graph(80)
+        max_entries = 256
+        cache = BlockCache(max_entries=max_entries)
+        sampler = NeighborSampler(graph, [2, 2], cache=cache, shuffle=False)
+        pairs = [(a, b) for a in range(80) for b in range(a + 1, 80)]
+        for step, (a, b) in enumerate(pairs[:10 * max_entries]):
+            sampler.sample(np.asarray([a, b], dtype=np.int64))
+            if step % 16 == 15:
+                live = sum(key[0] == "bat" for key in cache._lru.keys())
+                assert live > 0
+                assert len(cache._batch_keys) <= \
+                    2 * live + block_cache._MIN_BATCH_PRUNE
+
+
+class TestDegreeStateRows:
+    def _graph(self):
+        rng = np.random.default_rng(4)
+        n = 30
+        src = rng.integers(0, n, size=400)
+        dst = rng.integers(0, n, size=400)
+        keep = src != dst
+        edges = np.unique(np.stack([src[keep], dst[keep]]), axis=1)
+        weights = (rng.random(edges.shape[1]) + 0.1).astype(np.float32)
+        return Graph(np.zeros((n, 2), dtype=np.float32), edges,
+                     edge_weight=weights)
+
+    @staticmethod
+    def _assert_rows_match_full(graph, rows):
+        _, full_weight, full_inv_sqrt = degree_state(graph)
+        _, weight, inv_sqrt = degree_state(graph, rows)
+        assert weight.tobytes() == full_weight[rows].tobytes()
+        assert inv_sqrt.tobytes() == full_inv_sqrt[rows].tobytes()
+        # ... and the full result itself is a fresh graph's, bitwise
+        _, fresh_weight, fresh_inv_sqrt = degree_state(graph.copy())
+        assert full_weight.tobytes() == fresh_weight.tobytes()
+        assert full_inv_sqrt.tobytes() == fresh_inv_sqrt.tobytes()
+
+    def test_rows_equal_the_full_result_through_empty_and_refill(self):
+        graph = self._graph()
+        sampler = NeighborSampler(graph, [None], shuffle=False)
+        row = int(np.bincount(graph.edge_index[0]).argmax())
+        leaving = graph.edge_index[:, graph.edge_index[0] == row]
+        weights = graph.edge_weight[graph.edge_index[0] == row]
+        assert leaving.shape[1] > 8   # long enough for a pairwise sum
+        self._assert_rows_match_full(graph, np.asarray([row, 0, 29]))
+        for delta in (GraphDelta(removed_edges=leaving),          # emptied
+                      GraphDelta(added_edges=leaving[:, ::-1],    # refilled
+                                 added_weights=weights[::-1])):
+            changed = graph.apply_delta(delta).changed_rows()
+            np.testing.assert_array_equal(changed, [row])
+            sampler.refresh_rows(changed)
+            self._assert_rows_match_full(graph, np.asarray([row, 3]))
+            _, weight, inv_sqrt = degree_state(graph.copy())
+            assert sampler._row_weight.tobytes() == weight.tobytes()
+            assert sampler._inv_sqrt.tobytes() == inv_sqrt.tobytes()
+        assert degree_state(graph, np.asarray([row]))[1][0] > 0
