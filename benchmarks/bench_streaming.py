@@ -16,9 +16,18 @@ per update — and reports the steady-state hit rate of each.  Scoped must
 retain a strictly higher warm hit rate (the tentpole's perf claim), while
 both stay bit-identical to a fresh session on the equivalent static graph
 (the tentpole's correctness claim).
+
+It also prints the scoped session's median per-update split — the graph
+splice (``Graph.apply_delta``), the degree refresh of the changed rows
+(``NeighborSampler.refresh_rows``) and the named eviction
+(``BlockCache.invalidate_nodes``) — and asserts the one deterministic fact
+about it: each update evicts exactly the changed rows' entries plus the
+batches, counted on a key snapshot taken just before it.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 from _bench_utils import run_once
@@ -85,16 +94,51 @@ def _update_schedule(num_nodes: int, num_updates: int, seed: int = 11):
     return deltas
 
 
+#: The steps of ``BlockSession.apply_update``: (label, owner, method).
+UPDATE_STEPS = (("apply_delta", "graph", "apply_delta"),
+                ("degree refresh", "sampler", "refresh_rows"),
+                ("invalidation", "cache", "invalidate_nodes"))
+
+
+def _record_update_steps(session):
+    """Shadow each update step on this session's own instances; returns
+    ``label -> [(seconds, result), ...]``, one record per call."""
+    calls = {label: [] for label, _, _ in UPDATE_STEPS}
+    for label, owner, method in UPDATE_STEPS:
+        target = getattr(session, owner)
+        original = getattr(target, method)
+
+        def timed(*args, _original=original, _record=calls[label], **kwargs):
+            start = time.perf_counter()
+            result = _original(*args, **kwargs)
+            _record.append((time.perf_counter() - start, result))
+            return result
+
+        setattr(target, method, timed)
+    return calls
+
+
+def _doomed_entries(session, delta) -> int:
+    """Entries an update must evict, counted on a snapshot of the keys:
+    every batch and every entry of a row the delta changes."""
+    changed = set(delta.changed_rows().tolist())
+    return sum(key[0] == "bat" or key[1] in changed
+               for key in session.cache._lru.keys())
+
+
 def _hit_rate_under_updates(session, requests, deltas, *,
-                            naive: bool) -> float:
-    """Steady-state hit rate of the measured window, updates interleaved."""
+                            naive: bool) -> tuple:
+    """Steady-state hit rate of the measured window, updates interleaved,
+    and per update the snapshot's doomed-entry count."""
     for nodes in requests:            # warm pass, excluded from the window
         session.predict(nodes)
     before = session.cache_stats()
     per_update = max(1, len(requests) // max(1, len(deltas)))
     position = 0
+    doomed = []
     for index, nodes in enumerate(requests):
         if position < len(deltas) and index and index % per_update == 0:
+            doomed.append(_doomed_entries(session, deltas[position]))
             session.apply_update(deltas[position])
             if naive:                 # whole-cache flush on every update
                 session.cache.clear()
@@ -103,7 +147,7 @@ def _hit_rate_under_updates(session, requests, deltas, *,
     after = session.cache_stats()
     lookups = after.lookups - before.lookups
     hits = after.hits - before.hits
-    return hits / lookups if lookups else 0.0
+    return (hits / lookups if lookups else 0.0), doomed
 
 
 def _sweep():
@@ -122,8 +166,15 @@ def _sweep():
         session = BlockSession(artifact, graph.copy(), fanouts=FANOUT,
                                batch_size=REQUEST_SEEDS,
                                cache_size=CACHE_ENTRIES)
-        rates[mode] = _hit_rate_under_updates(session, requests, deltas,
-                                              naive=naive)
+        if not naive:
+            steps = _record_update_steps(session)
+        rates[mode], doomed = _hit_rate_under_updates(
+            session, requests, deltas, naive=naive)
+        if not naive:
+            evicted = [result for _, result in steps["invalidation"]]
+            split = {label: float(np.median([seconds for seconds, _
+                                             in records])) * 1e3
+                     for label, records in steps.items()}
         streamed[mode] = (session, session.predict(requests[0]))
 
     # correctness spot check: both streamed sessions ended at the same
@@ -133,22 +184,29 @@ def _sweep():
     reference = fresh.predict(requests[0])
     exact = all(bool(np.array_equal(logits, reference))
                 for _, logits in streamed.values())
-    return num_nodes, num_requests, num_updates, rates, exact
+    return (num_nodes, num_requests, num_updates, rates, exact, split,
+            evicted, doomed)
 
 
 def test_streaming_scoped_vs_naive_invalidation(benchmark):
-    num_nodes, num_requests, num_updates, rates, exact = \
-        run_once(benchmark, _sweep)
+    (num_nodes, num_requests, num_updates, rates, exact, split, evicted,
+     doomed) = run_once(benchmark, _sweep)
 
     print(f"\nstreaming warm-hit retention "
           f"({num_requests} x {REQUEST_SEEDS}-seed requests, "
-          f"{num_updates} updates, fanout={FANOUT}, n={num_nodes})")
+          f"{len(evicted)} of {num_updates} scheduled updates applied, "
+          f"fanout={FANOUT}, n={num_nodes})")
     print(f"{'invalidation':>14} {'steady hit rate':>16}")
     for mode in ("scoped", "naive"):
         print(f"{mode:>14} {rates[mode]:>16.1%}")
+    print("scoped per-update split (median ms): " + ", ".join(
+        f"{label} {ms:.3f}" for label, ms in split.items()))
+    print(f"entries evicted per update: {evicted}")
 
     # the tentpole claims, asserted: bit-identical to fresh static serving,
     # and scoped invalidation strictly retains more warm traffic
     assert exact
     assert rates["scoped"] > rates["naive"]
     assert rates["scoped"] > 0.5
+    # named eviction removes exactly what a scan of the keys would have
+    assert evicted and evicted == doomed
