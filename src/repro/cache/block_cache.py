@@ -69,8 +69,6 @@ _ENTRY_OVERHEAD = 96
 #: :meth:`BlockCache.put_batch`).
 _MIN_BATCH_PRUNE = 64
 
-_ABSENT = object()
-
 
 def _rows_nbytes(cols: np.ndarray, weights: np.ndarray) -> int:
     return int(cols.nbytes) + int(weights.nbytes) + _ENTRY_OVERHEAD
@@ -288,14 +286,10 @@ class BlockCache:
             self._batch_keys = set()
             self._batch_prune_at = _MIN_BATCH_PRUNE
             pop = self._lru.pop
-            return sum(pop(name, _ABSENT) is not _ABSENT for name in names)
+            return sum(pop(name) is not None for name in names)
 
     def clear(self) -> None:
-        with self._lock, self._lru.lock:
-            self._lru.clear()
-            self._capped_kinds = set()
-            self._batch_keys = set()
-            self._batch_prune_at = _MIN_BATCH_PRUNE
+        self._lru.clear()
 
     def __len__(self) -> int:
         return len(self._lru)

@@ -491,7 +491,7 @@ class BlockSession(InferenceSession):
         return None if self.cache is None else self.cache.stats()
 
     def apply_update(self, delta: "GraphDelta") -> int:
-        """Apply a delta at a cost of O(changed rows).
+        """Apply a delta; past the graph's own splice, O(changed rows).
 
         Ordering matters and is pinned here: the graph mutates first (which
         advances its version and the row versions of the changed rows, so

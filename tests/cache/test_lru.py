@@ -248,6 +248,41 @@ class TestBlockCacheStore:
         assert stats.misses == expected
         assert stats.lookups == 2 * expected
 
+    def test_concurrent_stores_keep_every_live_name_indexed(self):
+        """Writers racing through put_batch's prunes and put_capped_rows
+        never lose a live name: one invalidation afterwards pops every
+        batch and every capped row it is given."""
+        import sys
+        import threading
+
+        cache = BlockCache(max_entries=96)
+        rounds, writers = 300, 4
+
+        def writer(index):
+            for step in range(rounds):
+                seeds = np.asarray([index, step], dtype=np.int64)
+                cache.put_batch(seeds, (4,), epoch=0, batch=[])
+                cache.put_capped_rows([index], 4, hop=step % 3, epoch=0,
+                                      rows=self._rows([step]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(index,))
+                       for index in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        live = cache._lru.keys()
+        assert any(key[0] == "bat" for key in live)
+        cache.invalidate_nodes(np.arange(writers))
+        assert not [key for key in cache._lru.keys()
+                    if key[0] in ("bat", "blk")]
+
 
 class TestRowProbe:
     """``get_rows`` probes the raw key first and the capped key only for a
