@@ -53,6 +53,16 @@ class MethodRow:
                 "gbitops": self.giga_bit_operations, **self.extra}
 
 
+#: Datasets with multi-label targets: trained with a sigmoid per task and
+#: reported as ROC-AUC, the paper's metric for OGB-Proteins.
+MULTILABEL_DATASETS = ("ogb-proteins",)
+
+
+def metric_name(dataset: str) -> str:
+    """The metric a table reports for ``dataset``."""
+    return "ROC-AUC" if dataset in MULTILABEL_DATASETS else "Accuracy"
+
+
 def format_table(title: str, rows: Sequence[MethodRow],
                  metric_name: str = "Accuracy") -> str:
     """Render rows in the layout of the paper's tables."""
