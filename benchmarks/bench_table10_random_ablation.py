@@ -5,20 +5,11 @@ assignments (with or without an INT8 output constraint) while using an
 average bit-width that is no larger.
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.ablation import table10_random_vs_mixq
-from repro.experiments.common import format_table
-from repro.experiments.reference import PAPER_TABLE10
+from _bench_utils import run_table
 
 
 def test_table10_random_vs_mixq(benchmark, light_scale):
-    results = run_once(benchmark, table10_random_vs_mixq, datasets=("cora",),
-                       scale=light_scale, num_random=3)
-
-    rows = results["cora"]
-    print("\n" + format_table("Table 10 — random vs MixQ (Cora)", rows))
-    print(f"paper reference: {PAPER_TABLE10['cora']}")
+    (rows,) = run_table(benchmark, "table10", light_scale, num_random=3).values()
 
     by_method = {row.method: row for row in rows}
     random_plain = by_method["Random"]

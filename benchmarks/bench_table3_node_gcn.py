@@ -5,20 +5,13 @@ Shape reproduced (paper Table 3): quantized methods cut BitOPs by roughly
 average bit-width and the BitOPs.
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.node_tables import table3_node_classification
-from repro.experiments.reference import PAPER_TABLE3
+from _bench_utils import run_table
 
 
 def test_table3_node_classification_gcn(benchmark, light_scale):
-    results = run_once(benchmark, table3_node_classification,
-                       datasets=("cora", "citeseer"), scale=light_scale)
+    results = run_table(benchmark, "table3", light_scale)
 
-    for dataset, rows in results.items():
-        print("\n" + format_table(f"Table 3 — {dataset} (paper: "
-                                  f"{PAPER_TABLE3[dataset]['FP32']['accuracy']}% FP32)", rows))
+    for rows in results.values():
         by_method = {row.method: row for row in rows}
         fp32 = by_method["FP32"]
         mixq_eps = by_method["MixQ(λ=-ε)"]

@@ -5,19 +5,11 @@ variant at the same lambda (the paper reports +0.2 to +3.6 points) while
 keeping the BitOPs budget essentially unchanged.
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.node_tables import table4_mixq_with_dq
-from repro.experiments.reference import PAPER_TABLE4
+from _bench_utils import run_table
 
 
 def test_table4_mixq_with_degree_quant(benchmark, light_scale):
-    rows = run_once(benchmark, table4_mixq_with_dq, dataset="cora", scale=light_scale,
-                    lambdas=(0.1, 1.0))
-    print("\n" + format_table("Table 4 — MixQ vs MixQ + DQ (Cora)", rows))
-    print(f"paper reference: {PAPER_TABLE4['MixQ(λ=0.1)']} vs "
-          f"{PAPER_TABLE4['MixQ(λ=0.1) + DQ']}")
+    (rows,) = run_table(benchmark, "table4", light_scale, lambdas=(0.1, 1.0)).values()
 
     by_method = {row.method: row for row in rows}
     gaps = []

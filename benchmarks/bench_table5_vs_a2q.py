@@ -5,21 +5,14 @@ computational budget on most datasets (the paper reports roughly half the
 GBitOPs on Cora and PubMed).
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.node_tables import table5_mixq_dq_vs_a2q
-from repro.experiments.reference import PAPER_TABLE5
+from _bench_utils import run_table
 
 
 def test_table5_mixq_dq_vs_a2q(benchmark, light_scale):
-    results = run_once(benchmark, table5_mixq_dq_vs_a2q, datasets=("cora", "pubmed"),
-                       scale=light_scale)
+    results = run_table(benchmark, "table5", light_scale)
 
     accuracy_gaps = []
-    for dataset, rows in results.items():
-        print("\n" + format_table(f"Table 5 — {dataset}", rows))
-        print(f"paper reference: {PAPER_TABLE5[dataset]}")
+    for rows in results.values():
         by_method = {row.method: row for row in rows}
         a2q = by_method["A2Q"]
         mixq_dq = by_method["MixQ + DQ"]

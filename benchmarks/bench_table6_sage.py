@@ -5,20 +5,13 @@ accuracy close to (sometimes above) the FP32 baseline, and 3-8x fewer
 BitOPs.
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.node_tables import table6_graphsage
-from repro.experiments.reference import PAPER_TABLE6
+from _bench_utils import run_table
 
 
 def test_table6_graphsage(benchmark, light_scale):
-    results = run_once(benchmark, table6_graphsage, datasets=("cora", "citeseer"),
-                       scale=light_scale)
+    results = run_table(benchmark, "table6", light_scale)
 
-    for dataset, rows in results.items():
-        print("\n" + format_table(f"Table 6 — GraphSAGE on {dataset}", rows))
-        print(f"paper reference: {PAPER_TABLE6[dataset]}")
+    for rows in results.values():
         by_method = {row.method: row for row in rows}
         fp32 = by_method["FP32"]
         moderate = by_method["MixQ(λ=0.1)"]

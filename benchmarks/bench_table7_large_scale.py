@@ -8,23 +8,14 @@ multi-label and evaluated with ROC-AUC.
 
 from dataclasses import replace
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.node_tables import table7_large_scale
-from repro.experiments.reference import PAPER_TABLE7
+from _bench_utils import run_table
 
 
 def test_table7_large_scale_graphsage(benchmark, light_scale):
-    scale = replace(light_scale, num_seeds=1)
-    results = run_once(benchmark, table7_large_scale,
-                       datasets=("reddit", "ogb-proteins"), scale=scale,
-                       lambdas=(-1e-8, 1.0))
+    results = run_table(benchmark, "table7", replace(light_scale, num_seeds=1),
+                        lambdas=(-1e-8, 1.0))
 
     for dataset, rows in results.items():
-        metric = "ROC-AUC" if dataset == "ogb-proteins" else "Accuracy"
-        print("\n" + format_table(f"Table 7 — {dataset}", rows, metric_name=metric))
-        print(f"paper reference: {PAPER_TABLE7[dataset]}")
         by_method = {row.method: row for row in rows}
         fp32 = by_method["FP32"]
         gentle = by_method["MixQ(λ=-ε)"]

@@ -5,22 +5,14 @@ accuracy while running at a fraction of the FP32 BitOPs, and the
 accuracy-first setting (λ=-ε) is at least as accurate as the aggressive one.
 """
 
-from _bench_utils import run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.graph_tables import table8_graph_classification
-from repro.experiments.reference import PAPER_TABLE8
+from _bench_utils import run_table
 
 
 def test_table8_graph_classification(benchmark, light_scale):
-    results = run_once(benchmark, table8_graph_classification,
-                       datasets=("imdb-b", "proteins"), scale=light_scale,
-                       num_layers=3, lambdas=(-1e-8, 1.0))
+    results = run_table(benchmark, "table8", light_scale, num_layers=3,
+                        lambdas=(-1e-8, 1.0))
 
-    for dataset, rows in results.items():
-        print("\n" + format_table(f"Table 8 — {dataset} ({light_scale.num_folds}-fold CV)",
-                                  rows))
-        print(f"paper reference: {PAPER_TABLE8[dataset]}")
+    for rows in results.values():
         by_method = {row.method: row for row in rows}
         fp32 = by_method["FP32"]
         gentle = by_method["MixQ(λ=-ε)"]

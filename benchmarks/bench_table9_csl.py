@@ -5,22 +5,16 @@ model (24% vs 99% FP32), INT4 is close to FP32, and MixQ reaches INT4-level
 accuracy with a smaller average bit-width.
 """
 
-from _bench_utils import run_once
+from dataclasses import replace
 
-from repro.experiments.graph_tables import table9_csl
-from repro.experiments.common import format_table
-from repro.experiments.reference import PAPER_TABLE9
+from _bench_utils import run_table
 
 
 def test_table9_csl(benchmark, light_scale):
-    from dataclasses import replace
-
     scale = replace(light_scale, graph_train_epochs=max(light_scale.graph_train_epochs, 150),
                     hidden_features=max(light_scale.hidden_features, 32))
-    rows = run_once(benchmark, table9_csl, scale=scale, num_layers=3,
-                    positional_encoding_dim=16, copies_per_class=6)
-    print("\n" + format_table("Table 9 — CSL", rows))
-    print(f"paper reference: {PAPER_TABLE9}")
+    (rows,) = run_table(benchmark, "table9", scale, num_layers=3,
+                        positional_encoding_dim=16, copies_per_class=6).values()
 
     by_method = {row.method: row for row in rows}
     fp32 = by_method["FP32"]

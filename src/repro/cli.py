@@ -13,7 +13,8 @@ Seven sub-commands cover the everyday workflows::
 ``search`` runs the differentiable bit-width search and stores the selected
 assignment; ``train`` quantization-aware-trains a model from a stored (or
 uniform) assignment and reports accuracy / bits / GBitOPs; ``table`` runs
-one of the paper-table experiment runners at the quick scale and prints it;
+one of Tables 3–10 as declared in ``experiments/reference.py`` (``REPRO_SCALE``,
+quick by default) and prints it;
 ``export`` QAT-trains and writes a self-contained integer deployment
 artifact (npz + json sidecar); ``predict`` serves requests from a saved
 artifact with integer arithmetic — full-graph or memory-bounded
@@ -40,6 +41,7 @@ knob defaults.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List, Optional, Sequence
 
@@ -48,8 +50,9 @@ import numpy as np
 from repro.core.build import layer_dimensions
 from repro.core.mixq import MixQNodeClassifier
 from repro.core.search_space import conv_component_names
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, metric_name
 from repro.experiments.config import current_scale
+from repro.experiments.reference import TABLES
 from repro.experiments.results_io import load_assignment, save_assignment, save_mixq_result
 from repro.graphs.datasets import NODE_DATASETS, load_node_dataset
 from repro.quant.degree_quant import DegreeQuantizer, attach_degree_probabilities, \
@@ -141,33 +144,18 @@ def _command_train(args) -> int:
 
 
 def _command_table(args) -> int:
-    from repro.experiments import ablation, node_tables
-
-    scale = current_scale()
-    if args.datasets:
-        datasets = tuple(args.datasets)
-    else:
-        # table7 runs on the large-scale stand-ins, not the citation graphs.
-        datasets = ("reddit",) if args.name == "table7" else ("cora",)
-    sampled = {"minibatch": args.minibatch, "fanout": args.fanout,
-               "batch_size": args.batch_size}
-    if args.minibatch and args.name not in ("table3", "table7"):
+    table = TABLES[args.name]
+    datasets = tuple(args.datasets or table.datasets)
+    options = {}
+    if "minibatch" in inspect.signature(table.runner).parameters:
+        options = {"minibatch": args.minibatch, "fanout": args.fanout,
+                   "batch_size": args.batch_size}
+    elif args.minibatch:
         print(f"note: --minibatch is only wired into table3/table7; "
               f"{args.name} runs full-batch", file=sys.stderr)
-    if args.name == "table3":
-        results = node_tables.table3_node_classification(datasets=datasets, scale=scale,
-                                                         **sampled)
-    elif args.name == "table6":
-        results = node_tables.table6_graphsage(datasets=datasets, scale=scale)
-    elif args.name == "table7":
-        results = node_tables.table7_large_scale(datasets=datasets, scale=scale,
-                                                 **sampled)
-    elif args.name == "table10":
-        results = ablation.table10_random_vs_mixq(datasets=datasets, scale=scale)
-    else:
-        raise ValueError(f"unknown table {args.name!r}")
+    results = table.runner(datasets, scale=current_scale(), **options)
     for dataset, rows in results.items():
-        print(format_table(f"{args.name} — {dataset}", rows))
+        print(format_table(f"{table.title} — {dataset}", rows, metric_name(dataset)))
         print()
     return 0
 
@@ -570,10 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(handler=_command_train)
 
     table = subparsers.add_parser("table", help="print one of the paper tables")
-    table.add_argument("--name", default="table3",
-                       choices=["table3", "table6", "table7", "table10"])
+    table.add_argument("--name", default="table3", choices=sorted(TABLES))
     table.add_argument("--datasets", nargs="+", default=None,
-                       help="defaults to cora (table7: reddit)")
+                       help="defaults to the table's declared datasets: " + "; ".join(
+                           f"{name}: {' '.join(TABLES[name].datasets)}"
+                           for name in sorted(TABLES)))
     table.add_argument("--minibatch", action="store_true",
                        help="train with neighbor-sampled minibatches "
                             "(table3/table7 runners)")

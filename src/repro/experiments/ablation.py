@@ -29,8 +29,7 @@ def _qat_row(graph, assignment, name: str, scale: ExperimentScale, seed: int,
                            method_name=name, **kwargs)
 
 
-def table10_random_vs_mixq(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
-                           scale: ExperimentScale = QUICK,
+def table10_random_vs_mixq(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                            bit_choices: Sequence[int] = (2, 4, 8),
                            num_random: int = 3) -> Dict[str, List[MethodRow]]:
     """Table 10: random bit-width assignment vs Random+INT8 vs MixQ(λ=1)."""

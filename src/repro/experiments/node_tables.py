@@ -84,8 +84,7 @@ def _run_rows(datasets: Sequence[str], scale: ExperimentScale, rows: Sequence[Ro
     return results
 
 
-def table3_node_classification(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
-                               scale: ExperimentScale = QUICK,
+def table3_node_classification(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                                bit_choices: Sequence[int] = (2, 4, 8),
                                lambdas: Sequence[float] = (EPSILON_LAMBDA, 0.1, 1.0),
                                minibatch: bool = False,
@@ -103,19 +102,18 @@ def table3_node_classification(datasets: Sequence[str] = ("cora", "citeseer", "p
         *(fit.mixq(lambda_value, bit_choices, "gcn") for lambda_value in lambdas)])
 
 
-def table4_mixq_with_dq(dataset: str = "cora", scale: ExperimentScale = QUICK,
+def table4_mixq_with_dq(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                         bit_choices: Sequence[int] = (2, 4, 8),
                         lambdas: Sequence[float] = (EPSILON_LAMBDA, 0.1, 1.0)
-                        ) -> List[MethodRow]:
-    """Table 4: native MixQ vs MixQ + DQ on one dataset (two-layer GCN)."""
+                        ) -> Dict[str, List[MethodRow]]:
+    """Table 4: native MixQ vs MixQ + DQ (two-layer GCN), per λ."""
     fit = _Methods(scale)
-    return _run_rows((dataset,), scale, [
+    return _run_rows(datasets, scale, [
         fit.mixq(lambda_value, bit_choices, "gcn", with_degree_quant=with_degree_quant)
-        for lambda_value in lambdas for with_degree_quant in (False, True)])[dataset]
+        for lambda_value in lambdas for with_degree_quant in (False, True)])
 
 
-def table5_mixq_dq_vs_a2q(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
-                          scale: ExperimentScale = QUICK,
+def table5_mixq_dq_vs_a2q(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                           bit_choices: Sequence[int] = (2, 4, 8)
                           ) -> Dict[str, List[MethodRow]]:
     """Table 5: A²Q vs MixQ + DQ (both use graph structure for quantization)."""
@@ -125,8 +123,7 @@ def table5_mixq_dq_vs_a2q(datasets: Sequence[str] = ("cora", "citeseer", "pubmed
                             method_name="MixQ + DQ")])
 
 
-def table6_graphsage(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
-                     scale: ExperimentScale = QUICK,
+def table6_graphsage(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                      bit_choices: Sequence[int] = (2, 4, 8),
                      lambdas: Sequence[float] = (0.1, 1.0)) -> Dict[str, List[MethodRow]]:
     """Table 6: GraphSAGE node classification with MixQ as a standalone method."""
@@ -136,9 +133,7 @@ def table6_graphsage(datasets: Sequence[str] = ("cora", "citeseer", "pubmed"),
         *(fit.mixq(lambda_value, bit_choices, "sage") for lambda_value in lambdas)])
 
 
-def table7_large_scale(datasets: Sequence[str] = ("reddit", "ogb-proteins",
-                                                  "ogb-products", "igb"),
-                       scale: ExperimentScale = QUICK,
+def table7_large_scale(datasets: Sequence[str], scale: ExperimentScale = QUICK,
                        bit_choices: Sequence[int] = (2, 4, 8),
                        lambdas: Sequence[float] = (EPSILON_LAMBDA, 0.1, 1.0),
                        minibatch: bool = False,

@@ -1,15 +1,30 @@
-"""Reference numbers from the paper, used for paper-vs-measured reporting.
+"""The paper's tables, each declared once, with the paper's reference values.
 
-These are the headline values of the tables the reproduction targets.  The
-``benchmarks/bench_table*`` / ``bench_fig*`` files print them next to the
-measured values; they are *not* used as assertions because the synthetic
-dataset stand-ins shift absolute accuracies — only the qualitative shape is
-asserted.
+:data:`TABLES` declares every MethodRow table (Tables 3–10): its title, the
+datasets it runs by default, the paper's values per dataset and row label,
+and its runner.  ``repro table``, the ``benchmarks/bench_table*`` files and
+the table goldens read the declaration instead of restating it.
+
+The paper's values are printed next to the measured rows; they are *never*
+used as assertions, because the synthetic dataset stand-ins shift absolute
+accuracies — the benchmarks assert only the qualitative shape.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Tuple
+
+from repro.experiments.ablation import table10_random_vs_mixq
+from repro.experiments.common import MethodRow
+from repro.experiments.graph_tables import table8_graph_classification, table9_csl
+from repro.experiments.node_tables import (
+    table3_node_classification,
+    table4_mixq_with_dq,
+    table5_mixq_dq_vs_a2q,
+    table6_graphsage,
+    table7_large_scale,
+)
 
 #: Table 3 (GCN node classification): accuracy %, average bits, GBitOPs.
 PAPER_TABLE3: Dict[str, Dict[str, Dict[str, float]]] = {
@@ -153,4 +168,39 @@ PAPER_HEADLINES = {
     "graph_classification_bitops_reduction": 5.1,
     "figure1_spearman_correlation": 0.64,
     "figure8_pearson_correlations": {"amd": 0.59, "apple_m1": 0.95, "intel_xeon": 0.70},
+}
+
+
+@dataclass(frozen=True)
+class PaperTable:
+    """One MethodRow table of the paper.
+
+    ``runner(datasets, scale, **options)`` returns ``{dataset: [MethodRow]}``;
+    ``datasets`` is the set run when the caller names none; ``paper`` maps a
+    dataset to the paper's values per row label.
+    """
+
+    title: str
+    datasets: Tuple[str, ...]
+    paper: Mapping[str, Mapping[str, Mapping[str, float]]]
+    runner: Callable[..., Dict[str, List[MethodRow]]]
+
+
+TABLES: Dict[str, PaperTable] = {
+    "table3": PaperTable("Table 3 — GCN node classification", ("cora", "citeseer"),
+                         PAPER_TABLE3, table3_node_classification),
+    "table4": PaperTable("Table 4 — MixQ vs MixQ + DQ", ("cora",),
+                         {"cora": PAPER_TABLE4}, table4_mixq_with_dq),
+    "table5": PaperTable("Table 5 — A2Q vs MixQ + DQ", ("cora", "pubmed"),
+                         PAPER_TABLE5, table5_mixq_dq_vs_a2q),
+    "table6": PaperTable("Table 6 — GraphSAGE node classification", ("cora", "citeseer"),
+                         PAPER_TABLE6, table6_graphsage),
+    "table7": PaperTable("Table 7 — large-scale GraphSAGE", ("reddit", "ogb-proteins"),
+                         PAPER_TABLE7, table7_large_scale),
+    "table8": PaperTable("Table 8 — GIN graph classification (k-fold CV)",
+                         ("imdb-b", "proteins"), PAPER_TABLE8, table8_graph_classification),
+    "table9": PaperTable("Table 9 — CSL graph classification", ("csl",),
+                         {"csl": PAPER_TABLE9}, table9_csl),
+    "table10": PaperTable("Table 10 — random assignment vs MixQ", ("cora",),
+                          PAPER_TABLE10, table10_random_vs_mixq),
 }

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment runners (tiny configurations).
 
 These protect the benchmark harness: every table/figure runner must execute
-end-to-end and return rows in the expected layout.  Heavier, shape-asserting
+end-to-end and return rows in the expected layout, and every declared table
+must emit the row labels of the paper's table.  Heavier, shape-asserting
 runs live in ``benchmarks/``.
 """
 
@@ -10,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import ablation, figures, graph_tables, node_tables, table_static
+from repro.experiments import ablation, figures, table_static
 from repro.experiments.common import MethodRow, format_table, merge_seed_rows
 from repro.experiments.config import QUICK, STANDARD, current_scale
+from repro.experiments.reference import TABLES
 
 TINY = replace(QUICK, num_seeds=1, search_epochs=5, train_epochs=8, citation_scale=0.06,
                large_scale=0.3, num_graphs=16, graph_search_epochs=1,
@@ -63,42 +65,38 @@ class TestStaticTables:
         assert "cora" in table_static.format_table2(table)
 
 
-class TestNodeTableRunners:
-    def test_table3_shape(self):
-        results = node_tables.table3_node_classification(datasets=("cora",), scale=TINY,
-                                                         lambdas=(0.1,))
-        rows = results["cora"]
-        methods = [row.method for row in rows]
-        assert methods[0] == "FP32"
-        assert any("MixQ" in method for method in methods)
-        assert all(row.accuracies for row in rows)
+#: Runner options that keep each declared table tiny; every λ grid stays the
+#: runner's default, so each table emits the rows the paper has.
+TINY_OPTIONS = {
+    "table8": {"num_layers": 2},
+    "table9": {"num_layers": 2, "positional_encoding_dim": 6, "copies_per_class": 3},
+    "table10": {"num_random": 1},
+}
 
-    def test_table6_sage(self):
-        results = node_tables.table6_graphsage(datasets=("cora",), scale=TINY,
-                                               lambdas=(1.0,))
-        assert len(results["cora"]) == 2
-
-    def test_table7_multilabel_metric(self):
-        results = node_tables.table7_large_scale(datasets=("ogb-proteins",), scale=TINY,
-                                                 lambdas=(0.1,))
-        rows = results["ogb-proteins"]
-        assert all(0.0 <= row.mean_accuracy <= 1.0 for row in rows)
+#: Where a runner's row labels differ from the paper's, as (emitted only,
+#: paper only).  Table 8 reports its accuracy-first MixQ row at λ=-ε where the
+#: paper tunes λ*, and has no A²Q graph-classification baseline; Table 9
+#: searches at λ=-ε only, where the paper also reports λ=0.
+LABEL_MISMATCHES = {
+    "table8": ({"MixQ(λ=-ε)"}, {"MixQ(λ*)", "A2Q"}),
+    "table9": (set(), {"MixQ(λ=0)"}),
+}
 
 
-class TestGraphTableRunners:
-    def test_table8_shape(self):
-        results = graph_tables.table8_graph_classification(datasets=("imdb-b",),
-                                                           scale=TINY, num_layers=2,
-                                                           lambdas=(1.0,))
-        rows = results["imdb-b"]
-        assert rows[0].method == "FP32"
-        assert rows[0].giga_bit_operations > 0
-
-    def test_table9_csl(self):
-        rows = graph_tables.table9_csl(scale=TINY, num_layers=2,
-                                       positional_encoding_dim=6, copies_per_class=3)
-        methods = [row.method for row in rows]
-        assert "QAT - INT2" in methods and "MixQ(λ=-ε)" in methods
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_declared_table_emits_the_paper_rows(name):
+    table = TABLES[name]
+    results = table.runner(table.datasets, scale=TINY, **TINY_OPTIONS.get(name, {}))
+    assert list(results) == list(table.datasets)
+    emitted_only, paper_only = LABEL_MISMATCHES.get(name, (set(), set()))
+    for dataset, rows in results.items():
+        labels = {row.method for row in rows}
+        assert len(labels) == len(rows)
+        assert labels - set(table.paper[dataset]) == emitted_only
+        assert set(table.paper[dataset]) - labels == paper_only
+        for row in rows:
+            assert row.accuracies and 0.0 <= row.mean_accuracy <= 1.0
+            assert row.giga_bit_operations > 0
 
 
 class TestFigureRunners:
@@ -133,12 +131,6 @@ class TestFigureRunners:
 
 
 class TestAblationRunners:
-    def test_table10(self):
-        results = ablation.table10_random_vs_mixq(datasets=("cora",), scale=TINY,
-                                                  num_random=1)
-        methods = [row.method for row in results["cora"]]
-        assert methods == ["Random", "Random+INT8", "MixQ(λ=1)"]
-
     def test_quantizer_range_ablation(self):
         rows = ablation.ablation_quantizer_ranges(scale=TINY)
         assert len(rows) == 2

@@ -1,5 +1,6 @@
 """Tests for result serialization and the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.cli import build_parser, main
 from repro.core.mixq import MixQNodeClassifier, MixQResult
 from repro.core.selection import BitWidthSearchResult
 from repro.experiments.common import MethodRow
+from repro.experiments.reference import TABLES
 from repro.experiments.results_io import (
     load_assignment,
     load_table,
@@ -107,3 +109,15 @@ class TestCLI:
         code = main(["search", "--dataset", "cora", "--scale", "0.05", "--epochs", "3",
                      "--degree-quant"])
         assert code == 0
+
+    def test_table_name_choices_are_the_declared_tables(self):
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        name = next(action for action in subcommands.choices["table"]._actions
+                    if action.dest == "name")
+        assert name.choices == sorted(TABLES)
+
+    def test_table_command_prints_the_declared_title(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert main(["table", "--name", "table10", "--datasets", "cora"]) == 0
+        assert f"{TABLES['table10'].title} — cora" in capsys.readouterr().out

@@ -18,28 +18,21 @@ from functools import lru_cache
 
 import pytest
 
-from repro.experiments import ablation, figures, node_tables
+from repro.experiments import figures
 from repro.experiments.config import QUICK
+from repro.experiments.reference import TABLES
 
 SCALE = replace(QUICK, num_seeds=1)
 
-
-def _rows(rows) -> list:
-    return [(row.method, row.accuracies, row.bits, row.giga_bit_operations)
-            for row in rows]
-
-
-RUNS = {
-    "table3": lambda: node_tables.table3_node_classification(
-        ("cora",), scale=SCALE)["cora"],
-    "table3-minibatch": lambda: node_tables.table3_node_classification(
-        ("cora",), scale=SCALE, minibatch=True)["cora"],
-    "table4": lambda: node_tables.table4_mixq_with_dq("cora", scale=SCALE),
-    "table5": lambda: node_tables.table5_mixq_dq_vs_a2q(("cora",), scale=SCALE)["cora"],
-    "table6": lambda: node_tables.table6_graphsage(("cora",), scale=SCALE)["cora"],
-    "table7": lambda: node_tables.table7_large_scale(
-        ("reddit",), scale=SCALE, lambdas=(-1e-8, 1.0))["reddit"],
-    "table10": lambda: ablation.table10_random_vs_mixq(("cora",), scale=SCALE)["cora"],
+#: case -> (declared table, dataset, runner options)
+CASES = {
+    "table3": ("table3", "cora", {}),
+    "table3-minibatch": ("table3", "cora", {"minibatch": True}),
+    "table4": ("table4", "cora", {}),
+    "table5": ("table5", "cora", {}),
+    "table6": ("table6", "cora", {}),
+    "table7": ("table7", "reddit", {"lambdas": (-1e-8, 1.0)}),
+    "table10": ("table10", "cora", {}),
 }
 
 
@@ -49,7 +42,10 @@ def record(case: str) -> list:
         points = figures.figure9_lambda_sweep((-0.1, 0.0, 0.1, 1.0), scale=SCALE,
                                               num_seeds=1)
         return [(p.lambda_value, p.average_bits, p.accuracy) for p in points]
-    return _rows(RUNS[case]())
+    name, dataset, options = CASES[case]
+    rows = TABLES[name].runner((dataset,), scale=SCALE, **options)[dataset]
+    return [(row.method, row.accuracies, row.bits, row.giga_bit_operations)
+            for row in rows]
 
 
 GOLDEN = {
@@ -108,7 +104,7 @@ def test_uniform_gbitops_scale_with_the_bit_width(case):
 
 
 def test_mixq_bits_lie_in_the_candidate_range():
-    bits = [row_bits for case in sorted(RUNS)
+    bits = [row_bits for case in sorted(CASES)
             for method, _, row_bits, _ in record(case) if method.startswith("MixQ")]
     bits += [point_bits for _, point_bits, _ in record("figure9")]
     assert len(bits) == 22
